@@ -27,8 +27,11 @@
 // With -data-dir the catalog is durable: every acknowledged mutation is
 // write-ahead logged and fsynced before its response, checkpoints bound
 // replay cost, and a restart recovers relations, indexes and maintained
-// statements exactly as acknowledged. SIGINT/SIGTERM trigger a graceful
-// drain (bounded by -drain-timeout) before the process exits.
+// statements exactly as acknowledged. Durable or not, a maintained id is
+// the catalog's: any session can exec it, and re-maintaining it attaches
+// when the query matches and fails when it differs. SIGINT/SIGTERM
+// trigger a graceful drain (bounded by -drain-timeout) before the
+// process exits.
 //
 // With -metrics-addr the process serves /metrics in Prometheus text
 // format: engine counters (resolutions, index builds, plan cache,
@@ -93,10 +96,9 @@ func main() {
 	}
 
 	var srv *server.Server
-	var dur *durable.Catalog
+	closeStore := func() {} // an in-memory catalog has nothing to flush
 	if *dataDir != "" {
-		var err error
-		dur, err = durable.Open(*dataDir, durable.Options{
+		dur, err := durable.Open(*dataDir, durable.Options{
 			Catalog:         catOpts,
 			CheckpointEvery: *ckptEvery,
 			Logf: func(format string, args ...any) {
@@ -108,6 +110,11 @@ func main() {
 			os.Exit(1)
 		}
 		srv = server.NewDurable(dur, cfg)
+		closeStore = func() {
+			if err := dur.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "tetrisd: close:", err)
+			}
+		}
 	} else {
 		srv = server.New(catalog.NewWithOptions(catOpts), cfg)
 	}
@@ -157,7 +164,7 @@ func main() {
 			<-drained
 			err = nil // a signal-driven shutdown is a clean exit
 		}
-		closeDurable(dur)
+		closeStore()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tetrisd:", err)
 			os.Exit(1)
@@ -174,19 +181,9 @@ func main() {
 	if sigSeen.Load() {
 		<-drained // signal path: let the drain finish before closing
 	}
-	closeDurable(dur)
+	closeStore()
 	if serveErr != nil {
 		fmt.Fprintln(os.Stderr, "tetrisd:", serveErr)
 		os.Exit(1)
-	}
-}
-
-// closeDurable flushes and closes the durable catalog, if any.
-func closeDurable(dur *durable.Catalog) {
-	if dur == nil {
-		return
-	}
-	if err := dur.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "tetrisd: close:", err)
 	}
 }

@@ -224,14 +224,12 @@ func Suite() []Case {
 		)
 	}
 	// Recovery series: durable.Open over the same catalog image — three
-	// relations, four maintained index families each — persisted three
+	// relations, four maintained index families each — persisted two
 	// ways. replay recovers from the raw WAL (re-ingest plus rebuild);
-	// checkpoint loads tuple-only snapshots and rebuilds every index;
 	// segment loads the frozen index slabs and builds nothing. The
 	// index_builds_per_op column is deterministic (segment commits 0;
-	// `cmd/bench -gate-builds` pins it), and the segment/checkpoint
-	// timing ratio is the EXPERIMENTS.md rebuild-free-recovery claim.
-	for _, mode := range []string{"replay", "checkpoint", "segment"} {
+	// `cmd/bench -gate-builds` pins it).
+	for _, mode := range []string{"replay", "segment"} {
 		cases = append(cases, Case{
 			Name:  "Recovery/" + mode,
 			Bench: recoveryBench(mode),
@@ -278,23 +276,18 @@ func recoverySeed(d *durable.Catalog) error {
 }
 
 // recoveryBench measures durable.Open per op against a fixed image:
-// mode replay is WAL-only, checkpoint is a tuples-only snapshot
-// (DisableIndexSegments), segment is a full index-segment checkpoint.
+// mode replay is WAL-only, segment is an index-segment checkpoint.
 func recoveryBench(mode string) func(b *testing.B) Metrics {
 	image := sync.OnceValues(func() (*wal.MemFS, error) {
 		fs := wal.NewMemFS()
-		d, err := durable.Open("", durable.Options{
-			FS:                   fs,
-			CheckpointEvery:      -1,
-			DisableIndexSegments: mode == "checkpoint",
-		})
+		d, err := durable.Open("", durable.Options{FS: fs, CheckpointEvery: -1})
 		if err != nil {
 			return nil, err
 		}
 		if err := recoverySeed(d); err != nil {
 			return nil, err
 		}
-		if mode != "replay" {
+		if mode == "segment" {
 			if err := d.Checkpoint(); err != nil {
 				return nil, err
 			}

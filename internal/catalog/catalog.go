@@ -75,7 +75,16 @@ type Catalog struct {
 	mu    sync.RWMutex
 	rels  map[string]*relation.Relation     // current version by name
 	sets  map[*relation.Relation]*index.Set // registry per pinned snapshot
+	maint map[string]*Maintained            // registered statements by id
 	plans *planCache
+
+	// regMu makes MaintainAs's attach-or-create one operation. Only
+	// creations take it; lookups and attachments read maint under mu.
+	regMu sync.Mutex
+
+	// journal is the durability seam every mutation goes through
+	// (journal.go); never nil.
+	journal atomic.Pointer[Journal]
 
 	hits, misses atomic.Int64
 
@@ -135,13 +144,16 @@ func NewWithOptions(opts Options) *Catalog {
 	if size == 0 {
 		size = defaultPlanCache
 	}
-	return &Catalog{
+	c := &Catalog{
 		opts:       opts,
 		rels:       map[string]*relation.Relation{},
 		sets:       map[*relation.Relation]*index.Set{},
+		maint:      map[string]*Maintained{},
 		plans:      newPlanCache(size),
 		compacting: map[string]bool{},
 	}
+	c.SetJournal(noJournal{})
+	return c
 }
 
 // Ingest registers the relation under its own name, replacing any
@@ -151,32 +163,30 @@ func NewWithOptions(opts Options) *Catalog {
 // Append/Delete, which publish fresh versions. Returns the published
 // version stamp.
 func (c *Catalog) Ingest(rel *relation.Relation, specs ...index.Spec) (uint64, error) {
-	if rel == nil {
-		return 0, fmt.Errorf("catalog: nil relation")
-	}
-	rel.Tuples() // normalize before publishing: readers must never re-sort
-	set := index.NewSet(rel, &c.builds)
-	if err := set.Ensure(append(append([]index.Spec{}, c.opts.DefaultSpecs...), specs...)...); err != nil {
+	j, err := c.begin()
+	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.rels[rel.Name()]; ok {
-		delete(c.sets, old) // outstanding plans keep their own references
+	defer j.End()
+	v, err := c.IngestPrepared(rel, func(set *index.Set) error {
+		return set.Ensure(append(append([]index.Spec{}, c.opts.DefaultSpecs...), specs...)...)
+	})
+	if err != nil {
+		return 0, err
 	}
-	c.rels[rel.Name()] = rel
-	c.sets[rel] = set
-	c.gen.Add(1)
-	return rel.Version(), nil
+	if err := j.Log(Mutation{Op: "ingest", Rel: rel, Specs: specs}); err != nil {
+		return 0, err
+	}
+	return v, nil
 }
 
-// IngestPrepared registers the relation like Ingest, but lets the
-// caller prime the index registry before it is published — the
-// segment-backed recovery path: the durable layer Puts indexes loaded
-// from segment files (charging zero builds) and Ensures only the specs
-// whose segments were missing or corrupt. DefaultSpecs are NOT added
-// implicitly; recovery knows the exact spec list from its manifest and
-// is responsible for the full set.
+// IngestPrepared publishes the relation like Ingest, but unjournaled
+// and with the caller priming the index registry before it is published
+// — the segment-backed recovery path: the durable layer Puts indexes
+// loaded from segment files (charging zero builds) and Ensures only the
+// specs whose segments were missing or corrupt. DefaultSpecs are NOT
+// added implicitly; recovery knows the exact spec list from its manifest
+// and is responsible for the full set.
 func (c *Catalog) IngestPrepared(rel *relation.Relation, prime func(*index.Set) error) (uint64, error) {
 	if rel == nil {
 		return 0, fmt.Errorf("catalog: nil relation")
@@ -191,7 +201,7 @@ func (c *Catalog) IngestPrepared(rel *relation.Relation, prime func(*index.Set) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.rels[rel.Name()]; ok {
-		delete(c.sets, old)
+		delete(c.sets, old) // outstanding plans keep their own references
 	}
 	c.rels[rel.Name()] = rel
 	c.sets[rel] = set
@@ -224,17 +234,13 @@ func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 // rebuilt over the new snapshot). Running queries and prepared plans
 // pinned to the old version are unaffected.
 func (c *Catalog) Append(name string, tuples ...relation.Tuple) (uint64, error) {
-	return c.update(name, func(r *relation.Relation) (*relation.Relation, error) {
-		return r.WithInserted(tuples...)
-	})
+	return c.update("append", name, tuples)
 }
 
 // Delete publishes a new version of the named relation with the tuples
 // removed (absent tuples are ignored).
 func (c *Catalog) Delete(name string, tuples ...relation.Tuple) (uint64, error) {
-	return c.update(name, func(r *relation.Relation) (*relation.Relation, error) {
-		return r.WithDeleted(tuples...)
-	})
+	return c.update("delete", name, tuples)
 }
 
 // update derives and publishes a new version of a named relation,
@@ -247,8 +253,18 @@ func (c *Catalog) Delete(name string, tuples ...relation.Tuple) (uint64, error) 
 // 1-tuple write to a large relation cheap. Writers race optimistically:
 // the derive-and-build work happens outside the lock, and a writer that
 // loses the publish race simply retries over the new current version,
-// so concurrent appends both land instead of one failing.
-func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation.Relation, error)) (uint64, error) {
+// so concurrent appends both land instead of one failing. (A journal
+// that serializes mutations in Begin never sees that race.)
+func (c *Catalog) update(op, name string, tuples []relation.Tuple) (uint64, error) {
+	j, err := c.begin()
+	if err != nil {
+		return 0, err
+	}
+	defer j.End()
+	derive := (*relation.Relation).WithInserted
+	if op == "delete" {
+		derive = (*relation.Relation).WithDeleted
+	}
 	for {
 		c.mu.RLock()
 		cur, ok := c.rels[name]
@@ -260,7 +276,7 @@ func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation
 		if !ok {
 			return 0, fmt.Errorf("catalog: unknown relation %q", name)
 		}
-		next, err := derive(cur)
+		next, err := derive(cur, tuples...)
 		if err != nil {
 			return 0, err
 		}
@@ -301,6 +317,9 @@ func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation
 		if th := c.compactDepth(); th > 0 && set.MaxLayerDepth() >= th {
 			c.scheduleCompact(name)
 		}
+		if err := j.Log(Mutation{Op: op, Name: name, Tuples: tuples}); err != nil {
+			return 0, err
+		}
 		return next.Version(), nil
 	}
 }
@@ -329,17 +348,10 @@ func (c *Catalog) Names() []string {
 // relation's registry — what a checkpoint must record so recovery can
 // rebuild the same access paths eagerly.
 func (c *Catalog) Specs(name string) []index.Spec {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rel, ok := c.rels[name]
-	if !ok {
-		return nil
+	if set := c.IndexSet(name); set != nil {
+		return set.SpecList()
 	}
-	set, ok := c.sets[rel]
-	if !ok {
-		return nil
-	}
-	return set.SpecList()
+	return nil
 }
 
 // snapshot returns the current name → relation view for query parsing.

@@ -40,6 +40,7 @@ type Maintained struct {
 	text  string
 	label string       // version-free shape, for the exec observer
 	opts  join.Options // preparation options; Mode fixed at Maintain
+	reg   Registration // as given to MaintainAs; zero for an anonymous statement
 
 	mu                  sync.Mutex
 	plan                *join.Plan                    // over the pinned versions
@@ -85,7 +86,8 @@ const maintPatchFactor = 4
 // sequentially so the maintained enumeration order is exactly the
 // engine's sequential order. The initial materialization — the most
 // expensive step of the lifecycle — honors opts.Context and opts.Budget
-// like every later refresh.
+// like every later refresh. The statement is anonymous: owned by the
+// caller, neither registered nor journaled (MaintainAs does both).
 func (c *Catalog) Maintain(query string, opts join.Options) (*Maintained, error) {
 	gen := c.Generation()
 	p, err := c.Prepare(query, opts)
@@ -127,6 +129,85 @@ func (c *Catalog) Maintain(query string, opts join.Options) (*Maintained, error)
 	m.pinFromPlan()
 	return m, nil
 }
+
+// MaintainAs returns the maintained statement registered under id,
+// creating it when the id is new: attach-or-create as one operation, so
+// two callers racing to register the same id and query both get the one
+// statement. The registry is the catalog's — ids are global, outlive the
+// caller, and (with a journal attached) survive restarts — so an id
+// names one query: attaching with a different text is an error. A
+// creation is journaled like any mutation, and creations run one at a
+// time (materialization included, as the journal's lock would make them
+// anyway); an attachment takes no registration lock, changes nothing and
+// only brings the statement up to date under the caller's opts.Context
+// and opts.Budget.
+func (c *Catalog) MaintainAs(id, query string, opts join.Options) (*Maintained, error) {
+	if id == "" {
+		return nil, fmt.Errorf("catalog: maintained statement needs a non-empty id")
+	}
+	m, ok := c.MaintainedByID(id)
+	if !ok {
+		c.regMu.Lock()
+		if m, ok = c.MaintainedByID(id); !ok { // still new under the lock: create
+			defer c.regMu.Unlock()
+			return c.register(id, query, opts)
+		}
+		c.regMu.Unlock()
+	}
+	if m.text != query {
+		return nil, fmt.Errorf("maintained statement %q already exists with a different query", id)
+	}
+	_, err := m.Execute(opts)
+	return m, err
+}
+
+// register creates the statement under a new id; the caller holds regMu.
+// The id enters the registry only once Log has acknowledged it: a failed
+// registration leaves nothing a retry could attach to.
+func (c *Catalog) register(id, query string, opts join.Options) (*Maintained, error) {
+	j, err := c.begin()
+	if err != nil {
+		return nil, err
+	}
+	defer j.End()
+	reg := Registration{ID: id, Query: query, Mode: opts.Mode, SAOVars: opts.SAOVars}
+	m, err := c.Maintain(query, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.reg = reg
+	if err := j.Log(Mutation{Op: "maintain", Statement: reg}); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.maint[id] = m
+	c.mu.Unlock()
+	return m, nil
+}
+
+// MaintainedByID returns the statement registered under the id, if any.
+func (c *Catalog) MaintainedByID(id string) (*Maintained, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	m, ok := c.maint[id]
+	return m, ok
+}
+
+// MaintainedIDs returns the registered statement ids, sorted.
+func (c *Catalog) MaintainedIDs() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ids := make([]string, 0, len(c.maint))
+	for id := range c.maint {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// Registration returns what the statement was registered with — what a
+// checkpoint records to recreate it. Zero for an anonymous statement.
+func (m *Maintained) Registration() Registration { return m.reg }
 
 // pinFromPlan records the relation snapshots the current plan (and
 // therefore the current result) was computed against.

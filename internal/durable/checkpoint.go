@@ -163,13 +163,9 @@ func (d *Catalog) Checkpoint() error {
 			delete(d.segs, name)
 		}
 	}
-	ids := make([]string, 0, len(d.maint))
-	for id := range d.maint {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		ck.Maintained = append(ck.Maintained, d.maint[id].rec)
+	for _, id := range d.MaintainedIDs() {
+		m, _ := d.MaintainedByID(id)
+		ck.Maintained = append(ck.Maintained, recordOf(m.Registration()))
 	}
 
 	payload, err := json.Marshal(ck)
@@ -216,26 +212,24 @@ func (d *Catalog) freezeRelation(name string, rel *relation.Relation, lsn uint64
 	specs := d.Catalog.Specs(name)
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Key() < specs[j].Key() })
 	entry.Specs = specsToRecords(specs)
-	if !d.opts.DisableIndexSegments {
-		if set := d.Catalog.IndexSet(name); set != nil {
-			for _, spec := range specs {
-				ix, _, err := set.Get(spec)
-				if err != nil {
-					return entry, fmt.Errorf("durable: freeze %s %s: %w", name, spec.Key(), err)
-				}
-				words, ok := index.FreezeIndex(ix)
-				if !ok {
-					flat, err := spec.Build(rel)
-					if err != nil {
-						return entry, fmt.Errorf("durable: fold %s %s: %w", name, spec.Key(), err)
-					}
-					if words, ok = index.FreezeIndex(flat); !ok {
-						continue // unfreezable family: recovery rebuilds it
-					}
-				}
-				sec := w.AddSection(segKindIndex, words)
-				entry.Indexes = append(entry.Indexes, ckptIndex{Spec: specToRecord(spec), Section: sec})
+	if set := d.Catalog.IndexSet(name); set != nil {
+		for _, spec := range specs {
+			ix, _, err := set.Get(spec)
+			if err != nil {
+				return entry, fmt.Errorf("durable: freeze %s %s: %w", name, spec.Key(), err)
 			}
+			words, ok := index.FreezeIndex(ix)
+			if !ok {
+				flat, err := spec.Build(rel)
+				if err != nil {
+					return entry, fmt.Errorf("durable: fold %s %s: %w", name, spec.Key(), err)
+				}
+				if words, ok = index.FreezeIndex(flat); !ok {
+					continue // unfreezable family: recovery rebuilds it
+				}
+			}
+			sec := w.AddSection(segKindIndex, words)
+			entry.Indexes = append(entry.Indexes, ckptIndex{Spec: specToRecord(spec), Section: sec})
 		}
 	}
 	if err := d.stageAndPublish(segTmpName, entry.File, w.Encode()); err != nil {

@@ -1,29 +1,36 @@
-// Package durable puts a write-ahead log and checkpoint snapshots
-// underneath a catalog.Catalog, so that a process crash loses nothing
-// that was acknowledged.
+// Package durable makes a catalog.Catalog survive crashes: it is the
+// catalog's journal (a write-ahead log), its checkpoints, and the
+// recovery that puts the two back together. The mutation methods stay
+// the catalog's own, promoted unchanged; this package implements the
+// catalog.Journal seam they all pass through.
 //
-// Every mutation — Ingest, Append, Delete, Maintain — is applied to
-// the in-memory catalog, then encoded as one JSON record, appended to
-// the WAL, and fsynced before the call returns. The sync point IS the
-// acknowledgement: an operation whose call returned nil error survives
-// any crash; an operation whose call returned an error may or may not
-// have reached disk and the caller must treat it as not-done. A failed
-// append or sync poisons the durable catalog (every later mutation
-// fails fast) because the in-memory state may then be ahead of the
-// durable prefix — the only safe continuation is a restart, which
-// recovers exactly the acknowledged prefix.
+// Every mutation is applied to the in-memory catalog, then encoded as
+// one JSON record, appended to the WAL, and fsynced before the call
+// returns. The sync point IS the acknowledgement: an operation whose
+// call returned nil error survives any crash; an operation whose call
+// returned an error may or may not have reached disk and the caller
+// must treat it as not-done. A failed append or sync poisons the journal
+// (every later mutation is rejected before it is applied) because the
+// in-memory state may then be ahead of the durable prefix — the only
+// safe continuation is a restart, which recovers exactly the
+// acknowledged prefix.
 //
-// Recovery is load-latest-checkpoint + replay-WAL-tail. A checkpoint
-// serializes every relation's tuple snapshot plus its maintained index
-// specs plus the registered maintained statements into a single
-// CRC-framed record, published atomically (write temp, sync, rename);
-// the WAL is then truncated, so replay cost is bounded by the work
-// since the last checkpoint, not the lifetime of the database. Replay
-// tolerates a torn final record (truncated away, the tail was never
-// acknowledged) and detects mid-log corruption by offset; by default it
-// recovers the last consistent prefix, with StrictReplay it refuses to
-// open. Recovery is idempotent: reopening the same directory any
-// number of times yields the same catalog.
+// A checkpoint (checkpoint.go) is a manifest — one CRC-framed record
+// naming every relation's segment file and the registered maintained
+// statements — plus one segment file per relation with its tuple slab
+// and frozen indexes, each published atomically (write temp, sync,
+// rename). The WAL is then rotated, not truncated: an older manifest
+// plus both epochs still covers the acknowledged prefix if the newest
+// manifest is later found damaged.
+//
+// Recovery is load-newest-valid-manifest + replay-WAL-tail, applied
+// before the journal is attached so nothing is logged twice. Records at
+// or below the manifest's LSN are skipped, which makes recovery
+// idempotent: reopening the same directory any number of times yields
+// the same catalog. Replay tolerates a torn final record (truncated
+// away, the tail was never acknowledged) and detects mid-log corruption
+// by offset; by default it recovers the last consistent prefix, with
+// StrictReplay it refuses to open.
 package durable
 
 import (
@@ -69,11 +76,6 @@ type Options struct {
 	// StrictReplay refuses to open when the WAL has a mid-log CRC
 	// mismatch, instead of recovering the last consistent prefix.
 	StrictReplay bool
-	// DisableIndexSegments makes checkpoints serialize tuple slabs only,
-	// leaving every index to be rebuilt at recovery. For benchmarks and
-	// comparisons; the default (false) freezes indexes into segments so
-	// a clean restart performs zero index builds.
-	DisableIndexSegments bool
 	// Logf, when non-nil, receives recovery and checkpoint diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -112,10 +114,10 @@ type RecoveryInfo struct {
 }
 
 // Catalog is a catalog.Catalog whose mutations are write-ahead logged.
-// Read paths (Execute, Prepare, Relation, Stats, ...) are promoted from
-// the embedded catalog unchanged; the mutation methods are shadowed
-// with logging wrappers. Mutations are serialized by one mutex — the
-// WAL is a single append stream — while reads stay concurrent.
+// Every catalog method, reads and mutations alike, is promoted from the
+// embedded catalog unchanged; what this type adds is the journal behind
+// them, Checkpoint, and Close. Mutations are serialized by one mutex —
+// the WAL is a single append stream — while reads stay concurrent.
 type Catalog struct {
 	*catalog.Catalog
 
@@ -129,7 +131,6 @@ type Catalog struct {
 	sinceCkpt int    // records logged since that checkpoint
 	broken    error  // sticky: set when an append/sync fails
 	closed    bool
-	maint     map[string]*maintEntry
 	// segs tracks which segment file currently holds each relation and
 	// at which version it was frozen — the churn detector that lets a
 	// checkpoint skip re-serializing unchanged relations.
@@ -143,13 +144,6 @@ type Catalog struct {
 	wg     sync.WaitGroup
 }
 
-// maintEntry pairs a live maintained statement with the durable record
-// that recreates it on recovery.
-type maintEntry struct {
-	m   *catalog.Maintained
-	rec maintRecord
-}
-
 // walOp is the JSON payload of one WAL record: exactly the arguments
 // needed to re-apply the mutation against a recovering catalog. Mode is
 // stored in its parseable form ("preloaded", not Mode.String()'s
@@ -160,7 +154,7 @@ type walOp struct {
 	Name   string             `json:"name,omitempty"`
 	Rel    *relation.Snapshot `json:"rel,omitempty"`
 	Specs  []specRecord       `json:"specs,omitempty"`
-	Tuples [][]uint64         `json:"tuples,omitempty"`
+	Tuples []relation.Tuple   `json:"tuples,omitempty"`
 	ID     string             `json:"id,omitempty"`
 	Query  string             `json:"query,omitempty"`
 	Mode   string             `json:"mode,omitempty"`
@@ -239,7 +233,6 @@ func Open(dir string, opts Options) (*Catalog, error) {
 		Catalog: catalog.NewWithOptions(opts.Catalog),
 		fsys:    fsys,
 		opts:    opts,
-		maint:   map[string]*maintEntry{},
 		segs:    map[string]segRef{},
 		info:    RecoveryInfo{CorruptOffset: -1},
 	}
@@ -263,7 +256,6 @@ func Open(dir string, opts Options) (*Catalog, error) {
 		d.info.IndexesLoaded = ckpt.IndexesLoaded
 		d.info.IndexesRebuilt = ckpt.IndexesRebuilt
 		for _, lr := range ckpt.Relations {
-			lr := lr
 			_, err := d.Catalog.IngestPrepared(lr.rel, func(set *index.Set) error {
 				for _, li := range lr.loaded {
 					if err := set.Put(li.spec, li.ix); err != nil {
@@ -309,7 +301,7 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	// Repair the live log to match what was applied: a torn or corrupt
 	// tail is cut so appends resume on a consistent prefix.
 	if rep.TornTail || rep.Corrupt != nil {
-		if err := truncateIfExists(fsys, WALName, rep.Size); err != nil {
+		if err := fsys.Truncate(WALName, rep.Size); err != nil {
 			return nil, fmt.Errorf("durable: repair %s: %w", WALName, err)
 		}
 	}
@@ -322,10 +314,14 @@ func Open(dir string, opts Options) (*Catalog, error) {
 	d.sinceCkpt = d.info.Replayed
 	d.info.LastLSN = d.lastLSN
 	d.info.Relations = len(d.Catalog.Names())
-	d.info.Maintained = len(d.maint)
+	d.info.Maintained = len(d.MaintainedIDs())
 	logf("durable: recovered %d relations, %d statements (checkpoint lsn=%d, %d replayed, %d indexes loaded, %d rebuilt, torn=%v)",
 		d.info.Relations, d.info.Maintained, d.info.CheckpointLSN, d.info.Replayed, d.info.IndexesLoaded, d.info.IndexesRebuilt, d.info.TornTail)
 
+	// Everything above was applied unjournaled — it is already on disk.
+	// From here on every catalog mutation is logged before it is
+	// acknowledged.
+	d.SetJournal(journal{d})
 	if every := d.checkpointEvery(); every > 0 {
 		d.ckptCh = make(chan struct{}, 1)
 		d.stopCh = make(chan struct{})
@@ -338,14 +334,10 @@ func Open(dir string, opts Options) (*Catalog, error) {
 // checkpointEvery resolves the configured auto-checkpoint interval:
 // 0 → default, negative → disabled.
 func (d *Catalog) checkpointEvery() int {
-	switch {
-	case d.opts.CheckpointEvery < 0:
-		return 0
-	case d.opts.CheckpointEvery == 0:
+	if d.opts.CheckpointEvery == 0 {
 		return defaultCheckpointEvery
-	default:
-		return d.opts.CheckpointEvery
 	}
+	return max(d.opts.CheckpointEvery, 0)
 }
 
 // Recovery returns what Open found and did.
@@ -399,107 +391,41 @@ func (d *Catalog) logOp(op walOp) error {
 	return nil
 }
 
-// Ingest registers a relation and logs it durably.
-func (d *Catalog) Ingest(rel *relation.Relation, specs ...index.Spec) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
-		return 0, err
+// journal is the catalog.Journal over the write-ahead log.
+type journal struct{ d *Catalog }
+
+// Begin takes the mutation mutex for the whole apply → log → sync span:
+// the WAL is one append stream, and a checkpoint must see a catalog
+// state that corresponds to exactly one LSN.
+func (j journal) Begin() error {
+	j.d.mu.Lock()
+	if err := j.d.usable(); err != nil {
+		j.d.mu.Unlock()
+		return err
 	}
-	v, err := d.Catalog.Ingest(rel, specs...)
-	if err != nil {
-		return 0, err
-	}
-	snap := rel.Snapshot()
-	if err := d.logOp(walOp{Op: "ingest", Rel: &snap, Specs: specsToRecords(specs)}); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return nil
 }
 
-// Append inserts tuples into a relation and logs the delta durably.
-func (d *Catalog) Append(name string, tuples ...relation.Tuple) (uint64, error) {
-	return d.mutate("append", name, tuples)
+func (j journal) End() { j.d.mu.Unlock() }
+
+func (j journal) Log(m catalog.Mutation) error {
+	op := walOp{Op: m.Op}
+	switch m.Op {
+	case "ingest":
+		snap := m.Rel.Snapshot()
+		op.Rel, op.Specs = &snap, specsToRecords(m.Specs)
+	case "append", "delete":
+		op.Name, op.Tuples = m.Name, m.Tuples
+	case "maintain":
+		rec := recordOf(m.Statement)
+		op.ID, op.Query, op.Mode, op.SAO = rec.ID, rec.Query, rec.Mode, rec.SAO
+	}
+	return j.d.logOp(op)
 }
 
-// Delete removes tuples from a relation and logs the delta durably.
-func (d *Catalog) Delete(name string, tuples ...relation.Tuple) (uint64, error) {
-	return d.mutate("delete", name, tuples)
-}
-
-func (d *Catalog) mutate(op, name string, tuples []relation.Tuple) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
-		return 0, err
-	}
-	var (
-		v   uint64
-		err error
-	)
-	if op == "append" {
-		v, err = d.Catalog.Append(name, tuples...)
-	} else {
-		v, err = d.Catalog.Delete(name, tuples...)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if err := d.logOp(walOp{Op: op, Name: name, Tuples: tuplesToRaw(tuples)}); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// Maintain registers a maintained statement under a caller-chosen id
-// and logs the registration durably, so recovery re-materializes it.
-// Only Mode and SAOVars of opts are durable state; the rest is
-// per-execution tuning that callers pass to Execute.
-func (d *Catalog) Maintain(id, query string, opts join.Options) (*catalog.Maintained, error) {
-	if id == "" {
-		return nil, fmt.Errorf("durable: maintained statement needs a non-empty id")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
-		return nil, err
-	}
-	if _, ok := d.maint[id]; ok {
-		return nil, fmt.Errorf("durable: maintained statement %q already exists", id)
-	}
-	m, err := d.Catalog.Maintain(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	rec := maintRecord{ID: id, Query: query, Mode: modeString(opts.Mode), SAO: opts.SAOVars}
-	if err := d.logOp(walOp{Op: "maintain", ID: rec.ID, Query: rec.Query, Mode: rec.Mode, SAO: rec.SAO}); err != nil {
-		return nil, err
-	}
-	d.maint[id] = &maintEntry{m: m, rec: rec}
-	return m, nil
-}
-
-// MaintainedByID returns the live maintained statement registered under
-// the id, if any.
-func (d *Catalog) MaintainedByID(id string) (*catalog.Maintained, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.maint[id]
-	if !ok {
-		return nil, false
-	}
-	return e.m, true
-}
-
-// MaintainedIDs returns the registered statement ids, unordered.
-func (d *Catalog) MaintainedIDs() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]string, 0, len(d.maint))
-	for id := range d.maint {
-		ids = append(ids, id)
-	}
-	return ids
+// recordOf is a registration in durable form.
+func recordOf(r catalog.Registration) maintRecord {
+	return maintRecord{ID: r.ID, Query: r.Query, Mode: modeString(r.Mode), SAO: r.SAOVars}
 }
 
 // applyOp re-applies one WAL record during recovery. These records were
@@ -522,10 +448,10 @@ func (d *Catalog) applyOp(op walOp) error {
 		_, err = d.Catalog.Ingest(rel, specs...)
 		return err
 	case "append":
-		_, err := d.Catalog.Append(op.Name, rawToTuples(op.Tuples)...)
+		_, err := d.Catalog.Append(op.Name, op.Tuples...)
 		return err
 	case "delete":
-		_, err := d.Catalog.Delete(op.Name, rawToTuples(op.Tuples)...)
+		_, err := d.Catalog.Delete(op.Name, op.Tuples...)
 		return err
 	case "maintain":
 		return d.applyMaintain(maintRecord{ID: op.ID, Query: op.Query, Mode: op.Mode, SAO: op.SAO})
@@ -542,12 +468,8 @@ func (d *Catalog) applyMaintain(rec maintRecord) error {
 	if err != nil {
 		return err
 	}
-	m, err := d.Catalog.Maintain(rec.Query, join.Options{Mode: mode, SAOVars: rec.SAO})
-	if err != nil {
-		return err
-	}
-	d.maint[rec.ID] = &maintEntry{m: m, rec: rec}
-	return nil
+	_, err = d.MaintainAs(rec.ID, rec.Query, join.Options{Mode: mode, SAOVars: rec.SAO})
+	return err
 }
 
 // WALStats reports the durable layer's position.
@@ -614,15 +536,6 @@ func (d *Catalog) Close() error {
 	return d.log.Close()
 }
 
-// truncateIfExists truncates the named file, treating a missing file
-// as already truncated.
-func truncateIfExists(fsys wal.FS, name string, size int64) error {
-	if _, err := fsys.ReadFile(name); err != nil {
-		return nil
-	}
-	return fsys.Truncate(name, size)
-}
-
 // modeString is core.ParseMode's inverse: the durable spelling of a
 // mode. Mode.String() is deliberately NOT used — its "tetris-" prefixed
 // names do not parse back.
@@ -675,20 +588,4 @@ func specsFromRecords(recs []specRecord) ([]index.Spec, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-func tuplesToRaw(tuples []relation.Tuple) [][]uint64 {
-	out := make([][]uint64, len(tuples))
-	for i, t := range tuples {
-		out[i] = append([]uint64(nil), t...)
-	}
-	return out
-}
-
-func rawToTuples(raw [][]uint64) []relation.Tuple {
-	out := make([]relation.Tuple, len(raw))
-	for i, t := range raw {
-		out[i] = relation.Tuple(t)
-	}
-	return out
 }

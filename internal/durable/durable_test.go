@@ -79,7 +79,7 @@ func TestOpenEmptyThenRoundTrip(t *testing.T) {
 	if _, err := d.Delete("R1", relation.Tuple{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Maintain("path", pathQuery, execOpts); err != nil {
+	if _, err := d.MaintainAs("path", pathQuery, execOpts); err != nil {
 		t.Fatal(err)
 	}
 	res, err := d.Execute(pathQuery, execOpts)
@@ -119,11 +119,15 @@ func TestOpenEmptyThenRoundTrip(t *testing.T) {
 	if specs := re.Specs("R1"); len(specs) == 0 {
 		t.Fatal("ingest-time specs lost in recovery")
 	}
-	// Duplicate ids are rejected; new ids keep working after recovery.
-	if _, err := re.Maintain("path", pathQuery, execOpts); err == nil {
-		t.Fatal("duplicate maintained id accepted")
+	// A recovered id attaches when the query matches and is refused when
+	// it differs; new ids keep working after recovery.
+	if again, err := re.MaintainAs("path", pathQuery, execOpts); err != nil || again != m {
+		t.Fatalf("re-registering a recovered id: statement %p (want %p), err %v", again, m, err)
 	}
-	if _, err := re.Maintain("path2", pathQuery, execOpts); err != nil {
+	if _, err := re.MaintainAs("path", "R1(A,B), R2(B,C)", execOpts); err == nil {
+		t.Fatal("recovered id accepted a different query")
+	}
+	if _, err := re.MaintainAs("path2", pathQuery, execOpts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -281,7 +285,7 @@ func TestMaintainedRecoveredMidDeltaChain(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := openMem(t, fs)
 	seedPath(t, d, 30, 6, 4)
-	if _, err := d.Maintain("path", pathQuery, execOpts); err != nil {
+	if _, err := d.MaintainAs("path", pathQuery, execOpts); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {
@@ -293,7 +297,7 @@ func TestMaintainedRecoveredMidDeltaChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.Maintain("late", "R1(A,B), R2(B,C)", execOpts); err != nil {
+	if _, err := d.MaintainAs("late", "R1(A,B), R2(B,C)", execOpts); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -439,6 +443,77 @@ func TestFailedSyncPoisons(t *testing.T) {
 	}
 }
 
+// With automatic checkpoints off nothing but mutations syncs the WAL, so
+// the count is exact: every acknowledged mutation costs one fsync,
+// attaching to a registered id and reading cost none. (The benchmark
+// ladder's wal.syncs_per_op cannot pin this: its auto-checkpoints land by
+// timing.)
+func TestOneSyncPerMutation(t *testing.T) {
+	fs := wal.NewMemFS()
+	syncs := 0
+	fs.SyncHook = func(name string, pending int) (int, bool) {
+		if name == WALName {
+			syncs++
+		}
+		return pending, false
+	}
+	d := openMem(t, fs)
+	defer d.Close()
+	seedPath(t, d, 20, 4, 7) // 3 ingests
+	if _, err := d.MaintainAs("path", pathQuery, execOpts); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if _, err := d.Append("R2", relation.Tuple{i, i}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Delete("R2", relation.Tuple{i, i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := d.WAL().WALSize
+	// 1878 bytes is what the same 20 mutations logged before durability
+	// moved behind the catalog's journal (measured at that commit).
+	if syncs != 3+1+16 || d.WAL().LastLSN != 20 || size != 1878 {
+		t.Fatalf("%d WAL syncs, last LSN %d, %d bytes; want 20, 20, 1878 for 20 mutations", syncs, d.WAL().LastLSN, size)
+	}
+	if _, err := d.MaintainAs("path", pathQuery, execOpts); err != nil { // attaches
+		t.Fatal(err)
+	}
+	if _, err := d.Execute(pathQuery, execOpts); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 20 || d.WAL().WALSize != size {
+		t.Fatalf("an attach or a read touched the WAL: %d syncs, %d → %d bytes", syncs, size, d.WAL().WALSize)
+	}
+}
+
+// A registration whose sync failed was never journaled: retrying the same
+// id and query must keep failing, not attach to a leftover and report a
+// success no restart would honour.
+func TestFailedSyncDoesNotRegister(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openMem(t, fs)
+	seedPath(t, d, 20, 4, 7)
+	fs.SyncHook = func(name string, pending int) (int, bool) { return 0, name == WALName }
+	for range 2 {
+		if m, err := d.MaintainAs("path", pathQuery, execOpts); err == nil {
+			t.Fatalf("maintain acknowledged despite failed sync: %v", m)
+		}
+		if ids := d.MaintainedIDs(); len(ids) != 0 {
+			t.Fatalf("unjournaled registration stayed registered: %v", ids)
+		}
+	}
+	re, err := Open("", Options{FS: fs.CrashClone(), CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if ids := re.MaintainedIDs(); len(ids) != 0 {
+		t.Fatalf("crash image recovered registrations %v", ids)
+	}
+}
+
 // Automatic checkpoints fire after CheckpointEvery records and bound
 // the WAL.
 func TestAutoCheckpoint(t *testing.T) {
@@ -474,5 +549,97 @@ func TestAutoCheckpoint(t *testing.T) {
 	r, _ := re.Relation("R")
 	if r.Len() != 6 {
 		t.Fatalf("recovered %d tuples, want 6", r.Len())
+	}
+}
+
+// stallFS is a MemFS whose WAL syncs park until released, signalling
+// each arrival: the test's handle on "a mutation is inside its fsync".
+type stallFS struct {
+	*wal.MemFS
+	arrived, release chan struct{}
+}
+
+type stallFile struct {
+	wal.File
+	fs *stallFS
+}
+
+func (fs *stallFS) OpenAppend(name string) (wal.File, error) {
+	f, err := fs.MemFS.OpenAppend(name)
+	if err != nil || name != WALName {
+		return f, err
+	}
+	return stallFile{f, fs}, nil
+}
+
+func (f stallFile) Sync() error {
+	f.fs.arrived <- struct{}{}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
+// Readers never wait on an fsync: while a mutation is parked inside its
+// WAL sync — applied, not yet acknowledged — lookups, preparation and the
+// exec of a registered statement all complete. Only another writer
+// queues behind it.
+func TestReadersDoNotWaitOnSync(t *testing.T) {
+	fs := &stallFS{MemFS: wal.NewMemFS(), arrived: make(chan struct{}), release: make(chan struct{})}
+	unstall := func() { <-fs.arrived; fs.release <- struct{}{} }
+	d, err := Open("", Options{FS: fs, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 4; i++ { // three ingests and the registration
+		go unstall()
+	}
+	seedPath(t, d, 30, 6, 5)
+	if _, err := d.MaintainAs("path", pathQuery, execOpts); err != nil {
+		t.Fatal(err)
+	}
+
+	appended := make(chan error, 1)
+	go func() {
+		_, err := d.Append("R2", relation.Tuple{1, 2})
+		appended <- err
+	}()
+	<-fs.arrived // the append is applied and sits in its fsync
+
+	reads := make(chan error, 1)
+	go func() {
+		m, ok := d.MaintainedByID("path")
+		if !ok {
+			reads <- fmt.Errorf("registered statement not found")
+			return
+		}
+		if _, err := m.Execute(execOpts); err != nil {
+			reads <- err
+			return
+		}
+		if _, err := d.Prepare("R1(A,B), R2(B,C)", execOpts); err != nil {
+			reads <- err
+			return
+		}
+		_ = d.Stats()
+		_ = d.MaintainedIDs()
+		reads <- nil
+	}()
+	select {
+	case err := <-reads:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		fs.release <- struct{}{} // let the append finish, or Close hangs too
+		t.Fatal("a reader is waiting on a writer's fsync")
+	}
+	select {
+	case err := <-appended:
+		t.Fatalf("append acknowledged before its sync returned (err %v)", err)
+	default:
+	}
+	fs.release <- struct{}{}
+	if err := <-appended; err != nil {
+		t.Fatal(err)
 	}
 }

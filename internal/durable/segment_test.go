@@ -28,7 +28,7 @@ func TestSegmentBackedRestartZeroBuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.Maintain("path", pathQuery, execOpts); err != nil {
+	if _, err := d.MaintainAs("path", pathQuery, execOpts); err != nil {
 		t.Fatal(err)
 	}
 	res, err := d.Execute(pathQuery, execOpts)
@@ -371,34 +371,4 @@ func TestCorruptTupleSectionFallsBack(t *testing.T) {
 			t.Fatal("strict open accepted a damaged newest checkpoint")
 		}
 	}
-}
-
-// TestDisableIndexSegments: tuples-only checkpoints still recover
-// byte-identically, with every index rebuilt.
-func TestDisableIndexSegments(t *testing.T) {
-	fs := wal.NewMemFS()
-	d, err := Open("", Options{FS: fs, CheckpointEvery: -1, DisableIndexSegments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedPath(t, d, 30, 6, 41)
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	oracle := d.Catalog
-	d.Close()
-
-	re, err := Open("", Options{FS: fs.Clone(), CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	info := re.Recovery()
-	if info.IndexesLoaded != 0 || info.SegmentRelations != 3 {
-		t.Fatalf("recovery info %+v, want tuple-only segments", info)
-	}
-	if builds := re.Stats().IndexBuilds; builds == 0 {
-		t.Fatal("tuples-only restart claims zero index builds")
-	}
-	assertSameCatalog(t, "tuples-only restart", re, oracle)
 }

@@ -655,7 +655,7 @@ func runCrashScript(fs *wal.MemFS, ops []crashOp, ckptAfter int) *Discrepancy {
 	return nil
 }
 
-// applyToDurable applies one plan op through the durable API.
+// applyToDurable applies one plan op to the journaled catalog.
 func applyToDurable(d *durable.Catalog, op *crashOp) error {
 	switch op.kind {
 	case "ingest":
@@ -672,7 +672,7 @@ func applyToDurable(d *durable.Catalog, op *crashOp) error {
 		_, err := d.Delete(op.name, op.tuples...)
 		return err
 	case "maintain":
-		_, err := d.Maintain(crashMaintID, op.query, join.Options{Mode: core.Preloaded, SAOVars: op.sao})
+		_, err := d.MaintainAs(crashMaintID, op.query, join.Options{Mode: core.Preloaded, SAOVars: op.sao})
 		return err
 	default:
 		return fmt.Errorf("unknown plan op %q", op.kind)

@@ -6,6 +6,7 @@ import (
 
 	"tetrisjoin/internal/catalog"
 	"tetrisjoin/internal/core"
+	"tetrisjoin/internal/durable"
 	"tetrisjoin/internal/metrics"
 )
 
@@ -109,18 +110,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// registerDurable adds the WAL instruments; called only on a durable
-// server, so an in-memory /metrics page shows no phantom zero series.
-func (m *serverMetrics) registerDurable(s *Server) {
+// registerWAL adds the WAL instruments; called only by NewDurable, so
+// an in-memory /metrics page shows no phantom zero series.
+func (m *serverMetrics) registerWAL(wal func() durable.WALStats) {
 	m.reg.GaugeFunc("tetris_wal_last_lsn", "Last durably acknowledged WAL LSN.",
-		func() float64 { return float64(s.dur.WAL().LastLSN) })
+		func() float64 { return float64(wal().LastLSN) })
 	m.reg.GaugeFunc("tetris_wal_size_bytes", "Current write-ahead log size.",
-		func() float64 { return float64(s.dur.WAL().WALSize) })
+		func() float64 { return float64(wal().WALSize) })
 	m.reg.GaugeFunc("tetris_wal_records_since_checkpoint",
 		"WAL records appended since the last checkpoint: the replay-lag bound.",
-		func() float64 { return float64(s.dur.WAL().SinceCheckpoint) })
+		func() float64 { return float64(wal().SinceCheckpoint) })
 	m.reg.CounterFunc("tetris_checkpoints_total", "Checkpoints taken.",
-		func() float64 { return float64(s.dur.WAL().Checkpoints) })
+		func() float64 { return float64(wal().Checkpoints) })
 }
 
 // knownOps bounds the op label set so a client sending junk ops cannot

@@ -24,7 +24,6 @@ import (
 	"tetrisjoin/internal/catalog"
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/durable"
-	"tetrisjoin/internal/relation"
 )
 
 // Config tunes the server.
@@ -64,13 +63,20 @@ type Config struct {
 }
 
 // Server dispatches protocol sessions against one shared catalog.
+// Whether that catalog is durable is the catalog's business: mutations
+// are acknowledged when its methods return, journaled or not.
 type Server struct {
 	cat      *catalog.Catalog
-	dur      *durable.Catalog // nil for a purely in-memory server
 	cfg      Config
 	admit    chan struct{}
 	queueCap int // resolved MaxQueue
 	met      *serverMetrics
+
+	// checkpoint and walStats are all the protocol sees of a durable
+	// store: the checkpoint op and three stats keys. New installs the
+	// in-memory answers (refuse; zeros, which the stats reply omits).
+	checkpoint func() error
+	walStats   func() durable.WALStats
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -107,32 +113,33 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 		cfg:       cfg,
 		admit:     make(chan struct{}, slots),
 		queueCap:  queueCap,
+		walStats:  func() durable.WALStats { return durable.WALStats{} },
 		ctx:       ctx,
 		cancel:    cancel,
 		listeners: map[net.Listener]struct{}{},
+		checkpoint: func() error {
+			return fmt.Errorf("checkpoint requires a durable server (-data-dir)")
+		},
 	}
 	s.met = newServerMetrics(s)
 	cat.SetExecObserver(s.observeExec)
 	return s
 }
 
-// NewDurable returns a server whose mutations (load/append/delete and
-// maintain registrations) go through the durable catalog: applied,
+// NewDurable returns a server over a durable catalog: its mutations
+// (load/append/delete and maintain registrations) are applied,
 // write-ahead logged and fsynced before the response line is written,
-// so an acknowledged mutation survives a crash. Reads are served from
-// the same in-memory catalog as always.
+// so an acknowledged mutation survives a crash. The checkpoint op and
+// the WAL counters come alive; everything else is New.
 func NewDurable(d *durable.Catalog, cfg Config) *Server {
 	s := New(d.Catalog, cfg)
-	s.dur = d
-	s.met.registerDurable(s)
+	s.checkpoint, s.walStats = d.Checkpoint, d.WAL
+	s.met.registerWAL(d.WAL)
 	return s
 }
 
 // Catalog returns the shared catalog.
 func (s *Server) Catalog() *catalog.Catalog { return s.cat }
-
-// Durable returns the durable layer, or nil for an in-memory server.
-func (s *Server) Durable() *durable.Catalog { return s.dur }
 
 // Close cancels every session (running executions stop cooperatively
 // through their contexts).
@@ -377,7 +384,8 @@ func (s *Server) stats() serverStats {
 	s.mu.Lock()
 	open := s.open
 	s.mu.Unlock()
-	st := serverStats{
+	ws := s.walStats()
+	return serverStats{
 		Sessions:         s.sessions.Load(),
 		OpenSessions:     open,
 		Queries:          s.queries.Load(),
@@ -393,14 +401,10 @@ func (s *Server) stats() serverStats {
 		PlanMisses:       cs.PlanMisses,
 		Replans:          cs.Replans,
 		FeedbackEntries:  cs.FeedbackEntries,
+		WALLastLSN:       ws.LastLSN,
+		WALSize:          ws.WALSize,
+		Checkpoints:      ws.Checkpoints,
 	}
-	if s.dur != nil {
-		ws := s.dur.WAL()
-		st.WALLastLSN = ws.LastLSN
-		st.WALSize = ws.WALSize
-		st.Checkpoints = ws.Checkpoints
-	}
-	return st
 }
 
 // sessionBudget mints the per-session work quota, or nil when the
@@ -440,28 +444,3 @@ func (s *Server) trackSession(delta int) {
 }
 
 var errClosed = fmt.Errorf("server: closed")
-
-// The mutation helpers route through the durable layer when the server
-// has one — applied, logged, synced, then acknowledged — and straight
-// to the in-memory catalog otherwise.
-
-func (s *Server) ingestRel(rel *relation.Relation) (uint64, error) {
-	if s.dur != nil {
-		return s.dur.Ingest(rel)
-	}
-	return s.cat.Ingest(rel)
-}
-
-func (s *Server) appendRel(name string, tuples []relation.Tuple) (uint64, error) {
-	if s.dur != nil {
-		return s.dur.Append(name, tuples...)
-	}
-	return s.cat.Append(name, tuples...)
-}
-
-func (s *Server) deleteRel(name string, tuples []relation.Tuple) (uint64, error) {
-	if s.dur != nil {
-		return s.dur.Delete(name, tuples...)
-	}
-	return s.cat.Delete(name, tuples...)
-}

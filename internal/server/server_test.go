@@ -367,9 +367,9 @@ func TestSessionMaintainLifecycle(t *testing.T) {
 	}
 }
 
-// One id names one statement: re-preparing an id that was maintained
-// (or vice versa) must replace it, never leave exec serving the old
-// statement from the other map.
+// One id names one statement to a session: a prepare under a maintained
+// id shadows it, and re-maintaining the id drops the shadow — exec never
+// serves whichever of the two the session named first.
 func TestSessionStatementIDReplacement(t *testing.T) {
 	srv := New(catalog.New(), Config{})
 	defer srv.Close()

@@ -32,7 +32,7 @@ type Request struct {
 	Depth  uint8    `json:"depth,omitempty"`
 	Depths []uint8  `json:"depths,omitempty"`
 	// Tuples carries rows for load/append/delete.
-	Tuples [][]uint64 `json:"tuples,omitempty"`
+	Tuples []relation.Tuple `json:"tuples,omitempty"`
 
 	// ID names a prepared statement (prepare assigns, exec runs).
 	ID string `json:"id,omitempty"`
@@ -105,7 +105,6 @@ type session struct {
 	ctx    context.Context
 	budget *core.Budget
 	stmts  map[string]*catalog.Prepared
-	maint  map[string]*catalog.Maintained
 
 	// qcache memoizes preparations for repeated textual "query" requests
 	// so the hot path skips parse + SAO derivation on every call. It is
@@ -156,7 +155,6 @@ func (s *Server) ServeSession(r io.Reader, w io.Writer) error {
 		ctx:    ctx,
 		budget: s.sessionBudget(),
 		stmts:  map[string]*catalog.Prepared{},
-		maint:  map[string]*catalog.Maintained{},
 		out:    sw,
 	}
 
@@ -343,7 +341,7 @@ func (sess *session) load(req Request) Response {
 			return fail(err)
 		}
 	}
-	version, err := sess.srv.ingestRel(rel)
+	version, err := sess.srv.cat.Ingest(rel)
 	if err != nil {
 		return fail(err)
 	}
@@ -354,17 +352,11 @@ func (sess *session) ingest(req Request) Response {
 	if req.Name == "" {
 		return fail(fmt.Errorf("%s needs name", req.Op))
 	}
-	tuples := make([]relation.Tuple, len(req.Tuples))
-	for i, t := range req.Tuples {
-		tuples[i] = t
+	mutate := sess.srv.cat.Append
+	if req.Op == "delete" {
+		mutate = sess.srv.cat.Delete
 	}
-	var version uint64
-	var err error
-	if req.Op == "append" {
-		version, err = sess.srv.appendRel(req.Name, tuples)
-	} else {
-		version, err = sess.srv.deleteRel(req.Name, tuples)
-	}
+	version, err := mutate(req.Name, req.Tuples...)
 	if err != nil {
 		return fail(err)
 	}
@@ -377,14 +369,10 @@ func (sess *session) ingest(req Request) Response {
 // response carries the LSN the snapshot covers. In-memory servers
 // refuse the op — there is nothing to persist to.
 func (sess *session) checkpoint() Response {
-	d := sess.srv.dur
-	if d == nil {
-		return fail(fmt.Errorf("checkpoint requires a durable server (-data-dir)"))
-	}
-	if err := d.Checkpoint(); err != nil {
+	if err := sess.srv.checkpoint(); err != nil {
 		return fail(err)
 	}
-	return Response{OK: true, Version: d.WAL().CheckpointLSN}
+	return Response{OK: true, Version: sess.srv.walStats().CheckpointLSN}
 }
 
 func (sess *session) prepare(req Request) Response {
@@ -407,7 +395,6 @@ func (sess *session) prepare(req Request) Response {
 	if err != nil {
 		return fail(err)
 	}
-	delete(sess.maint, req.ID) // the id now names this plain statement
 	sess.stmts[req.ID] = p
 	return Response{
 		OK:          true,
@@ -442,35 +429,13 @@ func (sess *session) maintain(req Request) Response {
 		Budget:  sess.budget,
 		Context: sess.ctx,
 	}
-	var m *catalog.Maintained
-	if dur := sess.srv.dur; dur != nil {
-		// On a durable server a maintained id is global, durable state:
-		// registration is logged and survives restarts. Re-maintaining an
-		// existing id attaches to the recovered statement when the query
-		// matches, and is an error when it does not — two texts cannot
-		// durably share one id.
-		if existing, ok := dur.MaintainedByID(req.ID); ok {
-			if existing.Text() != req.Query {
-				return fail(fmt.Errorf("maintained statement %q already exists with a different query", req.ID))
-			}
-			m = existing
-			if _, err := m.Execute(opts); err != nil {
-				return fail(err)
-			}
-		} else {
-			m, err = dur.Maintain(req.ID, req.Query, opts)
-		}
-	} else {
-		m, err = sess.srv.cat.Maintain(req.Query, opts)
-	}
+	m, err := sess.srv.cat.MaintainAs(req.ID, req.Query, opts)
 	if err != nil {
 		return fail(err)
 	}
-	// One id names one statement: a maintained statement replaces any
-	// plain prepared statement under the same id (and vice versa in
-	// prepare), so exec's resolution order can never serve a stale one.
+	// A plain statement this session prepared under the id would shadow
+	// the registered one in exec; the id now names the maintained one.
 	delete(sess.stmts, req.ID)
-	sess.maint[req.ID] = m
 	last := m.LastRefresh()
 	return Response{
 		OK:          true,
@@ -535,18 +500,13 @@ func (sess *session) execMaintained(req Request, m *catalog.Maintained) Response
 }
 
 func (sess *session) exec(req Request) Response {
-	if m, ok := sess.maint[req.ID]; ok {
-		return sess.execMaintained(req, m)
-	}
 	p, ok := sess.stmts[req.ID]
 	if !ok {
-		// A durable server's maintained statements outlive the session
-		// that registered them — including restarts — so exec falls back
-		// to the durable registry before giving up.
-		if dur := sess.srv.dur; dur != nil {
-			if m, ok := dur.MaintainedByID(req.ID); ok {
-				return sess.execMaintained(req, m)
-			}
+		// Not one of this session's prepared statements: maintained
+		// statements live in the catalog's registry, whichever session —
+		// or, on a durable server, whichever process — registered them.
+		if m, ok := sess.srv.cat.MaintainedByID(req.ID); ok {
+			return sess.execMaintained(req, m)
 		}
 		return fail(fmt.Errorf("unknown statement %q", req.ID))
 	}
