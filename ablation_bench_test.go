@@ -1,6 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // resolvent caching (line 19 of Algorithm 1), knowledge-base subsumption
-// compaction, the single-pass skeleton (footnote 13), and the SAO choice.
+// compaction, and the SAO choice.
 package tetrisjoin_test
 
 import (
@@ -45,24 +45,6 @@ func BenchmarkAblationSubsumption(b *testing.B) {
 	b.Run("subsume=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustRun(b, q, join.Options{Mode: core.Preloaded, DisableSubsume: true})
-		}
-	})
-}
-
-// BenchmarkAblationSinglePass — restart loop vs TetrisSkeleton2 on a
-// large-output instance.
-func BenchmarkAblationSinglePass(b *testing.B) {
-	q := workload.TriangleDense(16, 10)
-	b.Run("restart", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res := mustRun(b, q, join.Options{Mode: core.Preloaded})
-			b.ReportMetric(float64(res.Stats.SkeletonCalls), "skeleton-calls")
-		}
-	})
-	b.Run("single-pass", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res := mustRun(b, q, join.Options{Mode: core.Preloaded, SinglePass: true})
-			b.ReportMetric(float64(res.Stats.SkeletonCalls), "skeleton-calls")
 		}
 	})
 }

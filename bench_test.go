@@ -55,13 +55,12 @@ func mustRunBCP(b *testing.B, inst workload.BCP, opts core.Options) *core.Result
 // benchJoin is the standard observed Execute-per-op body.
 func benchJoin(b *testing.B, q *join.Query, opts join.Options) {
 	obs := benchio.Begin(b)
-	var resolutions float64
+	var m benchio.Metrics
 	for i := 0; i < b.N; i++ {
-		res := mustRun(b, q, opts)
-		resolutions = float64(res.Stats.Resolutions)
+		m = benchio.WorkOf(mustRun(b, q, opts).Stats)
 	}
-	b.ReportMetric(resolutions, "resolutions")
-	obs.End(b, benchio.Metrics{Resolutions: resolutions})
+	b.ReportMetric(m.Resolutions, "resolutions")
+	obs.End(b, m)
 }
 
 // benchSuiteGroup runs the benchio suite cases under the given name
@@ -95,13 +94,12 @@ func benchSuiteGroup(b *testing.B, prefix string) {
 // benchBCP is benchJoin for raw box-cover instances.
 func benchBCP(b *testing.B, inst workload.BCP, opts core.Options) {
 	obs := benchio.Begin(b)
-	var resolutions float64
+	var m benchio.Metrics
 	for i := 0; i < b.N; i++ {
-		res := mustRunBCP(b, inst, opts)
-		resolutions = float64(res.Stats.Resolutions)
+		m = benchio.WorkOf(mustRunBCP(b, inst, opts).Stats)
 	}
-	b.ReportMetric(resolutions, "resolutions")
-	obs.End(b, benchio.Metrics{Resolutions: resolutions})
+	b.ReportMetric(m.Resolutions, "resolutions")
+	obs.End(b, m)
 }
 
 // BenchmarkTable1Acyclic — Table 1 row "α-acyclic: N+Z" (Thm D.8).
@@ -167,13 +165,13 @@ func BenchmarkTable1Treewidth1(b *testing.B) {
 }
 
 // BenchmarkFig2TreeOrderedAGM — Figure 2 upper bound Õ(AGM) for Tree
-// Ordered resolution (Thm 5.1): caching disabled, single-pass skeleton
-// (the TetrisSkeleton2 variant the theorem is stated for).
+// Ordered resolution (Thm 5.1): caching disabled (every run is the
+// TetrisSkeleton2 pass the theorem is stated for).
 func BenchmarkFig2TreeOrderedAGM(b *testing.B) {
 	for _, m := range []uint64{8, 16} {
 		q := workload.TriangleDense(m, 10)
 		b.Run(fmt.Sprintf("N=%d", m*m), func(b *testing.B) {
-			benchJoin(b, q, join.Options{Mode: core.Preloaded, NoCache: true, SinglePass: true})
+			benchJoin(b, q, join.Options{Mode: core.Preloaded, NoCache: true})
 		})
 	}
 }

@@ -1,8 +1,8 @@
 // Command bench runs the canonical benchmark suite (internal/benchio)
 // and writes the performance trajectory file BENCH_tetris.json: ns/op,
-// allocs/op, bytes/op and resolutions/op per benchmark. It is the way to
-// regenerate the committed trajectory after a performance-relevant
-// change:
+// allocs/op, bytes/op, resolutions/op and skeleton calls/op per
+// benchmark. It is the way to regenerate the committed trajectory after
+// a performance-relevant change:
 //
 //	go run ./cmd/bench -o BENCH_tetris.json
 //
@@ -13,14 +13,16 @@
 // Every entry is stamped with GOMAXPROCS, the CPU count and a machine
 // class label (internal/benchio.MachineClass); entries from different
 // classes are kept as separate series and timing ratios are only
-// printed within a class. Resolution counts are deterministic and
-// machine-independent, which is what -gate keys on:
+// printed within a class. Resolution and skeleton-call counts are
+// deterministic and machine-independent, which is what -gate keys on:
 //
 //	go run ./cmd/bench -bench '^PlannerSkew/' -o /tmp/gate.json -gate BENCH_tetris.json
 //
 // fails (exit 1) when any measured benchmark performs more than 5% more
-// geometric resolutions per op than the committed trajectory records —
-// the CI regression gate for the planner's skewed-workload set.
+// geometric resolutions per op, or more than 5% more skeleton calls per
+// op, than the committed trajectory records — the CI regression gate for
+// the planner's skewed-workload set and for the engine's steps per
+// resolution.
 //
 // Two further gates complement it. -gate-time holds ns/op to the
 // committed trajectory, but only within the recorded machine class
@@ -57,8 +59,8 @@ func main() {
 		out      = flag.String("o", "BENCH_tetris.json", "output report path")
 		baseFile = flag.String("baseline", "", "previous report whose entries become the baseline section")
 		merge    = flag.Bool("merge", false, "keep the output file's existing entries, overwriting only the benchmarks run (for adding a filtered series without re-running the whole suite)")
-		gateFile = flag.String("gate", "", "committed trajectory to gate against: exit 1 if any measured benchmark's resolutions/op exceeds its committed entry by more than -gate-slack")
-		gateTol  = flag.Float64("gate-slack", 0.05, "fractional resolution regression tolerated by -gate")
+		gateFile = flag.String("gate", "", "committed trajectory to gate against: exit 1 if any measured benchmark's resolutions/op or skeleton calls/op exceeds its committed entry by more than -gate-slack")
+		gateTol  = flag.Float64("gate-slack", 0.05, "fractional resolution or skeleton-call regression tolerated by -gate")
 		gateTime = flag.String("gate-time", "", "committed trajectory to time-gate against: exit 1 if any measured benchmark's ns/op exceeds the committed entry of the SAME machine class by more than -gate-time-slack (entries with no same-class committed record are skipped)")
 		timeTol  = flag.Float64("gate-time-slack", 0, "fractional ns/op regression tolerated by -gate-time; 0 picks a per-class default from the class's core count (fewer cores = noisier timings = more slack)")
 		gateBal  = flag.Float64("gate-balance", 0, "balance-gate factor: for every Balance/<family> pair measured in this run, require static balance share >= factor × stealing share; exit 1 otherwise (0 disables)")
@@ -184,46 +186,55 @@ func gateBuilds(run *benchio.Report, path string) {
 	log.Printf("gate-builds: %d recovery paths match the committed build counts exactly", checked)
 }
 
-// gate holds the measured run's resolution counts to the committed
-// trajectory: resolutions are deterministic for a fixed workload and
-// plan, so any excess over the committed entry (beyond slack) is a real
-// planner regression, not machine noise. When the committed file holds
-// the same name for several machine classes the smallest count is the
-// bar. Exits non-zero on the first failing report.
+// gate holds the measured run's deterministic work counts — resolutions
+// and skeleton calls per op — to the committed trajectory: both are fixed
+// by the workload, the plan and the engine, so any excess over the
+// committed entry (beyond slack) is a real regression of the planner or
+// of the engine's steps per resolution, not machine noise. When the
+// committed file holds the same name for several machine classes the
+// smallest count is the bar. Exits non-zero on the first failing report.
 func gate(run *benchio.Report, path string, slack float64) {
 	ref, err := benchio.ReadFile(path)
 	if err != nil {
 		log.Fatalf("reading gate trajectory: %v", err)
 	}
-	committed := map[string]float64{}
-	for _, e := range ref.Entries {
-		if e.ResolutionsPerOp <= 0 {
-			continue
-		}
-		if cur, ok := committed[e.Name]; !ok || e.ResolutionsPerOp < cur {
-			committed[e.Name] = e.ResolutionsPerOp
-		}
+	columns := []struct {
+		name string
+		of   func(benchio.Entry) float64
+	}{
+		{"resolutions/op", func(e benchio.Entry) float64 { return e.ResolutionsPerOp }},
+		{"skeleton calls/op", func(e benchio.Entry) float64 { return e.SkeletonCallsPerOp }},
 	}
 	checked, failed := 0, 0
-	for _, e := range run.Entries {
-		want, ok := committed[e.Name]
-		if !ok || e.ResolutionsPerOp <= 0 {
-			continue
+	for _, col := range columns {
+		committed := map[string]float64{}
+		for _, e := range ref.Entries {
+			if v := col.of(e); v > 0 {
+				if cur, ok := committed[e.Name]; !ok || v < cur {
+					committed[e.Name] = v
+				}
+			}
 		}
-		checked++
-		if e.ResolutionsPerOp > want*(1+slack) {
-			log.Printf("gate FAIL %s: %.0f resolutions/op vs committed %.0f (%+.1f%%, slack %.0f%%)",
-				e.Name, e.ResolutionsPerOp, want, 100*(e.ResolutionsPerOp/want-1), 100*slack)
-			failed++
+		for _, e := range run.Entries {
+			got, want := col.of(e), committed[e.Name]
+			if got <= 0 || want <= 0 {
+				continue
+			}
+			checked++
+			if got > want*(1+slack) {
+				log.Printf("gate FAIL %s: %.0f %s vs committed %.0f (%+.1f%%, slack %.0f%%)",
+					e.Name, got, col.name, want, 100*(got/want-1), 100*slack)
+				failed++
+			}
 		}
 	}
 	if checked == 0 {
 		log.Fatalf("gate: no measured benchmark has a committed resolutions entry in %s", path)
 	}
 	if failed > 0 {
-		log.Fatalf("gate: %d of %d benchmarks regressed past the committed resolution trajectory", failed, checked)
+		log.Fatalf("gate: %d of %d counts regressed past the committed trajectory", failed, checked)
 	}
-	log.Printf("gate: %d benchmarks within %.0f%% of the committed resolution trajectory", checked, 100*slack)
+	log.Printf("gate: %d counts within %.0f%% of the committed trajectory", checked, 100*slack)
 }
 
 // classSlack picks the default ns/op tolerance for a machine class from

@@ -42,6 +42,12 @@ type Entry struct {
 	// Resolutions are deterministic for a fixed workload and plan, so this
 	// column compares across machine classes; the timing columns do not.
 	ResolutionsPerOp float64 `json:"resolutions_per_op,omitempty"`
+	// SkeletonCallsPerOp is the number of TetrisSkeleton invocations one
+	// sequential operation makes (0 when not reported, and for parallel
+	// runs, whose donation re-entries depend on scheduling): the steps
+	// spent per resolution, as deterministic as the resolutions
+	// themselves, and held by the same `cmd/bench -gate`.
+	SkeletonCallsPerOp float64 `json:"skeleton_calls_per_op,omitempty"`
 	// IndexBuildsPerOp is the number of index constructions one operation
 	// performs, when the benchmark reports it (0 otherwise, and absent
 	// from the JSON). For the Recovery series it is deterministic — the
@@ -196,14 +202,15 @@ func (o *Obs) End(b *testing.B, m Metrics) {
 	runtime.ReadMemStats(&ms)
 	n := b.N
 	e := Entry{
-		Name:             o.name,
-		N:                n,
-		NsPerOp:          float64(b.Elapsed().Nanoseconds()) / float64(n),
-		AllocsPerOp:      float64(ms.Mallocs-o.startMallocs) / float64(n),
-		BytesPerOp:       float64(ms.TotalAlloc-o.startBytes) / float64(n),
-		ResolutionsPerOp: m.Resolutions,
-		IndexBuildsPerOp: m.IndexBuilds,
-		Balance:          m.Balance,
+		Name:               o.name,
+		N:                  n,
+		NsPerOp:            float64(b.Elapsed().Nanoseconds()) / float64(n),
+		AllocsPerOp:        float64(ms.Mallocs-o.startMallocs) / float64(n),
+		BytesPerOp:         float64(ms.TotalAlloc-o.startBytes) / float64(n),
+		ResolutionsPerOp:   m.Resolutions,
+		SkeletonCallsPerOp: m.SkeletonCalls,
+		IndexBuildsPerOp:   m.IndexBuilds,
+		Balance:            m.Balance,
 	}
 	stamp(&e)
 	collectMu.Lock()

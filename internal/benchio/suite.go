@@ -22,16 +22,29 @@ import (
 
 // Metrics are the work-distribution measures a benchmark body reports
 // alongside the timing the framework collects: resolutions/op (the
-// paper's cost measure) and, for parallel runs, the max/mean worker
-// balance share. Both are deterministic enough to compare across
-// machine classes, unlike ns/op.
+// paper's cost measure), skeleton calls/op (the steps spent on them)
+// and, for parallel runs, the max/mean worker balance share. All are
+// deterministic enough to compare across machine classes, unlike ns/op.
 type Metrics struct {
-	Resolutions float64
-	Balance     float64
+	Resolutions   float64
+	SkeletonCalls float64
+	Balance       float64
 	// IndexBuilds is the number of index constructions one operation
 	// performed — reported by the Recovery series, where it is
 	// deterministic (segment-backed recovery commits 0).
 	IndexBuilds float64
+}
+
+// WorkOf reads a run's work metrics off its statistics. Skeleton calls
+// are reported for sequential runs only: a parallel run's count includes
+// the re-entries of passes that unwound to donate, which depend on
+// scheduling.
+func WorkOf(s core.Stats) Metrics {
+	m := Metrics{Resolutions: float64(s.Resolutions), Balance: balanceOf(s)}
+	if s.ParallelWorkers <= 1 {
+		m.SkeletonCalls = float64(s.SkeletonCalls)
+	}
+	return m
 }
 
 // balanceOf extracts the max/mean worker resolution share from a run's
@@ -465,10 +478,7 @@ func execBench(q *join.Query, opts join.Options) func(b *testing.B) Metrics {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m = Metrics{
-				Resolutions: float64(res.Stats.Resolutions),
-				Balance:     balanceOf(res.Stats),
-			}
+			m = WorkOf(res.Stats)
 		}
 		return m
 	}
@@ -500,7 +510,7 @@ func lazyPreparedBench(mk func() *join.Query, opts join.Options) func(b *testing
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		var resolutions float64
+		var m Metrics
 		for i := 0; i < b.N; i++ {
 			res, err := p.Execute(opts)
 			if err != nil {
@@ -509,9 +519,9 @@ func lazyPreparedBench(mk func() *join.Query, opts join.Options) func(b *testing
 			if res.Stats.IndexBuilds != 0 {
 				b.Fatalf("steady-state execution built %d indexes", res.Stats.IndexBuilds)
 			}
-			resolutions = float64(res.Stats.Resolutions)
+			m = WorkOf(res.Stats)
 		}
-		return Metrics{Resolutions: resolutions}
+		return m
 	}
 }
 
@@ -530,14 +540,15 @@ func RunSuite(filter *regexp.Regexp) *Report {
 			m = bench(b)
 		})
 		e := Entry{
-			Name:             c.Name,
-			N:                r.N,
-			NsPerOp:          float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp:      float64(r.AllocsPerOp()),
-			BytesPerOp:       float64(r.AllocedBytesPerOp()),
-			ResolutionsPerOp: m.Resolutions,
-			IndexBuildsPerOp: m.IndexBuilds,
-			Balance:          m.Balance,
+			Name:               c.Name,
+			N:                  r.N,
+			NsPerOp:            float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp:        float64(r.AllocsPerOp()),
+			BytesPerOp:         float64(r.AllocedBytesPerOp()),
+			ResolutionsPerOp:   m.Resolutions,
+			SkeletonCallsPerOp: m.SkeletonCalls,
+			IndexBuildsPerOp:   m.IndexBuilds,
+			Balance:            m.Balance,
 		}
 		stamp(&e)
 		rep.Set(e)

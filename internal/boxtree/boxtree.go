@@ -18,7 +18,7 @@
 //
 //   - a node slab ([]node addressed by uint32 indices, with an intrusive
 //     free-list threaded through deleted slots), so trie descent walks
-//     contiguous 24-byte records instead of chasing heap pointers, and
+//     contiguous 20-byte records instead of chasing heap pointers, and
 //     inserts/deletes recycle slots without touching the allocator; and
 //   - an append-only interval slab holding the payload of every stored
 //     box, so Insert copies its argument with a bulk append instead of a
@@ -45,14 +45,23 @@ import (
 // the zero value of links means "absent".
 const nilNode = 0
 
-// node is one trie node. The box payload reference is stored as
-// 1 + (start index into the interval slab), so the zero value means "no
-// box stored here" and freshly allocated slots need no initialization.
+// node is one trie node. A node that spells a stored component carries a
+// link: below the last level the root of the next level's trie, on the
+// last level 1 + (start index into the interval slab) of the stored box —
+// a node is never both. Zero means "nothing stored here", so freshly
+// allocated slots need no initialization.
+//
+// lo and hi matter on level roots only (rootNode and every link target):
+// every component stored in that level's trie has a length in [lo, hi].
+// They are bounds — inserts widen them, deletes leave them alone, an
+// insert into an emptied trie (count 0) starts them afresh — which is all
+// a probe needs to skip a level that cannot hold a prefix of its component
+// and to stop walking at the longest stored length.
 type node struct {
 	children [2]uint32 // same-level trie children (nilNode = absent)
-	next     uint32    // root of the next level's trie (nilNode = absent)
-	box      uint32    // 1 + interval-slab offset of the stored box, 0 = none
+	link     uint32    // next level's root, or 1 + slab offset of the stored box; 0 = none
 	count    int32     // boxes stored in this subtree, including deeper levels
+	lo, hi   uint8     // level roots: bounds on the component lengths stored at this level
 }
 
 // rootNode is the slab index of the level-0 trie root.
@@ -124,20 +133,20 @@ func (t *Tree) releaseSubtree(i uint32, level int) {
 	t.releaseSubtree(nd.children[0], level)
 	t.releaseSubtree(nd.children[1], level)
 	if level < t.n-1 {
-		t.releaseSubtree(nd.next, level+1)
+		t.releaseSubtree(nd.link, level+1)
 	}
 	t.release(i)
 }
 
 // storeBox appends the box payload to the interval slab and returns the
-// node.box reference (offset+1).
+// last-level node.link reference (offset+1).
 func (t *Tree) storeBox(b dyadic.Box) uint32 {
 	start := len(t.ivs)
 	t.ivs = append(t.ivs, b...)
 	return uint32(start) + 1
 }
 
-// boxAt returns the stored box for a node.box reference. The result
+// boxAt returns the stored box for a last-level node.link reference. The result
 // aliases the slab; see the package comment for the validity guarantee.
 func (t *Tree) boxAt(ref uint32) dyadic.Box {
 	start := int(ref) - 1
@@ -146,6 +155,27 @@ func (t *Tree) boxAt(ref uint32) dyadic.Box {
 
 // Insert adds the box and reports whether it was not already present.
 func (t *Tree) Insert(b dyadic.Box) bool {
+	return t.insert(b, 0)
+}
+
+// noteLen records on level root r that a component of length l is being
+// stored in its trie.
+func (t *Tree) noteLen(r uint32, l uint8) {
+	nd := &t.nodes[r]
+	if nd.count == 0 {
+		nd.lo, nd.hi = l, l
+		return
+	}
+	nd.lo, nd.hi = min(nd.lo, l), max(nd.hi, l)
+}
+
+// insert is the one descent behind Insert and InsertSubsuming. A positive
+// budget asks for the subsume sweep of DeleteContainedInBudget(b, budget)
+// on the way down: it starts at the node spelling b[0], which the descent
+// reaches anyway, so it runs from there and fixes the ancestors' counts
+// from the recorded path — and not at all when the descent had to create
+// that node, since nothing is stored below a node that did not exist.
+func (t *Tree) insert(b dyadic.Box, budget int) bool {
 	if len(b) != t.n {
 		panic(fmt.Sprintf("boxtree: inserting %d-dimensional box into %d-dimensional tree", len(b), t.n))
 	}
@@ -154,7 +184,7 @@ func (t *Tree) Insert(b dyadic.Box) bool {
 	// nothing was created. Counts are bumped only once the insertion is
 	// known to happen, by replaying the recorded path.
 	path := t.path[:0]
-	cur := uint32(rootNode)
+	cur, levelRoot := uint32(rootNode), uint32(rootNode)
 	path = append(path, cur)
 	for level := 0; level < t.n; level++ {
 		iv := b[level]
@@ -164,23 +194,33 @@ func (t *Tree) Insert(b dyadic.Box) bool {
 			if nxt == nilNode {
 				nxt = t.alloc()
 				t.nodes[cur].children[bit] = nxt
+				budget = 0
 			}
 			cur = nxt
 			path = append(path, cur)
 		}
+		if level == 0 && budget > 0 {
+			if removed := t.deleteBelow(cur, 0, b, &budget); removed > 0 {
+				for _, ni := range path[:len(path)-1] {
+					t.nodes[ni].count -= int32(removed)
+				}
+				t.size -= removed
+			}
+		}
+		t.noteLen(levelRoot, iv.Len)
 		if level == t.n-1 {
-			if t.nodes[cur].box != 0 {
+			if t.nodes[cur].link != 0 {
 				t.path = path
 				return false // exact duplicate
 			}
-			t.nodes[cur].box = t.storeBox(b)
+			t.nodes[cur].link = t.storeBox(b)
 		} else {
-			nxt := t.nodes[cur].next
+			nxt := t.nodes[cur].link
 			if nxt == nilNode {
 				nxt = t.alloc()
-				t.nodes[cur].next = nxt
+				t.nodes[cur].link = nxt
 			}
-			cur = nxt
+			cur, levelRoot = nxt, nxt
 			path = append(path, cur)
 		}
 	}
@@ -199,7 +239,27 @@ func (t *Tree) ContainsSuperset(b dyadic.Box) (dyadic.Box, bool) {
 	if len(b) != t.n {
 		panic("boxtree: dimension mismatch in ContainsSuperset")
 	}
-	return t.findSuperset(rootNode, 0, b, false)
+	return t.findSuperset(rootNode, 0, b, false, -1)
+}
+
+// ContainsSupersetExactAt is ContainsSuperset restricted to stored boxes
+// whose component in dimension dim equals b[dim]. That is the whole answer
+// when no stored box contains the parent of b along dim (b[dim] minus its
+// last bit): a superset of b with a shorter component there would contain
+// the parent too. The skeleton's child frames are in that position and
+// skip the next-level walks at every proper prefix of b[dim]. With
+// CheckPreconditions set, the claim is checked against the full probe.
+func (t *Tree) ContainsSupersetExactAt(b dyadic.Box, dim int) (dyadic.Box, bool) {
+	if len(b) != t.n {
+		panic("boxtree: dimension mismatch in ContainsSupersetExactAt")
+	}
+	sb, ok := t.findSuperset(rootNode, 0, b, false, dim)
+	if CheckPreconditions {
+		if full, fullOK := t.findSuperset(rootNode, 0, b, false, -1); fullOK != ok || (ok && !full.Equal(sb)) {
+			panic(fmt.Sprintf("boxtree: exact probe of %v at dimension %d found %v, full probe %v", b, dim, sb, full))
+		}
+	}
+	return sb, ok
 }
 
 // ProperSuperset returns a stored box that contains b and is not equal to
@@ -208,39 +268,48 @@ func (t *Tree) ProperSuperset(b dyadic.Box) (dyadic.Box, bool) {
 	if len(b) != t.n {
 		panic("boxtree: dimension mismatch in ProperSuperset")
 	}
-	return t.findSuperset(rootNode, 0, b, true)
+	return t.findSuperset(rootNode, 0, b, true, -1)
 }
 
-func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, proper bool) (dyadic.Box, bool) {
-	if ni == nilNode || t.nodes[ni].count == 0 {
+// findSuperset probes the trie rooted at level root ni. exact, when not
+// -1, is the level at which only the node spelling b's full component may
+// be a storage point.
+func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, proper bool, exact int) (dyadic.Box, bool) {
+	nodes := t.nodes
+	root := &nodes[ni]
+	if root.count == 0 {
 		return nil, false
 	}
+	// Storage points that can hold a prefix of b's component sit at depths
+	// first..last of the walk; the level root's summary narrows the range
+	// and empties it for a level that cannot hold a cover.
 	iv := b[level]
-	// Walk the prefixes of b's component at this level, from λ down to the
-	// full component, probing the next level at each storage point.
-	cur := ni
+	first, last := int(root.lo), min(int(iv.Len), int(root.hi))
+	if level == exact {
+		first = int(iv.Len)
+	}
+	if first > last {
+		return nil, false
+	}
+	nd := root
 	for depth := 0; ; depth++ {
-		nd := t.nodes[cur]
-		if level == t.n-1 {
-			if nd.box != 0 {
-				sb := t.boxAt(nd.box)
-				if !proper || !sb.Equal(b) {
-					return sb, true
+		if depth >= first && nd.link != 0 {
+			if level < t.n-1 {
+				if found, ok := t.findSuperset(nd.link, level+1, b, proper, exact); ok {
+					return found, ok
 				}
-			}
-		} else if nd.next != nilNode {
-			if found, ok := t.findSuperset(nd.next, level+1, b, proper); ok {
-				return found, ok
+			} else if sb := t.boxAt(nd.link); !proper || !sb.Equal(b) {
+				return sb, true
 			}
 		}
-		if depth == int(iv.Len) {
+		if depth == last {
 			return nil, false
 		}
-		bit := iv.Bits >> uint(int(iv.Len)-1-depth) & 1
-		cur = nd.children[bit]
-		if cur == nilNode {
+		next := nd.children[iv.Bits>>uint(int(iv.Len)-1-depth)&1]
+		if next == nilNode {
 			return nil, false
 		}
+		nd = &nodes[next]
 	}
 }
 
@@ -267,12 +336,12 @@ func (t *Tree) collectSupersets(ni uint32, level int, b dyadic.Box, out []dyadic
 	cur := ni
 	for depth := 0; ; depth++ {
 		nd := t.nodes[cur]
-		if level == t.n-1 {
-			if nd.box != 0 {
-				out = append(out, t.boxAt(nd.box))
+		if nd.link != 0 {
+			if level == t.n-1 {
+				out = append(out, t.boxAt(nd.link))
+			} else {
+				out = t.collectSupersets(nd.link, level+1, b, out)
 			}
-		} else if nd.next != nilNode {
-			out = t.collectSupersets(nd.next, level+1, b, out)
 		}
 		if depth == int(iv.Len) {
 			return out
@@ -306,11 +375,7 @@ func (t *Tree) intersectsAny(ni uint32, level int, b dyadic.Box) bool {
 	cur := ni
 	for depth := 0; ; depth++ {
 		nd := t.nodes[cur]
-		if level == t.n-1 {
-			if nd.box != 0 {
-				return true
-			}
-		} else if nd.next != nilNode && t.intersectsAny(nd.next, level+1, b) {
+		if nd.link != 0 && (level == t.n-1 || t.intersectsAny(nd.link, level+1, b)) {
 			return true
 		}
 		if depth == int(iv.Len) {
@@ -334,11 +399,7 @@ func (t *Tree) intersectsBelow(ni uint32, level int, b dyadic.Box) bool {
 		return false
 	}
 	nd := t.nodes[ni]
-	if level == t.n-1 {
-		if nd.box != 0 {
-			return true
-		}
-	} else if nd.next != nilNode && t.intersectsAny(nd.next, level+1, b) {
+	if nd.link != 0 && (level == t.n-1 || t.intersectsAny(nd.link, level+1, b)) {
 		return true
 	}
 	return t.intersectsBelow(nd.children[0], level, b) ||
@@ -382,12 +443,12 @@ func (t *Tree) collectBelow(ni uint32, level int, w dyadic.Box, out []dyadic.Box
 		return out
 	}
 	nd := t.nodes[ni]
-	if level == t.n-1 {
-		if nd.box != 0 {
-			out = append(out, t.boxAt(nd.box))
+	if nd.link != 0 {
+		if level == t.n-1 {
+			out = append(out, t.boxAt(nd.link))
+		} else {
+			out = t.collectContained(nd.link, level+1, w, out)
 		}
-	} else if nd.next != nilNode {
-		out = t.collectContained(nd.next, level+1, w, out)
 	}
 	out = t.collectBelow(nd.children[0], level, w, out)
 	return t.collectBelow(nd.children[1], level, w, out)
@@ -454,16 +515,13 @@ func (t *Tree) deleteBelow(ni uint32, level int, w dyadic.Box, budget *int) int 
 	}
 	*budget--
 	var rem int
-	if level == t.n-1 {
-		if t.nodes[ni].box != 0 {
-			t.nodes[ni].box = 0 // payload is abandoned: the slab is append-only
+	if link := t.nodes[ni].link; link != 0 {
+		if level == t.n-1 {
+			t.nodes[ni].link = 0 // payload is abandoned: the slab is append-only
 			rem++
-		}
-	} else if nxt := t.nodes[ni].next; nxt != nilNode {
-		rem += t.deleteContained(nxt, level+1, w, budget)
-		if t.nodes[nxt].count == 0 {
-			t.nodes[ni].next = nilNode
-			t.releaseSubtree(nxt, level+1)
+		} else if rem += t.deleteContained(link, level+1, w, budget); t.nodes[link].count == 0 {
+			t.nodes[ni].link = nilNode
+			t.releaseSubtree(link, level+1)
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -494,8 +552,25 @@ func (t *Tree) InsertSubsuming(b dyadic.Box) bool {
 	if _, ok := t.ContainsSuperset(b); ok {
 		return false
 	}
-	t.DeleteContainedInBudget(b, subsumeBudget)
-	return t.Insert(b)
+	return t.insert(b, subsumeBudget)
+}
+
+// CheckPreconditions makes InsertUncovered and ContainsSupersetExactAt
+// verify what their callers promise and panic when it does not hold.
+// Only tests set it (from TestMain, before any tree exists).
+var CheckPreconditions bool
+
+// InsertUncovered is InsertSubsuming for a box the caller knows no stored
+// box contains, without the cover probe. The skeleton's resolvents are
+// such boxes: a stored superset of a frame's box would have come back as
+// that frame's witness before the resolution.
+func (t *Tree) InsertUncovered(b dyadic.Box) {
+	if CheckPreconditions {
+		if sb, ok := t.ContainsSuperset(b); ok {
+			panic(fmt.Sprintf("boxtree: InsertUncovered(%v) but %v is stored", b, sb))
+		}
+	}
+	t.insert(b, subsumeBudget)
 }
 
 // All returns every stored box.
@@ -509,11 +584,12 @@ func (t *Tree) appendAll(ni uint32, level int, out []dyadic.Box) []dyadic.Box {
 		return out
 	}
 	nd := t.nodes[ni]
-	if level == t.n-1 && nd.box != 0 {
-		out = append(out, t.boxAt(nd.box))
-	}
-	if nd.next != nilNode {
-		out = t.appendAll(nd.next, level+1, out)
+	if nd.link != 0 {
+		if level == t.n-1 {
+			out = append(out, t.boxAt(nd.link))
+		} else {
+			out = t.appendAll(nd.link, level+1, out)
+		}
 	}
 	out = t.appendAll(nd.children[0], level, out)
 	return t.appendAll(nd.children[1], level, out)
@@ -532,9 +608,9 @@ func (t *Tree) Contains(b dyadic.Box) bool {
 			}
 		}
 		if level == t.n-1 {
-			return t.nodes[cur].box != 0
+			return t.nodes[cur].link != 0
 		}
-		cur = t.nodes[cur].next
+		cur = t.nodes[cur].link
 		if cur == nilNode {
 			return false
 		}

@@ -84,15 +84,6 @@ type Options struct {
 	// restricting the algorithm to Tree Ordered Geometric Resolution
 	// (Section 5.1). Used to reproduce Theorems 5.1 and 5.2.
 	NoCache bool
-	// SinglePass uses the TetrisSkeleton2 variant of the paper's footnote
-	// 13 and Theorem D.2's proof: output tuples are reported inside the
-	// skeleton — an uncovered unit box is an output, since the knowledge
-	// base holds every gap box — so the whole enumeration is one
-	// depth-first pass with no outer-loop restarts. Requires Preloaded
-	// mode. This is what makes the worst-case bounds (D.2, D.8, 5.1)
-	// hold with large outputs; without it each output restarts the
-	// search from the root.
-	SinglePass bool
 	// DisableSubsume turns off knowledge-base compaction (removal of
 	// boxes covered by a newly learned resolvent). Compaction does not
 	// change the covered region; disabling it aids debugging and keeps
@@ -127,8 +118,8 @@ type Options struct {
 	// discovers the delta's certificate. The LB modes ignore it.
 	Base *PreparedBase
 	// Context, when non-nil, cancels the run cooperatively: it is checked
-	// between outer-loop iterations and output reports, and the run
-	// returns the context's error. The sharded executor uses it to stop
+	// at every settled unit box (output report or gap load) and every 1024
+	// skeleton calls, and the run returns the context's error. The sharded executor uses it to stop
 	// sibling shards after a failure or an early stop.
 	Context context.Context
 	// StealDepth bounds dynamic shard splitting in RunShards. An idle

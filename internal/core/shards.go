@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 )
 
@@ -86,9 +85,6 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 	if err != nil {
 		return nil, err
 	}
-	if opts.SinglePass && opts.Mode != Preloaded {
-		return nil, fmt.Errorf("core: SinglePass requires Preloaded mode (the knowledge base must hold every gap box)")
-	}
 	depths := probe.Depths()
 	seeds, splittable := stealSeeds(depths, sao, shards)
 	stealDepth := opts.StealDepth
@@ -116,18 +112,11 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 		return nil, err
 	}
 	if opts.Mode == Preloaded && base == nil {
-		base = boxtree.New(n)
-		insert := func(b dyadic.Box) {
-			if opts.DisableSubsume {
-				base.Insert(b)
-			} else {
-				base.InsertSubsuming(b)
-			}
-		}
-		baseLoaded, err = loadGapSet(probe, nil, boxtree.New(n), insert)
+		built, err := BuildPreloadedBase(probe, opts)
 		if err != nil {
 			return nil, err
 		}
+		base, baseLoaded = built.tree, built.loaded
 	}
 
 	// Shard options: tuples buffer inside each shard's Result (the merge

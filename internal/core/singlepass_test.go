@@ -4,94 +4,184 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"tetrisjoin/internal/boxtree"
+	"tetrisjoin/internal/dyadic"
 )
 
-// TestSinglePassMatchesRestartMode: TetrisSkeleton2 (footnote 13) must
-// enumerate exactly the same output as the restart-based outer loop.
+// restartReference is Algorithm 2 as printed: TetrisSkeleton is restarted
+// from root after every output and every gap load. The engine no longer
+// runs this loop; it is kept here as the reference the single pass must
+// reproduce — same tuples in the same order, same resolutions, same
+// knowledge base — because loadGaps' choice of witness is argued from
+// what this loop would have hit first.
+func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Result {
+	t.Helper()
+	n, depths := o.Dims(), o.Depths()
+	sao, err := checkSAO(opts.SAO, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{}
+	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
+	loaded := boxtree.New(n)
+	if opts.Mode == Preloaded {
+		fresh, err := loadGapSet(o, root, loaded, sk.add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Stats.BoxesLoaded = fresh
+	}
+	for {
+		v, w, err := sk.root(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v {
+			break
+		}
+		point := w.Values(depths)
+		res.Stats.OracleCalls++
+		gaps := o.GapsContaining(point)
+		if len(gaps) == 0 {
+			res.Stats.Outputs++
+			res.Tuples = append(res.Tuples, point)
+			sk.addOutput(w)
+			continue
+		}
+		for _, g := range gaps {
+			if loaded.Insert(g) {
+				res.Stats.BoxesLoaded++
+			}
+			sk.add(g)
+		}
+	}
+	res.Stats.KnowledgeBase = sk.kb.Len()
+	return res
+}
+
+// sameWork fails unless the single pass did exactly the restart loop's
+// work: the counts that define a run's cost and certificate.
+func sameWork(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Tuples, want.Tuples) {
+		t.Fatalf("%s: single pass enumerated %v, restart loop %v", label, got.Tuples, want.Tuples)
+	}
+	g, w := got.Stats, want.Stats
+	if g.Resolutions != w.Resolutions || g.BoxesLoaded != w.BoxesLoaded ||
+		g.KnowledgeBase != w.KnowledgeBase || g.Outputs != w.Outputs {
+		t.Fatalf("%s: single pass resolutions/loaded/kb/outputs %d/%d/%d/%d, restart loop %d/%d/%d/%d", label,
+			g.Resolutions, g.BoxesLoaded, g.KnowledgeBase, g.Outputs,
+			w.Resolutions, w.BoxesLoaded, w.KnowledgeBase, w.Outputs)
+	}
+	if g.SkeletonCalls > w.SkeletonCalls {
+		t.Fatalf("%s: single pass made %d skeleton calls, restart loop %d", label, g.SkeletonCalls, w.SkeletonCalls)
+	}
+}
+
+// TestSinglePassMatchesRestartMode: the depth-first pass must do the work
+// of the restart-based outer loop bit for bit, in both modes, from the
+// universe and from a fragment's root, under every SAO.
 func TestSinglePassMatchesRestartMode(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.Intn(2)
-		d := uint8(2 + r.Intn(2))
+		d := uint8(2 + r.Intn(3))
 		depths := depthsOf(n, d)
-		bs := randBoxSet(r, n, d, r.Intn(12))
-		o := MustBoxOracle(depths, bs)
-		want, err := Run(o, Options{Mode: Preloaded})
-		if err != nil {
-			t.Fatal(err)
+		o := MustBoxOracle(depths, randBoxSet(r, n, d, r.Intn(24)))
+		sao := r.Perm(n)
+		roots := []dyadic.Box{dyadic.Universe(n)}
+		if shards := ShardRoots(depths, sao, 4); len(shards) > 1 {
+			roots = append(roots, shards[r.Intn(len(shards))])
 		}
-		got, err := Run(o, Options{Mode: Preloaded, SinglePass: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := want.Tuples, got.Tuples
-		sortTuples(a)
-		sortTuples(b)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: single-pass %v vs restart %v", trial, b, a)
-		}
-		// No-cache single pass is also correct.
-		got, err = Run(o, Options{Mode: Preloaded, SinglePass: true, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = got.Tuples
-		sortTuples(b)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: no-cache single-pass mismatch", trial)
+		// A root that is not a node of the recursion tree: thick in the
+		// first SAO dimension, pinned in the last.
+		odd := dyadic.Universe(n)
+		odd[sao[n-1]] = dyadic.NewInterval(uint64(r.Intn(2)), 1)
+		roots = append(roots, odd)
+		for _, root := range roots {
+			for _, mode := range []Mode{Preloaded, Reloaded} {
+				for _, subsume := range []bool{true, false} {
+					opts := Options{Mode: mode, SAO: sao, DisableSubsume: !subsume}
+					got, err := RunBox(o, opts, root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := restartReference(t, o, opts, root)
+					label := mode.String()
+					sameWork(t, label, got, want)
+					if mode == Reloaded && got.Stats.OracleCalls != want.Stats.OracleCalls {
+						t.Fatalf("trial %d: Reloaded probed the oracle %d times, restart loop %d",
+							trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
+					}
+					if mode == Preloaded && got.Stats.OracleCalls != 0 {
+						t.Fatalf("trial %d: Preloaded probed the oracle %d times", trial, got.Stats.OracleCalls)
+					}
+					// Without the resolvent cache the restart loop repeats
+					// resolutions the pass does once; the output is the same.
+					opts.NoCache = true
+					got, err = RunBox(o, opts, root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Tuples, want.Tuples) {
+						t.Fatalf("trial %d %v: cache-free single pass enumerated %v, want %v",
+							trial, mode, got.Tuples, want.Tuples)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestSinglePassAvoidsRestartAmplification: on a large-output instance
-// the single-pass variant must use far fewer skeleton calls than the
-// restart loop — the reason footnote 13 exists.
+// the pass visits each node of the recursion tree once — the reason
+// footnote 13 exists — where the restart loop walks back down from the
+// universe after every output.
 func TestSinglePassAvoidsRestartAmplification(t *testing.T) {
 	depths := depthsOf(2, 6)
 	// No gaps: all 4096 points are outputs.
 	o := MustBoxOracle(depths, nil)
-	restart, err := Run(o, Options{Mode: Preloaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Run(o, Options{Mode: Preloaded, SinglePass: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restart.Stats.Outputs != single.Stats.Outputs {
-		t.Fatalf("output mismatch: %d vs %d", restart.Stats.Outputs, single.Stats.Outputs)
-	}
-	if single.Stats.SkeletonCalls*2 >= restart.Stats.SkeletonCalls {
-		t.Errorf("single pass used %d skeleton calls vs restart's %d — no amplification avoided",
-			single.Stats.SkeletonCalls, restart.Stats.SkeletonCalls)
-	}
-}
-
-func TestSinglePassRequiresPreloaded(t *testing.T) {
-	o := MustBoxOracle(depthsOf(2, 2), nil)
-	if _, err := Run(o, Options{Mode: Reloaded, SinglePass: true}); err == nil {
-		t.Error("single pass accepted with Reloaded mode")
+	for _, mode := range []Mode{Preloaded, Reloaded} {
+		restart := restartReference(t, o, Options{Mode: mode}, dyadic.Universe(2))
+		single, err := Run(o, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single.Stats.Outputs != 4096 || restart.Stats.Outputs != 4096 {
+			t.Fatalf("%v: outputs %d (restart %d), want 4096", mode, single.Stats.Outputs, restart.Stats.Outputs)
+		}
+		// A binary tree over 4096 leaves has 8191 nodes.
+		if single.Stats.SkeletonCalls != 8191 {
+			t.Errorf("%v: single pass made %d skeleton calls, want 8191", mode, single.Stats.SkeletonCalls)
+		}
+		if single.Stats.SkeletonCalls*2 >= restart.Stats.SkeletonCalls {
+			t.Errorf("%v: single pass used %d skeleton calls vs restart's %d — no amplification avoided",
+				mode, single.Stats.SkeletonCalls, restart.Stats.SkeletonCalls)
+		}
 	}
 }
 
 func TestSinglePassMaxOutputAndStreaming(t *testing.T) {
 	o := MustBoxOracle(depthsOf(2, 3), nil) // 64 outputs
-	res, err := Run(o, Options{Mode: Preloaded, SinglePass: true, MaxOutput: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 7 {
-		t.Errorf("MaxOutput: got %d tuples", len(res.Tuples))
-	}
-	var seen int
-	_, err = Run(o, Options{Mode: Preloaded, SinglePass: true, OnOutput: func(tuple []uint64) bool {
-		seen++
-		return seen < 5
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 5 {
-		t.Errorf("streaming stop: saw %d", seen)
+	for _, mode := range []Mode{Preloaded, Reloaded} {
+		res, err := Run(o, Options{Mode: mode, MaxOutput: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) != 7 {
+			t.Errorf("%v MaxOutput: got %d tuples", mode, len(res.Tuples))
+		}
+		var seen int
+		_, err = Run(o, Options{Mode: mode, OnOutput: func(tuple []uint64) bool {
+			seen++
+			return seen < 5
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != 5 {
+			t.Errorf("%v streaming stop: saw %d", mode, seen)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
@@ -14,8 +15,9 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 
 // skeleton is the state of Algorithm 1: the knowledge base A, the
 // splitting attribute order, and instrumentation. A single skeleton is
-// reused across the repeated invocations made by the outer loop, so the
-// knowledge base persists exactly as the paper's global A does.
+// reused across the repeated invocations a driver makes (the restart
+// loops of lb.go, a donation re-entry in tetris.go), so the knowledge
+// base persists exactly as the paper's global A does.
 //
 // # Scratch discipline
 //
@@ -33,13 +35,13 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 //     high-water mark is O(recursion depth · n) no matter how many
 //     resolutions a run performs.
 //
-// Witnesses handed back by run/root are therefore valid only until the
-// next call on the same skeleton; the outer loops (tetris.go, lb.go,
-// boolean.go) consume each witness before re-entering. Boxes that must
-// outlive the recursion — the knowledge-base contents — are copied into
-// the boxtree's own append-only slab by Insert, which is what makes the
-// aliasing safe: knowledge-base boxes returned by ContainsSuperset stay
-// valid even if a later subsume-delete drops them from the tree.
+// Witnesses handed back by root are therefore valid only until the next
+// call on the same skeleton; the drivers (lb.go, boolean.go) consume each
+// witness before re-entering. Boxes that must outlive the recursion — the
+// knowledge-base contents — are copied into the boxtree's own append-only
+// slab by Insert, which is what makes the aliasing safe: knowledge-base
+// boxes returned by ContainsSuperset stay valid even if a later
+// subsume-delete drops them from the tree.
 //
 // In steady state (arena and knowledge-base slabs warmed up) the entire
 // recursion allocates nothing.
@@ -64,11 +66,13 @@ type skeleton struct {
 	stats     *Stats
 	onResolve func(w1, w2, resolvent dyadic.Box, dim int)
 
-	// onUncoveredUnit, when set, turns the skeleton into TetrisSkeleton2
-	// (footnote 13): an uncovered unit box is reported as an output and
-	// treated as covered, so the full enumeration happens in one pass.
-	// It returns false to abort the search (output limit reached).
-	onUncoveredUnit func(b dyadic.Box) bool
+	// settleUnit, when set, turns the skeleton into TetrisSkeleton2
+	// (footnote 13): the driver makes an uncovered unit box covered on the
+	// spot — an output, or gap boxes loaded around it — and returns a
+	// witness containing it that outlives the callback (the unit box, or
+	// a knowledge-base box), so the enumeration is one depth-first pass.
+	// An error aborts the pass.
+	settleUnit func(b dyadic.Box) (dyadic.Box, error)
 
 	// fromOutput holds boxes that are output boxes or output resolvents
 	// (Definition C.4), as an exact-match box set. Nil unless provenance
@@ -76,12 +80,16 @@ type skeleton struct {
 	fromOutput *boxtree.Tree
 }
 
-// errStopped signals an early stop requested by the output callback.
-var errStopped = errors.New("core: enumeration stopped by caller")
+// errStopped signals an early stop requested by the output callback or
+// the output quota; errDonate an unwind to the work-stealing checkpoint.
+var (
+	errStopped = errors.New("core: enumeration stopped by caller")
+	errDonate  = errors.New("core: unwinding to donate work")
+)
 
 func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *skeleton {
 	s := &skeleton{
-		kb:        boxtree.New(n),
+		kb:        getTree(n),
 		sao:       sao,
 		depths:    depths,
 		n:         n,
@@ -98,12 +106,40 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 	return s
 }
 
+// treePool recycles knowledge-base trees between plain runs: regrowing
+// the slabs on every execution was a tenth of a prepared statement's time
+// and nearly all of its garbage. Only runPlain puts trees back (Covers
+// hands its caller a witness that aliases the tree).
+var treePool sync.Pool
+
+// getTree returns an empty n-dimensional tree, recycled when one fits.
+func getTree(n int) *boxtree.Tree {
+	if t, _ := treePool.Get().(*boxtree.Tree); t != nil && t.Dims() == n {
+		t.Reset()
+		return t
+	}
+	return boxtree.New(n)
+}
+
 // add inserts a box into the knowledge base.
 func (s *skeleton) add(b dyadic.Box) {
 	if s.subsume {
 		s.kb.InsertSubsuming(b)
 	} else {
 		s.kb.Insert(b)
+	}
+}
+
+// addResolvent caches the resolvent w of the frame with box b ⊆ w (line
+// 19) without a cover probe. No stored box contains w: it would contain
+// b, b's own probe missed, and every box stored since that contains b — a
+// resolvent or a settled unit's witness from one of b's halves — came back
+// up as a witness and ended the frame before it resolved.
+func (s *skeleton) addResolvent(w dyadic.Box) {
+	if s.subsume {
+		s.kb.InsertUncovered(w)
+	} else {
+		s.kb.Insert(w)
 	}
 }
 
@@ -115,11 +151,11 @@ func (s *skeleton) addOutput(b dyadic.Box) {
 	s.add(b)
 }
 
-// root invokes run on a fresh arena. Outer loops must enter through root
-// so the arena does not grow across invocations.
+// root invokes run on a fresh arena. Drivers must enter through root so
+// the arena does not grow across invocations.
 func (s *skeleton) root(b dyadic.Box) (bool, dyadic.Box, error) {
 	s.scratch = s.scratch[:0]
-	return s.run(b)
+	return s.run(b, -1)
 }
 
 // settle compacts the witness into the frame's watermark slot and
@@ -136,12 +172,14 @@ func (s *skeleton) settle(mark int, w dyadic.Box) dyadic.Box {
 // run is TetrisSkeleton (Algorithm 1). Given a target box b it returns
 // (true, w) where w ⊇ b is covered by the union of the knowledge base, or
 // (false, p) where p ∈ b is a unit box not covered by any stored box.
-func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
+// split is the dimension the parent frame split on to produce b, -1 for
+// the root of a descent.
+func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	s.stats.SkeletonCalls++
-	// Cooperative cancellation for recursions whose outer loop has no
-	// natural check point (Covers and the counting variant run one giant
-	// root call). The counter gate keeps the hot path at one branch per
-	// call and one channel poll every 1024 calls.
+	// Cooperative cancellation for recursions with no natural check point
+	// (Covers runs one giant root call, and a pass may go a long way
+	// between settled units). The counter gate keeps the hot path at one
+	// branch per call and one channel poll every 1024 calls.
 	if s.ctx != nil && s.stats.SkeletonCalls&1023 == 0 {
 		select {
 		case <-s.ctx.Done():
@@ -152,28 +190,25 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	// Line 1: a stored box covering b is a ready-made witness. The
 	// private kb (learned resolvents, outputs, lazily loaded gaps) is
 	// probed first, then the shared read-only base if the shard has one.
-	if a, ok := s.kb.ContainsSuperset(b); ok {
+	if a, ok := s.probe(s.kb, b, split); ok {
 		s.stats.CoverHits++
 		return true, a, nil
 	}
 	if s.base != nil {
-		if a, ok := s.base.ContainsSuperset(b); ok {
+		if a, ok := s.probe(s.base, b, split); ok {
 			s.stats.CoverHits++
 			return true, a, nil
 		}
 	}
-	// Line 3: an uncovered unit box witnesses non-coverage — or, in
-	// single-pass mode, is an output tuple reported on the spot.
+	// Line 3: an uncovered unit box witnesses non-coverage — or, for a
+	// driver that settles units in place, is made covered on the spot.
 	dim := b.FirstThick(s.sao, s.depths)
 	if dim == -1 {
-		if s.onUncoveredUnit != nil {
-			if !s.onUncoveredUnit(b) {
-				return false, nil, errStopped
-			}
-			s.addOutput(b)
-			return true, b, nil
+		if s.settleUnit == nil {
+			return false, b, nil
 		}
-		return false, b, nil
+		w, err := s.settleUnit(b)
+		return err == nil, w, err
 	}
 	// Line 6: Split-First-Thick-Dimension. The two halves are carved from
 	// the arena at this frame's watermark; append copies b, so this is
@@ -186,7 +221,7 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	b2 := dyadic.Box(s.scratch[mark+s.n : mark+2*s.n])
 	b1[dim] = b[dim].Child(0)
 	b2[dim] = b[dim].Child(1)
-	v1, w1, err := s.run(b1)
+	v1, w1, err := s.run(b1, dim)
 	if err != nil {
 		return false, nil, err
 	}
@@ -196,7 +231,7 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	if w1.Contains(b) {
 		return true, s.settle(mark, w1), nil
 	}
-	v2, w2, err := s.run(b2)
+	v2, w2, err := s.run(b2, dim)
 	if err != nil {
 		return false, nil, err
 	}
@@ -231,7 +266,20 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	}
 	// Line 19: cache the resolvent (skipped in Tree Ordered mode).
 	if !s.noCache {
-		s.add(w)
+		s.addResolvent(w)
 	}
 	return true, s.settle(mark, w), nil
+}
+
+// probe is line 1 against one tree. A child frame (split != -1) only asks
+// for covers whose component in the split dimension is exactly b's: a
+// shorter one would contain the parent's box, which no stored box does —
+// the parent's probes missed, and every box stored since that contains it
+// was handed up and ended the parent frame (see addResolvent; for gap
+// boxes loaded in place that is the shallowest-frame rule of tetris.go).
+func (s *skeleton) probe(t *boxtree.Tree, b dyadic.Box, split int) (dyadic.Box, bool) {
+	if split == -1 {
+		return t.ContainsSuperset(b)
+	}
+	return t.ContainsSupersetExactAt(b, split)
 }

@@ -54,8 +54,8 @@ type fragment struct {
 // pending fragments, a registry of every not-yet-merged fragment (the
 // merger's deterministic order source), and the donation machinery by
 // which idle workers split running regions. One mutex guards all
-// scheduling state; the check a running worker performs per outer-loop
-// iteration is a single atomic load of demand, so checkpoints cost
+// scheduling state; the check a running worker performs per settled
+// unit box is a single atomic load of demand, so checkpoints cost
 // nothing while every worker is busy.
 type stealScheduler struct {
 	sao      []int
@@ -238,17 +238,17 @@ func (s *stealScheduler) session(w int, f *fragment) *stealSession {
 
 // wanted reports whether unwinding to a donation checkpoint could help:
 // some worker is starved and this region can still be split. Lock-free;
-// single-pass runs poll it per output to decide whether to unwind.
+// runPlain polls it per settled unit box to decide whether to unwind.
 func (ss *stealSession) wanted() bool {
 	return !ss.exhausted && ss.s.demand.Load() > 0
 }
 
-// offer is the work-stealing checkpoint, called between outer-loop
-// iterations of runPlain. When idle workers outnumber pending fragments
+// offer is the work-stealing checkpoint, called by runPlain before each
+// (re-)entry of its pass. When idle workers outnumber pending fragments
 // it splits the caller's remaining region for them. last is the most
-// recently processed probe point (nil before the first): the outer loop
-// handles points in nondecreasing SAO-lexicographic order, so every
-// point at or before last is already covered or emitted. The walk
+// recently settled point (nil before the first): the pass settles points
+// in increasing SAO-lexicographic order, so every point at or before
+// last is already covered or emitted. The walk
 // re-runs the skeleton's own Split-First-Thick-Dimension splits from
 // the region's root: halves SAO-before last are fully done and are
 // descended past; the first half SAO-after last is untouched and is

@@ -86,32 +86,79 @@ func TestStealSkewedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStealSinglePassDonation: the single-pass skeleton donates by
-// unwinding and restarting; order and output count must still match the
-// sequential single-pass run exactly.
+// TestStealSinglePassDonation: a Preloaded pass donates by unwinding at
+// an output and re-entering; order and output count must still match the
+// sequential run exactly.
 func TestStealSinglePassDonation(t *testing.T) {
 	o := skewedInstanceDepth(t, 8)
-	seq, err := Run(o, Options{Mode: Preloaded, SinglePass: true})
+	seq, err := Run(o, Options{Mode: Preloaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Single-pass runs never probe the oracle mid-run, so slowOracle
+	// Preloaded runs never probe the oracle mid-run, so slowOracle
 	// cannot stretch them; a sleeping OnResolve observer does.
 	slow := func(w1, w2, r dyadic.Box, dim int) { time.Sleep(20 * time.Microsecond) }
 	got, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, SinglePass: true, OnResolve: slow}, 4, 2)
+		Options{Mode: Preloaded, OnResolve: slow}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
-		t.Fatalf("single-pass stealing run diverged from sequential (%d vs %d tuples)",
+		t.Fatalf("stealing run diverged from sequential (%d vs %d tuples)",
 			len(got.Tuples), len(seq.Tuples))
 	}
 	if got.Stats.Outputs != seq.Stats.Outputs {
 		t.Fatalf("Outputs %d != sequential %d", got.Stats.Outputs, seq.Stats.Outputs)
 	}
 	if got.Stats.Steals == 0 {
-		t.Fatal("single-pass run with idle workers performed no dynamic splits")
+		t.Fatal("run with idle workers performed no dynamic splits")
+	}
+}
+
+// TestStealReloadedGapLoadDonation: a Reloaded pass also unwinds at a
+// gap load, with the witness it was about to hand up discarded and the
+// loaded boxes left in the knowledge base for the re-entry to find. The
+// instance has its outputs only in the last quarter of dimension 0 —
+// columns a < 192 are one lazily loaded gap box ⟨a,λ⟩ each — and the run
+// starts from a single seed, so the first donation can only happen at a
+// gap load.
+func TestStealReloadedGapLoadDonation(t *testing.T) {
+	const d = 8
+	var boxes []dyadic.Box
+	for a := uint64(0); a < 1<<d; a++ {
+		col := dyadic.Unit(a, d)
+		if a < 192 {
+			boxes = append(boxes, dyadic.Box{col, dyadic.Lambda})
+			continue
+		}
+		for l := uint8(1); l <= d; l++ { // everything in the column but (a,0)
+			boxes = append(boxes, dyadic.Box{col, dyadic.NewInterval(1, l)})
+		}
+	}
+	o := MustBoxOracle([]uint8{d, d}, boxes)
+	seq, err := Run(o, Options{Mode: Reloaded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Tuples) != 64 {
+		t.Fatalf("instance has %d outputs, want 64", len(seq.Tuples))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, err := RunShards(func() Oracle { return slowOracle{o.Clone()} },
+			Options{Mode: Reloaded}, workers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
+			t.Fatalf("workers=%d: stealing run diverged from sequential (%d vs %d tuples)",
+				workers, len(got.Tuples), len(seq.Tuples))
+		}
+		if got.Stats.BoxesLoaded < seq.Stats.BoxesLoaded {
+			t.Fatalf("workers=%d: loaded %d boxes, sequential %d", workers, got.Stats.BoxesLoaded, seq.Stats.BoxesLoaded)
+		}
+		if workers > 1 && got.Stats.Steals == 0 {
+			t.Fatalf("workers=%d: no donation from the single seed", workers)
+		}
 	}
 }
 

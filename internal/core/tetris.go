@@ -166,36 +166,46 @@ func checkSAO(sao []int, n int) ([]int, error) {
 
 // runPlain is Algorithm 2 with the Preloaded or Reloaded initialization,
 // enumerating the outputs inside root (the whole universe for sequential
-// runs, one disjoint fragment per worker turn under RunShards). base,
-// when non-nil, is a prebuilt read-only knowledge base holding the full
-// preloaded gap set: RunShards builds it once and shares it across every
-// fragment, so a Preloaded fragment starts with an empty private
+// runs, one disjoint fragment per worker turn under RunShards), as the
+// single depth-first pass of TetrisSkeleton2 (footnote 13, proof of
+// Theorem D.2): an uncovered unit box is settled where the descent found
+// it instead of restarting the skeleton from root. Under Preloaded the
+// knowledge base holds every gap box, so the unit is an output. Under
+// Reloaded the oracle is probed at the point: no gap box there makes it
+// an output, otherwise the gap boxes are loaded and one of them is the
+// unit's witness (see loadGaps for which; DESIGN.md, "One driver", for
+// why the run is the restart loop's, resolution for resolution).
+//
+// base, when non-nil, is a prebuilt read-only knowledge base holding the
+// full preloaded gap set: RunShards builds it once and shares it across
+// every fragment, so a Preloaded fragment starts with an empty private
 // knowledge base instead of re-inserting its slice of B. steal, when
-// non-nil, is the run's work-stealing session: between outer-loop
-// iterations the run offers the SAO-later part of its remaining region
-// to idle workers, shrinking root accordingly — safe because the outer
-// loop processes points in nondecreasing SAO-lexicographic order, so
-// the donated later half is guaranteed untouched.
+// non-nil, is the run's work-stealing session: when an idle worker wants
+// work the pass unwinds at the next settled unit, offers the SAO-later
+// part of its remaining region, and re-enters over what it kept — safe
+// because points are settled in increasing SAO-lexicographic order, so
+// the donated half is untouched, and cheap because everything settled so
+// far is in the knowledge base.
 func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.Tree, steal *stealSession) (*Result, error) {
 	n, depths := o.Dims(), o.Depths()
 	res := &Result{}
 	// Resolve the budget once and share it with the skeleton, so the
-	// outer loop's output claims and the recursion's resolution charges
-	// draw from the same quota.
+	// output claims and the recursion's resolution charges draw from the
+	// same quota.
 	opts.Budget = effectiveBudget(opts)
 	budget := opts.Budget
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
 	sk.base = base
 
-	if opts.SinglePass && opts.Mode != Preloaded {
-		return nil, fmt.Errorf("core: SinglePass requires Preloaded mode (the knowledge base must hold every gap box)")
-	}
-
 	// loaded is the exact-match set of gap boxes seen so far, used both
 	// for BoxesLoaded accounting and for the no-progress check. A second
 	// boxtree rather than a map keyed by Box.Key keeps the per-box cost at
 	// word operations with zero allocation.
-	loaded := boxtree.New(n)
+	loaded := getTree(n)
+	// Nothing outlives the run inside either tree: tuples are copied out
+	// and every witness is consumed within the pass.
+	defer treePool.Put(loaded)
+	defer treePool.Put(sk.kb)
 	if opts.Mode == Preloaded && base == nil {
 		filter := root
 		if root.IsUniverse() {
@@ -208,114 +218,93 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 		res.Stats.BoxesLoaded += fresh
 	}
 
-	if opts.SinglePass {
-		// TetrisSkeleton2 (footnote 13): one depth-first pass reporting
-		// every uncovered unit box as an output. Under work stealing the
-		// pass unwinds when an idle worker wants work — every output up to
-		// the current point is already in the knowledge base, so the
-		// donation checkpoint can split the region and a restart from the
-		// shrunk root re-descends through covered territory in CoverHits.
-		point := make([]uint64, n) // reused per output; OnOutput must copy
-		havePoint := false
-		var ctxErr error
-		donated := false
-		sk.onUncoveredUnit = func(b dyadic.Box) bool {
-			if ctxErr = checkContext(opts); ctxErr != nil {
-				return false
+	point := make([]uint64, n)   // reused per settled unit; OnOutput must copy
+	var last []uint64            // point once a unit has been settled
+	frame := make(dyadic.Box, n) // loadGaps scratch
+
+	// loadGaps inserts the oracle's answer for the uncovered unit box b
+	// (at point) and returns the witness a restart from root would have
+	// hit first: the stored cover of the shallowest frame of the current
+	// descent that the answer covers. The frames are root with b's bits
+	// filled in in SAO order, so a gap box g containing point covers
+	// exactly the frames from (j, g[sao[j]].Len) down, j being the last
+	// SAO position where g is longer than root. The witness is the
+	// knowledge base's own copy: the oracle's slice is overwritten by its
+	// next probe.
+	loadGaps := func(b dyadic.Box, gaps []dyadic.Box) (dyadic.Box, error) {
+		progress := false
+		bestJ, bestLen := n, uint8(0)
+		for _, g := range gaps {
+			if err := g.Check(depths); err != nil {
+				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", g, err)
 			}
-			emit, stop := budget.ClaimOutput()
-			if !emit {
-				return false
-			}
-			b.ValuesInto(point, depths)
-			havePoint = true
-			res.Stats.Outputs++
-			if opts.OnOutput != nil {
-				if !opts.OnOutput(point) {
-					return false
+			if g.ContainsPoint(point, depths) {
+				j := n - 1
+				for j >= 0 && g[sao[j]].Len <= root[sao[j]].Len {
+					j--
 				}
-			} else {
-				tup := make([]uint64, len(point))
-				copy(tup, point)
-				res.Tuples = append(res.Tuples, tup)
-			}
-			if stop {
-				return false
-			}
-			if steal != nil && steal.wanted() {
-				// Unwind to the donation checkpoint. The skeleton records
-				// the output only when the callback returns true, so record
-				// it here; the restart then finds it covered.
-				sk.addOutput(b)
-				donated = true
-				return false
-			}
-			return true
-		}
-		for {
-			if steal != nil {
-				var last []uint64
-				if havePoint {
-					last = point
+				l := uint8(0)
+				if j >= 0 {
+					l = g[sao[j]].Len
 				}
-				root = steal.offer(root, last)
+				if bestJ == n || j < bestJ || (j == bestJ && l < bestLen) {
+					bestJ, bestLen = j, l
+				}
 			}
-			donated = false
-			_, _, err := sk.root(root)
-			if err != nil && err != errStopped {
-				return nil, err
+			if loaded.Insert(g) {
+				res.Stats.BoxesLoaded++
+				progress = true
 			}
-			if ctxErr != nil {
-				return nil, ctxErr
-			}
-			if err == nil || !donated {
-				// Fully enumerated, or a genuine stop (caller/quota).
-				break
-			}
-			// Donated unwind: loop back so the offer above splits the
-			// region, then restart the pass over what remains.
+			sk.add(g)
 		}
-		res.Stats.KnowledgeBase = sk.kb.Len()
-		return res, nil
+		if bestJ == n {
+			return nil, fmt.Errorf("core: oracle contract violation: no returned gap box contains probe point %v", point)
+		}
+		if !progress {
+			return nil, fmt.Errorf("core: no progress: oracle returned only known gap boxes for uncovered point %v", point)
+		}
+		copy(frame, root)
+		for j := 0; j < bestJ; j++ {
+			frame[sao[j]] = b[sao[j]]
+		}
+		if bestJ >= 0 {
+			iv := b[sao[bestJ]]
+			frame[sao[bestJ]] = dyadic.Interval{Bits: iv.Bits >> (iv.Len - bestLen), Len: bestLen}
+		}
+		w, ok := sk.kb.ContainsSuperset(frame)
+		if !ok {
+			return nil, fmt.Errorf("core: internal error: loaded gap boxes do not cover frame %v", frame)
+		}
+		return w, nil
 	}
 
-	point := make([]uint64, n) // probe-point buffer, reused per iteration
-	havePoint := false
-	for {
+	sk.settleUnit = func(b dyadic.Box) (dyadic.Box, error) {
 		if err := checkContext(opts); err != nil {
 			return nil, err
 		}
 		// Once the shared output quota is fully claimed (possibly by
 		// sibling shards), further search here cannot report anything.
 		if budget.outputsExhausted() {
-			break
+			return nil, errStopped
 		}
-		// Work-stealing checkpoint: everything at or before the last
-		// processed point is covered or emitted, so the SAO-later part of
-		// the region can be split off for an idle worker.
-		if steal != nil {
-			var last []uint64
-			if havePoint {
-				last = point
+		b.ValuesInto(point, depths)
+		last = point
+		w := b
+		var gaps []dyadic.Box
+		if opts.Mode == Reloaded {
+			res.Stats.OracleCalls++
+			gaps = o.GapsContaining(point)
+		}
+		if len(gaps) > 0 {
+			var err error
+			if w, err = loadGaps(b, gaps); err != nil {
+				return nil, err
 			}
-			root = steal.offer(root, last)
-		}
-		v, w, err := sk.root(root)
-		if err != nil {
-			return nil, err
-		}
-		if v {
-			break
-		}
-		w.ValuesInto(point, depths)
-		havePoint = true
-		res.Stats.OracleCalls++
-		gaps := o.GapsContaining(point)
-		if len(gaps) == 0 {
-			// w is an output tuple: report it and amend A with its box.
+		} else {
+			// b is an output tuple: report it and amend A with its box.
 			emit, stop := budget.ClaimOutput()
 			if !emit {
-				break
+				return nil, errStopped
 			}
 			res.Stats.Outputs++
 			if opts.OnOutput != nil {
@@ -327,33 +316,28 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 				copy(tup, point)
 				res.Tuples = append(res.Tuples, tup)
 			}
-			sk.addOutput(w)
+			sk.addOutput(b)
 			if stop {
-				break
+				return nil, errStopped
 			}
-			continue
 		}
-		progress := false
-		containsPoint := false
-		for _, g := range gaps {
-			if err := g.Check(depths); err != nil {
-				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", g, err)
-			}
-			if g.ContainsPoint(point, depths) {
-				containsPoint = true
-			}
-			if loaded.Insert(g) {
-				res.Stats.BoxesLoaded++
-				progress = true
-			}
-			sk.add(g)
+		if steal != nil && steal.wanted() {
+			return nil, errDonate
 		}
-		if !containsPoint {
-			return nil, fmt.Errorf("core: oracle contract violation: no returned gap box contains probe point %v", point)
+		return w, nil
+	}
+	for {
+		if steal != nil {
+			root = steal.offer(root, last)
 		}
-		if !progress {
-			return nil, fmt.Errorf("core: no progress: oracle returned only known gap boxes for uncovered point %v", point)
+		_, _, err := sk.root(root)
+		if err == errDonate {
+			continue // split the region above, then walk back down to it
 		}
+		if err != nil && err != errStopped {
+			return nil, err
+		}
+		break
 	}
 	res.Stats.KnowledgeBase = sk.kb.Len()
 	return res, nil

@@ -457,13 +457,12 @@ func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
 		seqStats[mode] = res.Stats
 	}
 
-	// Sequential variants: single-pass skeleton and cache-free (tree
-	// ordered) resolution.
+	// Sequential variants: cache-free (tree ordered) resolution and no
+	// knowledge-base compaction.
 	variants := []struct {
 		name string
 		opts core.Options
 	}{
-		{"single-pass", func() core.Options { o := copts(core.Preloaded); o.SinglePass = true; return o }()},
 		{"no-cache", func() core.Options { o := copts(core.Reloaded); o.NoCache = true; return o }()},
 		{"no-subsume", func() core.Options { o := copts(core.Reloaded); o.DisableSubsume = true; return o }()},
 	}

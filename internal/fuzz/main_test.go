@@ -1,0 +1,16 @@
+package fuzz
+
+import (
+	"os"
+	"testing"
+
+	"tetrisjoin/internal/boxtree"
+)
+
+// TestMain runs the package's tests with the knowledge base checking the
+// two promises the skeleton makes it: a resolvent is never already
+// covered, and an exact-dimension probe answers like the full one.
+func TestMain(m *testing.M) {
+	boxtree.CheckPreconditions = true
+	os.Exit(m.Run())
+}

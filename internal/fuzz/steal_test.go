@@ -27,9 +27,10 @@ func stealFamilies() map[string]*join.Query {
 // TestStealMatrixOrderEquality: on every skewed family, the
 // work-stealing executor must reproduce the sequential enumeration
 // order exactly — tuple for tuple, not just as a set — across worker
-// counts and steal depths, in both plain modes and under the
-// single-pass skeleton. This is the fuzz-matrix pin for the executor's
-// determinism contract on inputs where stealing actually happens.
+// counts and steal depths, in both plain modes, from the static seed
+// partition and from a single seed. This is the fuzz-matrix pin for the
+// executor's determinism contract on inputs where stealing actually
+// happens.
 func TestStealMatrixOrderEquality(t *testing.T) {
 	type cfg struct {
 		workers int
@@ -66,17 +67,20 @@ func TestStealMatrixOrderEquality(t *testing.T) {
 				}
 			}
 		}
-		// Single-pass (Preloaded-only) under stealing: donation there
-		// unwinds and restarts the skeleton, a different code path.
-		res, err := join.Execute(q, join.Options{
-			Mode: core.Preloaded, SinglePass: true, Parallelism: 4,
-		})
-		if err != nil {
-			t.Fatalf("%s/single-pass: %v", name, err)
-		}
-		if d := baseline.FirstDivergence(res.Tuples, seq.Tuples); d != nil {
-			t.Fatalf("%s/single-pass: order diverged from sequential at #%d (%d vs %d tuples)",
-				name, d.Index, len(res.Tuples), len(seq.Tuples))
+		// Reloaded from a single seed: every fragment but the first is
+		// carved at runtime, where the pass unwound at a gap load or an
+		// output and re-entered over the boxes it had loaded.
+		for _, workers := range []int{1, 2, 4} {
+			res, err := join.Execute(q, join.Options{
+				Mode: core.Reloaded, Parallelism: workers, Shards: 1, StealDepth: 63,
+			})
+			if err != nil {
+				t.Fatalf("%s/one-seed workers=%d: %v", name, workers, err)
+			}
+			if d := baseline.FirstDivergence(res.Tuples, seq.Tuples); d != nil {
+				t.Fatalf("%s/one-seed workers=%d: order diverged from sequential at #%d (%d vs %d tuples)",
+					name, workers, d.Index, len(res.Tuples), len(seq.Tuples))
+			}
 		}
 	}
 }

@@ -106,12 +106,10 @@ type Options struct {
 	// then run Reloaded and only discover the delta's certificate.
 	// Mutually exclusive with SharedBase (the plan's own base).
 	Base *core.PreparedBase
-	// NoCache, SinglePass, DisableSubsume, TrackProvenance,
-	// MaxResolutions, MaxOutput and OnOutput are forwarded to the core
-	// engine; see core.Options. With Parallelism > 1, MaxResolutions and
+	// NoCache, DisableSubsume, TrackProvenance, MaxResolutions,
+	// MaxOutput and OnOutput are forwarded to the core engine; see core.Options. With Parallelism > 1, MaxResolutions and
 	// MaxOutput act as budgets shared across shards.
 	NoCache         bool
-	SinglePass      bool
 	DisableSubsume  bool
 	TrackProvenance bool
 	MaxResolutions  int64
@@ -290,7 +288,6 @@ func (p *Plan) coreOptions(opts Options) core.Options {
 		Mode:            opts.Mode,
 		SAO:             p.sao,
 		NoCache:         opts.NoCache,
-		SinglePass:      opts.SinglePass,
 		DisableSubsume:  opts.DisableSubsume,
 		TrackProvenance: opts.TrackProvenance,
 		MaxResolutions:  opts.MaxResolutions,

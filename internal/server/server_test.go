@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -395,5 +396,35 @@ func TestSessionStatementIDReplacement(t *testing.T) {
 	exec2 := lines[5]
 	if exec2["refresh"] != "none" || num(exec2, "outputs") != 1 {
 		t.Fatalf("exec after re-maintain wrong: %v", exec2)
+	}
+}
+
+// TestAppendTupleLineMatchesJSON pins the streamed row encoder to the
+// bytes encoding/json produced before it: the protocol's tuple lines must
+// not move.
+func TestAppendTupleLineMatchesJSON(t *testing.T) {
+	type tupleLine struct {
+		Tuple []uint64 `json:"tuple"`
+	}
+	for _, tup := range [][]uint64{
+		nil,
+		{},
+		{0},
+		{math.MaxUint64},
+		{0, math.MaxUint64, 9, 10, 99, 100},
+		{18446744073709551615, 1, 12345678901234567890},
+	} {
+		want, err := json.Marshal(tupleLine{tup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		got := appendTupleLine(nil, tup)
+		if !bytes.Equal(got, want) {
+			t.Errorf("appendTupleLine(%v) = %q, want %q", tup, got, want)
+		}
+		if tupleLineLen(tup) != len(want) {
+			t.Errorf("tupleLineLen(%v) = %d, line is %d bytes", tup, tupleLineLen(tup), len(want))
+		}
 	}
 }

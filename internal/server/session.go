@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -91,11 +92,6 @@ type Response struct {
 
 	// Stats is the server/catalog summary for the stats op.
 	Stats *serverStats `json:"stats,omitempty"`
-}
-
-// tupleLine is one streamed output row.
-type tupleLine struct {
-	Tuple []uint64 `json:"tuple"`
 }
 
 // session is the per-connection state: prepared statements, the session
@@ -262,13 +258,43 @@ func (sess *session) respond(r Response) error {
 	return sess.out.enqueueSync(append(b, '\n'))
 }
 
-// send queues one streamed line (no delivery wait).
-func (sess *session) send(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
+// appendTupleLine appends one streamed output row to dst: the line
+// {"tuple":[v0,v1,…]} and its newline, byte for byte what encoding/json
+// makes of struct{ Tuple []uint64 `json:"tuple"` } (null for a nil tuple).
+func appendTupleLine(dst []byte, tup []uint64) []byte {
+	if tup == nil {
+		return append(dst, "{\"tuple\":null}\n"...)
 	}
-	return sess.out.enqueue(append(b, '\n'))
+	dst = append(dst, `{"tuple":[`...)
+	for i, v := range tup {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, "]}\n"...)
+}
+
+// tupleLineLen is the exact length of the line appendTupleLine writes.
+func tupleLineLen(tup []uint64) int {
+	n := len("{\"tuple\":[]}\n") + len(tup) // brackets, and a digit per value
+	if len(tup) > 1 {
+		n += len(tup) - 1 // commas
+	} else if tup == nil {
+		n += 2 // null is two longer than []
+	}
+	for _, v := range tup {
+		for ; v >= 10; v /= 10 {
+			n++
+		}
+	}
+	return n
+}
+
+// sendTuple queues one streamed output row (no delivery wait). The writer
+// keeps the slice, so each line gets its own, sized to fit.
+func (sess *session) sendTuple(tup []uint64) error {
+	return sess.out.enqueue(appendTupleLine(make([]byte, 0, tupleLineLen(tup)), tup))
 }
 
 // fail formats an error response.
@@ -492,7 +518,7 @@ func (sess *session) execMaintained(req Request, m *catalog.Maintained) Response
 		return resp
 	}
 	for _, tup := range tuples {
-		if err := sess.send(tupleLine{Tuple: tup}); err != nil {
+		if err := sess.sendTuple(tup); err != nil {
 			return fail(err)
 		}
 	}
@@ -628,7 +654,7 @@ func (sess *session) run(req Request,
 		// next output, releasing the admission slot instead of holding it
 		// hostage to the peer's read rate.
 		opts.OnOutput = func(tuple []uint64) bool {
-			if streamErr = sess.send(tupleLine{Tuple: tuple}); streamErr != nil {
+			if streamErr = sess.sendTuple(tuple); streamErr != nil {
 				return false
 			}
 			delivered++
