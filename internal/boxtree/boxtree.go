@@ -27,9 +27,9 @@
 // In steady state (slab capacity warmed up) Insert, superset probes,
 // intersection probes and subsume-deletes perform zero heap allocations.
 //
-// Boxes returned by queries (ContainsSuperset, Supersets, ContainedIn,
-// All) alias the interval slab. Because the slab is append-only — deleting
-// a box abandons its payload rather than reusing it — such aliases remain
+// Boxes returned by queries (ContainsSuperset, Supersets, All) alias the
+// interval slab. Because the slab is append-only — deleting a box
+// abandons its payload rather than reusing it — such aliases remain
 // valid for the lifetime of the Tree even across later inserts and
 // deletes. Only Reset invalidates them. Callers must not modify returned
 // boxes.
@@ -239,7 +239,7 @@ func (t *Tree) ContainsSuperset(b dyadic.Box) (dyadic.Box, bool) {
 	if len(b) != t.n {
 		panic("boxtree: dimension mismatch in ContainsSuperset")
 	}
-	return t.findSuperset(rootNode, 0, b, false, -1)
+	return t.findSuperset(rootNode, 0, b, -1)
 }
 
 // ContainsSupersetExactAt is ContainsSuperset restricted to stored boxes
@@ -253,28 +253,19 @@ func (t *Tree) ContainsSupersetExactAt(b dyadic.Box, dim int) (dyadic.Box, bool)
 	if len(b) != t.n {
 		panic("boxtree: dimension mismatch in ContainsSupersetExactAt")
 	}
-	sb, ok := t.findSuperset(rootNode, 0, b, false, dim)
+	sb, ok := t.findSuperset(rootNode, 0, b, dim)
 	if CheckPreconditions {
-		if full, fullOK := t.findSuperset(rootNode, 0, b, false, -1); fullOK != ok || (ok && !full.Equal(sb)) {
+		if full, fullOK := t.findSuperset(rootNode, 0, b, -1); fullOK != ok || (ok && !full.Equal(sb)) {
 			panic(fmt.Sprintf("boxtree: exact probe of %v at dimension %d found %v, full probe %v", b, dim, sb, full))
 		}
 	}
 	return sb, ok
 }
 
-// ProperSuperset returns a stored box that contains b and is not equal to
-// b, if any.
-func (t *Tree) ProperSuperset(b dyadic.Box) (dyadic.Box, bool) {
-	if len(b) != t.n {
-		panic("boxtree: dimension mismatch in ProperSuperset")
-	}
-	return t.findSuperset(rootNode, 0, b, true, -1)
-}
-
 // findSuperset probes the trie rooted at level root ni. exact, when not
 // -1, is the level at which only the node spelling b's full component may
 // be a storage point.
-func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, proper bool, exact int) (dyadic.Box, bool) {
+func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, exact int) (dyadic.Box, bool) {
 	nodes := t.nodes
 	root := &nodes[ni]
 	if root.count == 0 {
@@ -295,11 +286,11 @@ func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, proper bool, exa
 	for depth := 0; ; depth++ {
 		if depth >= first && nd.link != 0 {
 			if level < t.n-1 {
-				if found, ok := t.findSuperset(nd.link, level+1, b, proper, exact); ok {
+				if found, ok := t.findSuperset(nd.link, level+1, b, exact); ok {
 					return found, ok
 				}
-			} else if sb := t.boxAt(nd.link); !proper || !sb.Equal(b) {
-				return sb, true
+			} else {
+				return t.boxAt(nd.link), true
 			}
 		}
 		if depth == last {
@@ -404,54 +395,6 @@ func (t *Tree) intersectsBelow(ni uint32, level int, b dyadic.Box) bool {
 	}
 	return t.intersectsBelow(nd.children[0], level, b) ||
 		t.intersectsBelow(nd.children[1], level, b)
-}
-
-// ContainedIn returns all stored boxes contained in w.
-func (t *Tree) ContainedIn(w dyadic.Box) []dyadic.Box {
-	return t.ContainedInAppend(nil, w)
-}
-
-// ContainedInAppend appends all stored boxes contained in w to out and
-// returns the extended slice. The appended boxes alias the slab.
-func (t *Tree) ContainedInAppend(out []dyadic.Box, w dyadic.Box) []dyadic.Box {
-	if len(w) != t.n {
-		panic("boxtree: dimension mismatch in ContainedIn")
-	}
-	return t.collectContained(rootNode, 0, w, out)
-}
-
-func (t *Tree) collectContained(ni uint32, level int, w dyadic.Box, out []dyadic.Box) []dyadic.Box {
-	if ni == nilNode || t.nodes[ni].count == 0 {
-		return out
-	}
-	// Navigate to the node spelling w[level]; everything below it has
-	// w[level] as a prefix.
-	iv := w[level]
-	cur := ni
-	for depth := 0; depth < int(iv.Len); depth++ {
-		bit := iv.Bits >> uint(int(iv.Len)-1-depth) & 1
-		cur = t.nodes[cur].children[bit]
-		if cur == nilNode {
-			return out
-		}
-	}
-	return t.collectBelow(cur, level, w, out)
-}
-
-func (t *Tree) collectBelow(ni uint32, level int, w dyadic.Box, out []dyadic.Box) []dyadic.Box {
-	if ni == nilNode || t.nodes[ni].count == 0 {
-		return out
-	}
-	nd := t.nodes[ni]
-	if nd.link != 0 {
-		if level == t.n-1 {
-			out = append(out, t.boxAt(nd.link))
-		} else {
-			out = t.collectContained(nd.link, level+1, w, out)
-		}
-	}
-	out = t.collectBelow(nd.children[0], level, w, out)
-	return t.collectBelow(nd.children[1], level, w, out)
 }
 
 // DeleteContainedIn removes every stored box that is contained in w and

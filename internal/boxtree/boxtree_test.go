@@ -83,37 +83,11 @@ func TestSupersetQueries(t *testing.T) {
 	}
 }
 
-func TestProperSuperset(t *testing.T) {
-	tr := New(2)
-	tr.Insert(mustBox("01,1"))
-	if _, ok := tr.ProperSuperset(mustBox("01,1")); ok {
-		t.Error("ProperSuperset returned the box itself")
-	}
-	if _, ok := tr.ContainsSuperset(mustBox("01,1")); !ok {
-		t.Error("ContainsSuperset should return the box itself")
-	}
-	tr.Insert(mustBox("01,λ"))
-	got, ok := tr.ProperSuperset(mustBox("01,1"))
-	if !ok || !got.Equal(mustBox("01,λ")) {
-		t.Errorf("ProperSuperset = %v, %v", got, ok)
-	}
-}
-
 func TestContainedInAndDelete(t *testing.T) {
 	tr := New(2)
 	all := []string{"λ,0", "00,λ", "00,01", "01,10", "0,1", "1,λ"}
 	for _, s := range all {
 		tr.Insert(mustBox(s))
-	}
-	got := tr.ContainedIn(mustBox("0,λ"))
-	wantSet := map[string]bool{"⟨00,λ⟩": true, "⟨00,01⟩": true, "⟨01,10⟩": true, "⟨0,1⟩": true}
-	if len(got) != len(wantSet) {
-		t.Fatalf("ContainedIn = %v", got)
-	}
-	for _, b := range got {
-		if !wantSet[b.String()] {
-			t.Errorf("unexpected contained box %s", b)
-		}
 	}
 	removed := tr.DeleteContainedIn(mustBox("0,λ"))
 	if removed != 4 {
@@ -211,7 +185,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 	for step := 0; step < 3000; step++ {
 		b := randBox(r, n, d)
-		switch r.Intn(10) {
+		switch r.Intn(8) {
 		case 0, 1, 2, 3: // insert
 			inserted := tr.Insert(b)
 			if inserted == refContains(b) {
@@ -255,28 +229,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			if got := tr.IntersectsAny(b); got != want {
 				t.Fatalf("step %d: IntersectsAny(%s) = %v, want %v", step, b, got, want)
 			}
-		case 7, 8: // contained-in queries
-			var want []string
-			for _, x := range ref {
-				if b.Contains(x) {
-					want = append(want, x.String())
-				}
-			}
-			var got []string
-			for _, x := range tr.ContainedIn(b) {
-				got = append(got, x.String())
-			}
-			sort.Strings(want)
-			sort.Strings(got)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: ContainedIn(%s) = %v, want %v", step, b, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: ContainedIn mismatch", step)
-				}
-			}
-		case 9: // delete contained
+		case 7: // delete contained
 			removed := tr.DeleteContainedIn(b)
 			var kept []dyadic.Box
 			wantRemoved := 0
@@ -304,7 +257,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		"Insert":            func() { tr.Insert(mustBox("λ,λ,λ")) },
 		"ContainsSuperset":  func() { tr.ContainsSuperset(mustBox("λ")) },
 		"Supersets":         func() { tr.Supersets(mustBox("λ")) },
-		"ContainedIn":       func() { tr.ContainedIn(mustBox("λ")) },
 		"DeleteContainedIn": func() { tr.DeleteContainedIn(mustBox("λ")) },
 	} {
 		func() {

@@ -65,7 +65,7 @@ func (b *PreparedBase) Len() int { return b.tree.Len() }
 // discovered. A base built under a different subsumption setting or
 // dimensionality is a misuse, not a silent fallback.
 func (o Options) preparedBase(n int) (*boxtree.Tree, int64, error) {
-	if o.Base == nil || (o.Mode != Preloaded && o.Mode != Reloaded) {
+	if o.Base == nil || !o.Mode.Plain() {
 		return nil, 0, nil
 	}
 	if o.Base.n != n {

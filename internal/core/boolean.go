@@ -24,34 +24,16 @@ type CoverReport struct {
 // once with the knowledge base preloaded; it also solves Klee's measure
 // problem over the Boolean semiring (Corollary F.8).
 func Covers(depths []uint8, boxes []dyadic.Box, opts Options) (*CoverReport, error) {
-	n := len(depths)
-	if n == 0 {
+	if len(depths) == 0 {
 		return nil, fmt.Errorf("core: Covers needs at least one dimension")
 	}
-	sao, err := checkSAO(opts.SAO, n)
-	if err != nil {
-		return nil, err
-	}
-	rep := &CoverReport{}
-	sk := newSkeleton(n, depths, sao, opts, &rep.Stats)
-	for _, b := range boxes {
-		if err := b.Check(depths); err != nil {
-			return nil, fmt.Errorf("core: invalid box %v: %w", b, err)
-		}
-		sk.add(b)
-	}
-	v, w, err := sk.root(dyadic.Universe(n))
-	if err != nil {
-		return nil, err
-	}
-	rep.Covered = v
-	rep.Witness = w
-	rep.Stats.KnowledgeBase = sk.kb.Len()
-	return rep, nil
+	return CoversTarget(depths, boxes, dyadic.Universe(len(depths)), opts)
 }
 
 // CoversTarget reports whether the union of boxes covers the given target
-// box: the general Boolean sub-problem solved by TetrisSkeleton.
+// box: the general Boolean sub-problem solved by TetrisSkeleton, invoked
+// once on the target. The witness aliases the run's knowledge base or
+// arena, so neither goes back to a pool.
 func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Options) (*CoverReport, error) {
 	n := len(depths)
 	if n == 0 {

@@ -8,10 +8,37 @@ import (
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
 	"tetrisjoin/internal/relation"
+	"tetrisjoin/internal/workload"
 )
 
 // golden is the work a run must report, exactly.
 type golden struct{ resolutions, loaded, kb, outputs int64 }
+
+// goldenLB is a lifted run's: ReloadedLB also pins its oracle probes and
+// partition rebuilds, PreloadedLB probes nothing and never rebuilds.
+type goldenLB struct {
+	golden
+	probes, rebuilds int64
+}
+
+// checkGoldenLB runs the query sequentially in both LB modes.
+func checkGoldenLB(t *testing.T, label string, c *catalog.Catalog, query string, preloaded, reloaded goldenLB) {
+	t.Helper()
+	// In this order: the catalog's plan cache and planner feedback make an
+	// ad-hoc execution depend on the ones before it.
+	for i, want := range []goldenLB{preloaded, reloaded} {
+		mode := []core.Mode{core.PreloadedLB, core.ReloadedLB}[i]
+		res, err := c.Execute(query, join.Options{Mode: mode, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, label+" "+mode.Name(), res.Stats, want.golden)
+		if res.Stats.OracleCalls != want.probes || res.Stats.Rebuilds != want.rebuilds {
+			t.Errorf("%s %s: %d oracle probes and %d rebuilds, want %d and %d", label, mode.Name(),
+				res.Stats.OracleCalls, res.Stats.Rebuilds, want.probes, want.rebuilds)
+		}
+	}
+}
 
 func checkGolden(t *testing.T, label string, s core.Stats, want golden) {
 	t.Helper()
@@ -58,6 +85,11 @@ func TestGoldenEngineCounts(t *testing.T) {
 			t.Errorf("star: Preloaded probed the oracle %d times", res.Stats.OracleCalls)
 		}
 	}
+	// The same query in the lifted space, at the values the LB restart
+	// loop produced before the pass took the LB modes over.
+	checkGoldenLB(t, "star", c, "R(A,B), S(B,C), T(A,C)",
+		goldenLB{golden{3333, 2298, 45, 190}, 0, 0},
+		goldenLB{golden{10804, 1164, 45, 190}, 1342, 10})
 
 	// Seeded random triangles, 400 tuples per relation over 64×64, run
 	// Reloaded the way an ad-hoc query is. Every uncovered unit box costs
@@ -89,5 +121,27 @@ func TestGoldenEngineCounts(t *testing.T) {
 		if res.Stats.OracleCalls != want.probes {
 			t.Errorf("random triangle %d: %d oracle probes, want %d", seed, res.Stats.OracleCalls, want.probes)
 		}
+		if seed == 1 {
+			checkGoldenLB(t, "random triangle 1", c, "E0(A,B), E1(B,C), E2(A,C)",
+				goldenLB{golden{9079, 3195, 1233, 227}, 0, 0},
+				goldenLB{golden{23076, 2866, 2388, 227}, 2135, 10})
+		}
+	}
+
+	// Example F.1, the instance the LB modes exist for (plain Tetris needs
+	// ~|C|² resolutions on it, the lift ~|C|^{3/2}): no outputs, so every
+	// settled unit is a gap load, and the restart loop walked back down
+	// from the lifted universe after each one.
+	f1 := workload.ExampleF1(8)
+	res, err := core.Run(core.MustBoxOracle(f1.Depths, f1.Boxes), core.Options{Mode: core.ReloadedLB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, f1.Name, res.Stats, golden{1417, 384, 56, 0})
+	if res.Stats.Rebuilds != 8 {
+		t.Errorf("%s: %d rebuilds, want 8", f1.Name, res.Stats.Rebuilds)
+	}
+	if res.Stats.SkeletonCalls > 7387 {
+		t.Errorf("%s: %d skeleton calls, want at most 7387 (the restart loop made 18237)", f1.Name, res.Stats.SkeletonCalls)
 	}
 }

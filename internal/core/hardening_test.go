@@ -1,34 +1,71 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"tetrisjoin/internal/dyadic"
 )
 
-// malformedOracle returns a box that fails validation (component deeper
-// than the dimension).
-type malformedOracle struct{ depths []uint8 }
+// funcOracle is an oracle over the 3-dimensional depth-2 space whose lazy
+// answers come from a function: the shape every hostile oracle below has.
+type funcOracle func(point []uint64) []dyadic.Box
 
-func (m malformedOracle) Dims() int       { return len(m.depths) }
-func (m malformedOracle) Depths() []uint8 { return m.depths }
-func (m malformedOracle) GapsContaining(point []uint64) []dyadic.Box {
-	return []dyadic.Box{{dyadic.Interval{Bits: 5, Len: 3}, dyadic.Lambda}}
-}
-func (m malformedOracle) AllGaps() []dyadic.Box {
-	return []dyadic.Box{{dyadic.Interval{Bits: 5, Len: 3}, dyadic.Lambda}}
-}
+func (f funcOracle) Dims() int                                  { return 3 }
+func (f funcOracle) Depths() []uint8                            { return depthsOf(3, 2) }
+func (f funcOracle) GapsContaining(point []uint64) []dyadic.Box { return f(point) }
+func (f funcOracle) AllGaps() []dyadic.Box                      { return f(nil) }
+
+// malformed is a box that fails validation (a component deeper than its
+// dimension).
+var malformed = dyadic.Box{dyadic.Interval{Bits: 5, Len: 3}, dyadic.Lambda, dyadic.Lambda}
 
 func TestMalformedOracleBoxesRejected(t *testing.T) {
-	o := malformedOracle{depths: depthsOf(2, 2)}
-	if _, err := Run(o, Options{Mode: Reloaded}); err == nil {
-		t.Error("Reloaded accepted a malformed gap box")
+	o := funcOracle(func([]uint64) []dyadic.Box { return []dyadic.Box{malformed} })
+	for _, m := range allModes() {
+		if _, err := Run(o, Options{Mode: m}); err == nil || !strings.Contains(err.Error(), "invalid gap box") {
+			t.Errorf("%v accepted a malformed gap box: %v", m, err)
+		}
 	}
-	if _, err := Run(o, Options{Mode: Preloaded}); err == nil {
-		t.Error("Preloaded accepted a malformed gap box")
-	}
-	if _, err := Run(o, Options{Mode: ReloadedLB}); err == nil {
-		t.Error("ReloadedLB accepted a malformed gap box")
+}
+
+// TestLazyLoadFailuresNameTheCause: everything that can go wrong while a
+// unit box is settled — a hostile oracle, a spent budget, a cancelled
+// context — ends the run with an error that names it, in the plain and in
+// the lifted space alike: the checks are the same code.
+func TestLazyLoadFailuresNameTheCause(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	origin := dyadic.MustParseBox("00,00,00")
+	hard := MustBoxOracle(depthsOf(3, 2), boxes("0,0,λ", "1,1,λ", "λ,0,0", "λ,1,1", "0,λ,1", "1,λ,0"))
+	for _, c := range []struct {
+		name string
+		o    Oracle
+		opts Options
+		want string
+	}{
+		{"malformed gap", funcOracle(func([]uint64) []dyadic.Box { return []dyadic.Box{malformed} }),
+			Options{}, "invalid gap box"},
+		// A fixed valid box: right for the first probe, wrong ever after.
+		{"no box contains the point", funcOracle(func([]uint64) []dyadic.Box { return []dyadic.Box{origin} }),
+			Options{}, "oracle contract violation"},
+		// The same box, and the probe point rewritten to sit inside it:
+		// the second probe's answer contains "the point" and is all known.
+		{"only known boxes", funcOracle(func(point []uint64) []dyadic.Box {
+			clear(point)
+			return []dyadic.Box{origin}
+		}), Options{}, "no progress"},
+		{"resolution budget", hard, Options{MaxResolutions: 1}, "resolution budget exhausted"},
+		{"cancelled context", hard, Options{Context: cancelled}, context.Canceled.Error()},
+	} {
+		for _, m := range []Mode{Reloaded, ReloadedLB} {
+			c.opts.Mode = m
+			res, err := Run(c.o, c.opts)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s under %v: result %v, error %v; want an error naming %q", c.name, m, res, err, c.want)
+			}
+		}
 	}
 }
 
@@ -43,24 +80,6 @@ func (inconsistentOracle) AllGaps() []dyadic.Box                      { return n
 func TestInconsistentOracleRejected(t *testing.T) {
 	if _, err := Run(inconsistentOracle{}, Options{}); err == nil {
 		t.Error("inconsistent oracle accepted")
-	}
-}
-
-// violatingLBOracle exercises the contract-violation path of the LB loop.
-type violatingLBOracle struct{ depths []uint8 }
-
-func (v violatingLBOracle) Dims() int       { return len(v.depths) }
-func (v violatingLBOracle) Depths() []uint8 { return v.depths }
-func (v violatingLBOracle) GapsContaining(point []uint64) []dyadic.Box {
-	// A fixed valid box that does not contain most probe points.
-	return []dyadic.Box{dyadic.MustParseBox("00,00,00")}
-}
-func (v violatingLBOracle) AllGaps() []dyadic.Box { return nil }
-
-func TestLBOracleContractViolation(t *testing.T) {
-	o := violatingLBOracle{depths: depthsOf(3, 2)}
-	if _, err := Run(o, Options{Mode: ReloadedLB}); err == nil {
-		t.Error("LB loop accepted contract-violating oracle")
 	}
 }
 

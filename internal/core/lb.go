@@ -1,161 +1,104 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"tetrisjoin/internal/balance"
 	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 )
 
-// runLB executes the load-balanced variants of Section 4.5: the gap boxes
-// are carried through the Balance map into 2n-2 dimensions and Tetris
-// runs there with the lifted splitting attribute order
-// (A'_1..A'_{n-2}, A_n, A_{n-1}, A”_{n-2}..A”_1), realizing Algorithm 5
-// (Preloaded) and the online strategy of Appendix F.6 (Reloaded, with
-// periodic partition rebuilds).
-//
-// When the skeleton finds an uncovered lifted unit point, the point is
-// decoded back to a base tuple t; if t is an output, the whole lifted
-// equivalence class Balance(⟨t⟩) is added to the knowledge base so the
-// unconstrained suffix bits of the lifted space never have to be
-// enumerated.
-func runLB(o Oracle, opts Options) (*Result, error) {
-	depths := o.Depths()
-	res := &Result{}
-	// Resolve the budget once so the skeletons rebuilt across partition
-	// re-adjustments keep drawing from one cumulative resolution quota.
-	opts.Budget = effectiveBudget(opts)
+// lifted is the space the pass works in under the load-balanced variants
+// of Section 4.5: the gap boxes are carried through the Balance map into
+// 2n-2 dimensions and Tetris runs there with the lifted splitting
+// attribute order (A'_1..A'_{n-2}, A_n, A_{n-1}, A”_{n-2}..A”_1), which is
+// Algorithm 5 (PreloadedLB) and the online strategy of Appendix F.6
+// (ReloadedLB, with periodic partition rebuilds). It is an adapter, not a
+// driver: runPlain settles an uncovered unit box through it, and the
+// oracle, the gap-box checks and the reported tuples stay in base space.
+// A nil *lifted is the identity — the pass works in the oracle's own space.
+type lifted struct {
+	lift   *balance.Lift
+	depths []uint8      // base depths
+	online bool         // ReloadedLB: partitions are rebuilt when the loaded boxes double
+	built  int          // len(boxes) at the last partition build
+	boxes  []dyadic.Box // base gap boxes loaded so far, re-lifted by a rebuild
+	// outputs are the reported tuples, which a rebuild must re-cover; kept
+	// only when a rebuild can happen.
+	outputs [][]uint64
+}
 
-	var baseBoxes []dyadic.Box
-	if opts.Mode == PreloadedLB {
-		for _, b := range o.AllGaps() {
-			if err := b.Check(depths); err != nil {
-				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", b, err)
-			}
-			baseBoxes = append(baseBoxes, b)
-		}
-	}
-
-	lift, err := balance.LiftFromBoxes(depths, baseBoxes)
-	if err != nil {
-		return nil, err
-	}
-	liftSAO := make([]int, lift.Dims())
-	for i := range liftSAO {
-		liftSAO[i] = i
-	}
-	sk := newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
-	// loaded is the exact-match set of base-space gap boxes seen so far;
-	// a boxtree rather than a Box.Key map keeps dedup allocation-free.
-	loaded := boxtree.New(len(depths))
-	load := func(b dyadic.Box) bool {
-		fresh := loaded.Insert(b)
-		if fresh {
-			res.Stats.BoxesLoaded++
-		}
-		sk.add(lift.Box(b))
-		return fresh
-	}
-	for _, b := range baseBoxes {
-		load(b)
-	}
-
-	// outputs retains every reported tuple even when the caller streams
-	// via OnOutput, because rebuilds must re-cover them.
-	var outputs [][]uint64
-
-	// rebuild recomputes balanced partitions from the boxes loaded so far
-	// and rebuilds the knowledge base in the new lifted space. Learned
-	// resolvents are discarded — they are boxes of the old lifted space —
-	// but loaded gap boxes and reported outputs are re-lifted, so the
-	// covered region is preserved. Rebuilds happen O(log |C|) times.
-	lastBuild := 0
-	rebuild := func() error {
-		res.Stats.Rebuilds++
-		lift, err = balance.LiftFromBoxes(depths, baseBoxes)
-		if err != nil {
-			return err
-		}
-		sk = newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
-		for _, b := range baseBoxes {
-			sk.add(lift.Box(b))
-		}
-		for _, t := range outputs {
-			sk.addOutput(lift.Point(t))
-		}
-		lastBuild = len(baseBoxes)
-		return nil
-	}
-
-	universe := dyadic.Universe(lift.Dims())
-	for {
-		if err := checkContext(opts); err != nil {
-			return nil, err
-		}
-		if opts.Mode == ReloadedLB && len(baseBoxes) >= 2*max(1, lastBuild) {
-			if err := rebuild(); err != nil {
-				return nil, err
-			}
-		}
-		v, w, err := sk.root(universe)
+// newLifted prepares the lifted space of a run. PreloadedLB balances the
+// partitions over the oracle's whole gap set, loaded here (validated, and
+// counted through loaded like every Preloaded load); ReloadedLB starts
+// from the trivial partitions and no boxes.
+func newLifted(o Oracle, mode Mode, loaded *boxtree.Tree, stats *Stats) (*lifted, error) {
+	l := &lifted{depths: o.Depths(), online: mode == ReloadedLB}
+	if !l.online {
+		fresh, err := loadGapSet(o, nil, loaded, func(b dyadic.Box) { l.boxes = append(l.boxes, b) })
 		if err != nil {
 			return nil, err
 		}
-		if v {
-			break
-		}
-		// w is an uncovered lifted unit point; decode to a base tuple.
-		liftedPoint := w.Values(lift.Depths())
-		point := lift.DecodePoint(liftedPoint)
-		res.Stats.OracleCalls++
-		gaps := o.GapsContaining(point)
-		if len(gaps) == 0 {
-			emit, stop := opts.Budget.ClaimOutput()
-			if !emit {
-				break
-			}
-			res.Stats.Outputs++
-			tup := make([]uint64, len(point))
-			copy(tup, point)
-			outputs = append(outputs, tup)
-			if opts.OnOutput != nil {
-				if !opts.OnOutput(point) {
-					stop = true
-				}
-			} else {
-				res.Tuples = append(res.Tuples, tup)
-			}
-			sk.addOutput(lift.Point(tup))
-			if stop {
-				break
-			}
-			continue
-		}
-		progress := false
-		containsPoint := false
-		for _, g := range gaps {
-			if err := g.Check(depths); err != nil {
-				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", g, err)
-			}
-			if g.ContainsPoint(point, depths) {
-				containsPoint = true
-			}
-			if load(g) {
-				progress = true
-				// Clone: gap boxes returned by GapsContaining are only
-				// valid until the next oracle call, but baseBoxes must
-				// survive until the next partition rebuild.
-				baseBoxes = append(baseBoxes, g.Clone())
-			}
-		}
-		if !containsPoint {
-			return nil, fmt.Errorf("core: oracle contract violation: no returned gap box contains probe point %v", point)
-		}
-		if !progress {
-			return nil, fmt.Errorf("core: no progress: oracle returned only known gap boxes for uncovered point %v", point)
-		}
+		stats.BoxesLoaded += fresh
 	}
-	res.Stats.KnowledgeBase = sk.kb.Len()
-	return res, nil
+	return l, l.partition()
+}
+
+// partition balances the partitions over the boxes loaded so far. It
+// changes the lifted space: every box of the old one must be discarded.
+func (l *lifted) partition() (err error) {
+	l.lift, err = balance.LiftFromBoxes(l.depths, l.boxes)
+	l.built = len(l.boxes)
+	return err
+}
+
+// fill loads an empty knowledge base of the current lifted space with the
+// images of the loaded gap boxes and the classes of the retained outputs:
+// the region a rebuild must keep covered. Learned resolvents are boxes of
+// the old space and are not carried over.
+func (l *lifted) fill(sk *skeleton) {
+	for _, b := range l.boxes {
+		sk.add(l.lift.Box(b))
+	}
+	for _, t := range l.outputs {
+		sk.addOutput(l.lift.Point(t))
+	}
+}
+
+// due reports whether the gap boxes loaded have doubled since the
+// partitions were built (Appendix F.6's re-adjustment, O(log |C|) times).
+func (l *lifted) due() bool {
+	return l != nil && l.online && len(l.boxes) >= 2*max(1, l.built)
+}
+
+// point writes into point the base tuple of the uncovered unit box b of
+// the working space (depths are the working space's).
+func (l *lifted) point(b dyadic.Box, point []uint64, depths []uint8) {
+	if l == nil {
+		b.ValuesInto(point, depths)
+		return
+	}
+	copy(point, l.lift.DecodePoint(b.Values(depths)))
+}
+
+// image is the working-space box of a gap box the oracle returned.
+func (l *lifted) image(g dyadic.Box) dyadic.Box {
+	if l == nil {
+		return g
+	}
+	return l.lift.Box(g)
+}
+
+// cover is the box that settles the output tuple t found at the unit box
+// b: b itself, or in the lifted space the whole class Balance(⟨t⟩) of
+// lifted points that decode to t, so the unconstrained suffix bits of the
+// lifted space never have to be enumerated.
+func (l *lifted) cover(b dyadic.Box, t []uint64) dyadic.Box {
+	if l == nil {
+		return b
+	}
+	if l.online {
+		l.outputs = append(l.outputs, slices.Clone(t))
+	}
+	return l.lift.Point(t)
 }

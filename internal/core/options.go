@@ -26,7 +26,9 @@ const (
 	Preloaded
 	// PreloadedLB is Tetris-Preloaded-LB (Algorithm 3): the input is
 	// lifted to 2n-2 dimensions through the Balance map before running,
-	// achieving Õ(|B|^{n/2} + Z) (Theorem F.7).
+	// achieving Õ(|B|^{n/2} + Z) (Theorem F.7). Like Preloaded it never
+	// probes the oracle: every lifted gap box is in the knowledge base, so
+	// an uncovered lifted unit point decodes to an output.
 	PreloadedLB
 	// ReloadedLB is Tetris-Reloaded-LB: the lazy variant of the above,
 	// achieving Õ(|C|^{n/2} + Z) (Theorem F.9). Partitions are rebuilt
@@ -35,39 +37,73 @@ const (
 	ReloadedLB
 )
 
-// ParseMode maps the user-facing mode names ("reloaded", "preloaded",
-// "reloaded-lb", "preloaded-lb"; "" means the Reloaded default) onto
-// modes — the single inverse of Mode.String's "tetris-" spellings,
-// shared by the CLI and the server protocol.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "reloaded":
-		return Reloaded, nil
-	case "preloaded":
-		return Preloaded, nil
-	case "reloaded-lb":
-		return ReloadedLB, nil
-	case "preloaded-lb":
-		return PreloadedLB, nil
-	default:
-		return 0, fmt.Errorf("core: unknown mode %q", s)
-	}
+// modeNames are the user-facing mode names, indexed by Mode.
+var modeNames = [...]string{
+	Reloaded:    "reloaded",
+	Preloaded:   "preloaded",
+	PreloadedLB: "preloaded-lb",
+	ReloadedLB:  "reloaded-lb",
 }
 
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Reloaded:
-		return "tetris-reloaded"
-	case Preloaded:
-		return "tetris-preloaded"
-	case PreloadedLB:
-		return "tetris-preloaded-lb"
-	case ReloadedLB:
-		return "tetris-reloaded-lb"
-	default:
+// ParseMode maps the user-facing mode names ("reloaded", "preloaded",
+// "reloaded-lb", "preloaded-lb"; "" means the Reloaded default) onto
+// modes — the inverse of Mode.Name, shared by the CLI, the server
+// protocol and the durable catalog's records.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return Reloaded, nil
+	}
+	for m, name := range modeNames {
+		if s == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q", s)
+}
+
+// known reports whether m is one of the four modes.
+func (m Mode) known() bool { return m >= 0 && int(m) < len(modeNames) }
+
+// Name is the spelling ParseMode reads back. An unknown mode has a name
+// that does not parse.
+func (m Mode) Name() string {
+	if !m.known() {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return modeNames[m]
+}
+
+// String implements fmt.Stringer: "tetris-" + Name.
+func (m Mode) String() string {
+	if !m.known() {
+		return m.Name()
+	}
+	return "tetris-" + m.Name()
+}
+
+// Plain reports whether the run works in the oracle's own space
+// (Preloaded, Reloaded) rather than the Balance-lifted one. It is the one
+// place that decides plain vs lifted: only a plain run can be restricted
+// to a subbox (RunBox), sharded (RunShards) or handed a prepared base. A
+// lifted run covers an output t with its class box Balance(⟨t⟩), which
+// spans sibling fragments of the lifted space, so every fragment the
+// class meets would report t again.
+func (m Mode) Plain() bool { return m == Preloaded || m == Reloaded }
+
+// unlifted is the plain mode with m's knowledge-base initialization.
+func (m Mode) unlifted() Mode {
+	switch m {
+	case PreloadedLB:
+		return Preloaded
+	case ReloadedLB:
+		return Reloaded
+	}
+	return m
+}
+
+// errNotPlain is the refusal of the entry points that need a plain mode.
+func errNotPlain(entry string, m Mode) error {
+	return fmt.Errorf("core: %s supports only the plain Preloaded/Reloaded modes, not %v", entry, m)
 }
 
 // Options configures a Tetris run.
@@ -164,7 +200,8 @@ type Stats struct {
 	// (line 1 of Algorithm 1).
 	CoverHits int64
 	// OracleCalls counts probes of the gap box oracle (line 4 of
-	// Algorithm 2).
+	// Algorithm 2): one per settled unit box under Reloaded and
+	// ReloadedLB, none under Preloaded and PreloadedLB.
 	OracleCalls int64
 	// BoxesLoaded counts gap boxes added to the knowledge base from the
 	// oracle. Under Reloaded this is the implicit certificate size

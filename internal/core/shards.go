@@ -64,11 +64,11 @@ func ShardRoots(depths []uint8, sao []int, shards int) []dyadic.Box {
 // become available; returning false cancels the remaining fragments.
 // opts.Context cancels the whole run.
 //
-// Only the plain Preloaded/Reloaded modes shard; callers must route the
-// LB modes through Run.
+// Only the plain modes shard (see Mode.Plain); callers must route the LB
+// modes through Run.
 func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (*Result, error) {
-	if opts.Mode != Preloaded && opts.Mode != Reloaded {
-		return nil, fmt.Errorf("core: RunShards supports only the plain Preloaded/Reloaded modes, not %v", opts.Mode)
+	if !opts.Mode.Plain() {
+		return nil, errNotPlain("RunShards", opts.Mode)
 	}
 	if parallelism < 1 {
 		return nil, fmt.Errorf("core: RunShards needs parallelism >= 1, got %d", parallelism)

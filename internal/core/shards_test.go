@@ -311,7 +311,7 @@ func TestRunShardsSerializesOnResolve(t *testing.T) {
 }
 
 func TestLBModesHonorSharedBudgetOutputs(t *testing.T) {
-	// The LB loop must draw output slots from an explicitly shared Budget
+	// A lifted run must draw output slots from an explicitly shared Budget
 	// (the Budget doc says it replaces MaxOutput).
 	o := shardInstance(t)
 	full, err := Run(o, Options{Mode: ReloadedLB})

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tetrisjoin/internal/balance"
 	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 )
@@ -60,6 +61,80 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	return res
 }
 
+// restartReferenceLB is the restart loop in the lifted space, as the
+// engine ran the LB modes before the pass took them over: after every
+// output and every gap load TetrisSkeleton restarts from the lifted
+// universe, and under ReloadedLB the partitions are rebuilt at the top of
+// the loop once the loaded boxes have doubled.
+func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
+	t.Helper()
+	depths := o.Depths()
+	res := &Result{}
+	var baseBoxes []dyadic.Box
+	if opts.Mode == PreloadedLB {
+		baseBoxes = o.AllGaps()
+	}
+	lift, err := balance.LiftFromBoxes(depths, baseBoxes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liftSAO, _ := checkSAO(nil, lift.Dims())
+	sk := newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
+	loaded := boxtree.New(len(depths))
+	load := func(b dyadic.Box) bool {
+		fresh := loaded.Insert(b)
+		if fresh {
+			res.Stats.BoxesLoaded++
+		}
+		sk.add(lift.Box(b))
+		return fresh
+	}
+	for _, b := range baseBoxes {
+		load(b)
+	}
+	lastBuild := 0
+	universe := dyadic.Universe(lift.Dims())
+	for {
+		if opts.Mode == ReloadedLB && len(baseBoxes) >= 2*max(1, lastBuild) {
+			res.Stats.Rebuilds++
+			if lift, err = balance.LiftFromBoxes(depths, baseBoxes); err != nil {
+				t.Fatal(err)
+			}
+			sk = newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
+			for _, b := range baseBoxes {
+				sk.add(lift.Box(b))
+			}
+			for _, tup := range res.Tuples {
+				sk.addOutput(lift.Point(tup))
+			}
+			lastBuild = len(baseBoxes)
+		}
+		v, w, err := sk.root(universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v {
+			break
+		}
+		point := lift.DecodePoint(w.Values(lift.Depths()))
+		res.Stats.OracleCalls++
+		gaps := o.GapsContaining(point)
+		if len(gaps) == 0 {
+			res.Stats.Outputs++
+			res.Tuples = append(res.Tuples, point)
+			sk.addOutput(lift.Point(point))
+			continue
+		}
+		for _, g := range gaps {
+			if load(g) {
+				baseBoxes = append(baseBoxes, g.Clone())
+			}
+		}
+	}
+	res.Stats.KnowledgeBase = sk.kb.Len()
+	return res
+}
+
 // sameWork fails unless the single pass did exactly the restart loop's
 // work: the counts that define a run's cost and certificate.
 func sameWork(t *testing.T, label string, got, want *Result) {
@@ -81,7 +156,8 @@ func sameWork(t *testing.T, label string, got, want *Result) {
 
 // TestSinglePassMatchesRestartMode: the depth-first pass must do the work
 // of the restart-based outer loop bit for bit, in both modes, from the
-// universe and from a fragment's root, under every SAO.
+// universe and from a fragment's root, under every SAO — and in both LB
+// modes from the lifted universe.
 func TestSinglePassMatchesRestartMode(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 30; trial++ {
@@ -131,6 +207,53 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 				}
 			}
 		}
+	}
+	lbMatchesRestartMode(t, r)
+}
+
+// lbMatchesRestartMode is the LB half of TestSinglePassMatchesRestartMode:
+// the same, in the lifted space. The rebuild-on-doubling unwinds the pass
+// where the restart loop checked at the top of every iteration, so
+// Rebuilds and everything downstream of a rebuild must agree too;
+// PreloadedLB no longer probes.
+func lbMatchesRestartMode(t *testing.T, r *rand.Rand) {
+	var rebuilds int64
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + r.Intn(2)
+		d := uint8(2 + r.Intn(2))
+		o := MustBoxOracle(depthsOf(n, d), randBoxSet(r, n, d, r.Intn(40)))
+		for _, mode := range []Mode{PreloadedLB, ReloadedLB} {
+			for _, subsume := range []bool{true, false} {
+				for _, prov := range []bool{false, true} {
+					opts := Options{Mode: mode, DisableSubsume: !subsume, TrackProvenance: prov}
+					got, err := Run(o, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := restartReferenceLB(t, o, opts)
+					sameWork(t, mode.String(), got, want)
+					g, w := got.Stats, want.Stats
+					if g.Rebuilds != w.Rebuilds || g.GapResolutions != w.GapResolutions || g.OutputResolutions != w.OutputResolutions {
+						t.Fatalf("trial %d %v: rebuilds/gap/output resolutions %d/%d/%d, restart loop %d/%d/%d", trial, mode,
+							g.Rebuilds, g.GapResolutions, g.OutputResolutions, w.Rebuilds, w.GapResolutions, w.OutputResolutions)
+					}
+					if g.Splits > w.Splits || g.CoverHits > w.CoverHits {
+						t.Fatalf("trial %d %v: splits/cover hits %d/%d, restart loop %d/%d", trial, mode,
+							g.Splits, g.CoverHits, w.Splits, w.CoverHits)
+					}
+					if mode == ReloadedLB && g.OracleCalls != w.OracleCalls {
+						t.Fatalf("trial %d: ReloadedLB probed the oracle %d times, restart loop %d", trial, g.OracleCalls, w.OracleCalls)
+					}
+					if mode == PreloadedLB && g.OracleCalls != 0 {
+						t.Fatalf("trial %d: PreloadedLB probed the oracle %d times", trial, g.OracleCalls)
+					}
+					rebuilds += g.Rebuilds
+				}
+			}
+		}
+	}
+	if rebuilds == 0 {
+		t.Fatal("no trial rebuilt its partitions: the re-lift path is untested")
 	}
 }
 
@@ -182,6 +305,29 @@ func TestSinglePassMaxOutputAndStreaming(t *testing.T) {
 		}
 		if seen != 5 {
 			t.Errorf("%v streaming stop: saw %d", mode, seen)
+		}
+	}
+}
+
+// TestLiftedRetainsOutputsOnlyForRebuilds: a rebuild re-covers the tuples
+// reported so far, so ReloadedLB keeps them even when the caller streams;
+// PreloadedLB never rebuilds and must keep none (it used to hold all Z).
+func TestLiftedRetainsOutputsOnlyForRebuilds(t *testing.T) {
+	o := MustBoxOracle(depthsOf(3, 2), nil) // 64 outputs
+	for mode, want := range map[Mode]int{PreloadedLB: 0, ReloadedLB: 64} {
+		sp, err := newLifted(o, mode, boxtree.New(3), &Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(o, Options{Mode: mode, OnOutput: func(tup []uint64) bool {
+			sp.cover(nil, tup) // what the pass does with an output
+			return true
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sp.outputs) != want {
+			t.Errorf("%v: the adapter retained %d of 64 streamed outputs, want %d", mode, len(sp.outputs), want)
 		}
 	}
 }

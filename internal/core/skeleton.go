@@ -15,9 +15,9 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 
 // skeleton is the state of Algorithm 1: the knowledge base A, the
 // splitting attribute order, and instrumentation. A single skeleton is
-// reused across the repeated invocations a driver makes (the restart
-// loops of lb.go, a donation re-entry in tetris.go), so the knowledge
-// base persists exactly as the paper's global A does.
+// reused across the re-entries of tetris.go's pass (after a work donation
+// or a re-lift), so the knowledge base persists exactly as the paper's
+// global A does.
 //
 // # Scratch discipline
 //
@@ -36,12 +36,12 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 //     resolutions a run performs.
 //
 // Witnesses handed back by root are therefore valid only until the next
-// call on the same skeleton; the drivers (lb.go, boolean.go) consume each
-// witness before re-entering. Boxes that must outlive the recursion — the
-// knowledge-base contents — are copied into the boxtree's own append-only
-// slab by Insert, which is what makes the aliasing safe: knowledge-base
-// boxes returned by ContainsSuperset stay valid even if a later
-// subsume-delete drops them from the tree.
+// call on the same skeleton; tetris.go consumes each witness inside the
+// pass and boolean.go enters once. Boxes that must outlive the recursion —
+// the knowledge-base contents — are copied into the boxtree's own
+// append-only slab by Insert, which is what makes the aliasing safe:
+// knowledge-base boxes returned by ContainsSuperset stay valid even if a
+// later subsume-delete drops them from the tree.
 //
 // In steady state (arena and knowledge-base slabs warmed up) the entire
 // recursion allocates nothing.
@@ -69,8 +69,9 @@ type skeleton struct {
 	// settleUnit, when set, turns the skeleton into TetrisSkeleton2
 	// (footnote 13): the driver makes an uncovered unit box covered on the
 	// spot — an output, or gap boxes loaded around it — and returns a
-	// witness containing it that outlives the callback (the unit box, or
-	// a knowledge-base box), so the enumeration is one depth-first pass.
+	// witness containing it that outlives the callback (the unit box, the
+	// lifted class of its tuple, or a knowledge-base box), so the
+	// enumeration is one depth-first pass.
 	// An error aborts the pass.
 	settleUnit func(b dyadic.Box) (dyadic.Box, error)
 
@@ -81,10 +82,12 @@ type skeleton struct {
 }
 
 // errStopped signals an early stop requested by the output callback or
-// the output quota; errDonate an unwind to the work-stealing checkpoint.
+// the output quota; errDonate an unwind to the work-stealing checkpoint;
+// errRelift an unwind to rebuild the lifted space of a ReloadedLB run.
 var (
 	errStopped = errors.New("core: enumeration stopped by caller")
 	errDonate  = errors.New("core: unwinding to donate work")
+	errRelift  = errors.New("core: unwinding to rebalance the lifted space")
 )
 
 func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *skeleton {
@@ -106,10 +109,11 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 	return s
 }
 
-// treePool recycles knowledge-base trees between plain runs: regrowing
-// the slabs on every execution was a tenth of a prepared statement's time
-// and nearly all of its garbage. Only runPlain puts trees back (Covers
-// hands its caller a witness that aliases the tree).
+// treePool recycles knowledge-base trees between runs, plain and lifted
+// (getTree matches on dimensionality): regrowing the slabs on every
+// execution was a tenth of a prepared statement's time and nearly all of
+// its garbage. Only runPlain puts trees back (CoversTarget hands its
+// caller a witness that aliases the tree).
 var treePool sync.Pool
 
 // getTree returns an empty n-dimensional tree, recycled when one fits.
@@ -119,6 +123,15 @@ func getTree(n int) *boxtree.Tree {
 		return t
 	}
 	return boxtree.New(n)
+}
+
+// reset empties the knowledge base: the boxes of a lifted space that is
+// being rebuilt. Every witness handed out before becomes invalid.
+func (s *skeleton) reset() {
+	s.kb.Reset()
+	if s.fromOutput != nil {
+		s.fromOutput.Reset()
+	}
 }
 
 // add inserts a box into the knowledge base.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
@@ -17,35 +18,24 @@ func Run(o Oracle, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch opts.Mode {
-	case Preloaded, Reloaded:
-		sao, err := checkSAO(opts.SAO, n)
-		if err != nil {
-			return nil, err
-		}
-		return runWithBase(o, opts, sao, dyadic.Universe(n))
-	case PreloadedLB, ReloadedLB:
-		if n < 3 {
-			// The Balance map is defined for n >= 3; below that the plain
-			// variants already meet the Õ(|C|^{n/2}) target (n-1 <= n/2
-			// fails only for n >= 3... for n <= 2, n-1 <= n/2+1/2 and the
-			// 2-dimensional bound Õ(|C|+Z) of Lemma E.9 applies).
-			plain := opts
-			if opts.Mode == PreloadedLB {
-				plain.Mode = Preloaded
-			} else {
-				plain.Mode = Reloaded
-			}
-			sao, err := checkSAO(opts.SAO, n)
-			if err != nil {
-				return nil, err
-			}
-			return runPlain(o, plain, sao, dyadic.Universe(n), nil, nil)
-		}
-		return runLB(o, opts)
-	default:
+	if !opts.Mode.known() {
 		return nil, fmt.Errorf("core: unknown mode %v", opts.Mode)
 	}
+	if !opts.Mode.Plain() {
+		if n >= 3 {
+			return runPlain(o, opts, nil, nil, nil, nil)
+		}
+		// The Balance map is defined for n >= 3; below that the plain
+		// variants already meet the Õ(|C|^{n/2}) target (for n <= 2,
+		// n-1 <= n/2+1/2 and the 2-dimensional bound Õ(|C|+Z) of Lemma
+		// E.9 applies). Like every LB run, the fallback takes no base.
+		opts.Mode, opts.Base = opts.Mode.unlifted(), nil
+	}
+	sao, err := checkSAO(opts.SAO, n)
+	if err != nil {
+		return nil, err
+	}
+	return runWithBase(o, opts, sao, dyadic.Universe(n))
 }
 
 // RunBox is the re-entrant per-shard runner: Tetris restricted to the
@@ -53,16 +43,14 @@ func Run(o Oracle, opts Options) (*Result, error) {
 // decomposition of Proposition 3.6 the BCP output over any partition of
 // the space into disjoint dyadic root boxes is the disjoint union of the
 // per-root outputs, which is what makes sharded execution (RunShards)
-// correct. Only the plain Preloaded/Reloaded modes are supported — the LB
-// modes re-map the whole space through the Balance lift and have no
-// meaningful subbox restriction.
+// correct. Only the plain modes are supported (see Mode.Plain).
 func RunBox(o Oracle, opts Options, root dyadic.Box) (*Result, error) {
 	n, err := validateOracle(o)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Mode != Preloaded && opts.Mode != Reloaded {
-		return nil, fmt.Errorf("core: RunBox supports only the plain Preloaded/Reloaded modes, not %v", opts.Mode)
+	if !opts.Mode.Plain() {
+		return nil, errNotPlain("RunBox", opts.Mode)
 	}
 	if err := root.Check(o.Depths()); err != nil {
 		return nil, fmt.Errorf("core: invalid root box %v: %w", root, err)
@@ -164,17 +152,22 @@ func checkSAO(sao []int, n int) ([]int, error) {
 	return sao, nil
 }
 
-// runPlain is Algorithm 2 with the Preloaded or Reloaded initialization,
-// enumerating the outputs inside root (the whole universe for sequential
-// runs, one disjoint fragment per worker turn under RunShards), as the
-// single depth-first pass of TetrisSkeleton2 (footnote 13, proof of
-// Theorem D.2): an uncovered unit box is settled where the descent found
-// it instead of restarting the skeleton from root. Under Preloaded the
-// knowledge base holds every gap box, so the unit is an output. Under
-// Reloaded the oracle is probed at the point: no gap box there makes it
-// an output, otherwise the gap boxes are loaded and one of them is the
-// unit's witness (see loadGaps for which; DESIGN.md, "One driver", for
-// why the run is the restart loop's, resolution for resolution).
+// runPlain is Algorithm 2 under every mode, enumerating the outputs inside
+// root (the whole universe for sequential runs, one disjoint fragment per
+// worker turn under RunShards), as the single depth-first pass of
+// TetrisSkeleton2 (footnote 13, proof of Theorem D.2): an uncovered unit
+// box is settled where the descent found it instead of restarting the
+// skeleton from root. Under the preloaded modes the knowledge base holds
+// every gap box, so the unit is an output. Under the reloaded ones the
+// oracle is probed at the point: no gap box there makes it an output,
+// otherwise the gap boxes are loaded and one of them is the unit's witness
+// (see loadGaps for which; DESIGN.md, "One driver", for why the run is the
+// restart loop's, resolution for resolution).
+//
+// The LB modes are the same pass in the Balance-lifted space (lb.go): sao
+// and root are then the lifted identity order and universe, whatever the
+// caller passed, and base and steal must be nil. The oracle keeps speaking
+// base space; the adapter carries points down and boxes up.
 //
 // base, when non-nil, is a prebuilt read-only knowledge base holding the
 // full preloaded gap set: RunShards builds it once and shares it across
@@ -194,19 +187,36 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 	// same quota.
 	opts.Budget = effectiveBudget(opts)
 	budget := opts.Budget
-	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
-	sk.base = base
 
 	// loaded is the exact-match set of gap boxes seen so far, used both
 	// for BoxesLoaded accounting and for the no-progress check. A second
 	// boxtree rather than a map keyed by Box.Key keeps the per-box cost at
 	// word operations with zero allocation.
 	loaded := getTree(n)
+	defer treePool.Put(loaded)
+
+	// sp is the space the pass works in, wn and wdepths its shape: the
+	// oracle's own (nil), or the Balance lift of it.
+	var sp *lifted
+	wn, wdepths := n, depths
+	if !opts.Mode.Plain() {
+		var err error
+		if sp, err = newLifted(o, opts.Mode, loaded, &res.Stats); err != nil {
+			return nil, err
+		}
+		wn, wdepths = sp.lift.Dims(), sp.lift.Depths()
+		sao, _ = checkSAO(nil, wn)
+		root = dyadic.Universe(wn)
+	}
+	sk := newSkeleton(wn, wdepths, sao, opts, &res.Stats)
+	sk.base = base
 	// Nothing outlives the run inside either tree: tuples are copied out
 	// and every witness is consumed within the pass.
-	defer treePool.Put(loaded)
 	defer treePool.Put(sk.kb)
-	if opts.Mode == Preloaded && base == nil {
+	switch {
+	case sp != nil:
+		sp.fill(sk)
+	case opts.Mode == Preloaded && base == nil:
 		filter := root
 		if root.IsUniverse() {
 			filter = nil // every box intersects the universe; skip the test
@@ -217,47 +227,54 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 		}
 		res.Stats.BoxesLoaded += fresh
 	}
+	// Only the reloaded modes probe: preloaded, every gap box is in the
+	// knowledge base, so an uncovered unit box is an output.
+	lazy := opts.Mode.unlifted() == Reloaded
 
-	point := make([]uint64, n)   // reused per settled unit; OnOutput must copy
-	var last []uint64            // point once a unit has been settled
-	frame := make(dyadic.Box, n) // loadGaps scratch
+	point := make([]uint64, n)    // base tuple, reused per settled unit; OnOutput must copy
+	var last []uint64             // point once a unit has been settled
+	frame := make(dyadic.Box, wn) // loadGaps scratch
 
 	// loadGaps inserts the oracle's answer for the uncovered unit box b
 	// (at point) and returns the witness a restart from root would have
 	// hit first: the stored cover of the shallowest frame of the current
 	// descent that the answer covers. The frames are root with b's bits
-	// filled in in SAO order, so a gap box g containing point covers
-	// exactly the frames from (j, g[sao[j]].Len) down, j being the last
-	// SAO position where g is longer than root. The witness is the
-	// knowledge base's own copy: the oracle's slice is overwritten by its
-	// next probe.
+	// filled in in SAO order, so a gap box g containing point — its image
+	// in the working space, where the frames live — covers exactly the
+	// frames from (j, g[sao[j]].Len) down, j being the last SAO position
+	// where g is longer than root. The witness is the knowledge base's own
+	// copy: the oracle's slice is overwritten by its next probe.
 	loadGaps := func(b dyadic.Box, gaps []dyadic.Box) (dyadic.Box, error) {
 		progress := false
-		bestJ, bestLen := n, uint8(0)
+		bestJ, bestLen := wn, uint8(0)
 		for _, g := range gaps {
 			if err := g.Check(depths); err != nil {
 				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", g, err)
 			}
+			img := sp.image(g)
 			if g.ContainsPoint(point, depths) {
-				j := n - 1
-				for j >= 0 && g[sao[j]].Len <= root[sao[j]].Len {
+				j := wn - 1
+				for j >= 0 && img[sao[j]].Len <= root[sao[j]].Len {
 					j--
 				}
 				l := uint8(0)
 				if j >= 0 {
-					l = g[sao[j]].Len
+					l = img[sao[j]].Len
 				}
-				if bestJ == n || j < bestJ || (j == bestJ && l < bestLen) {
+				if bestJ == wn || j < bestJ || (j == bestJ && l < bestLen) {
 					bestJ, bestLen = j, l
 				}
 			}
 			if loaded.Insert(g) {
 				res.Stats.BoxesLoaded++
 				progress = true
+				if sp != nil { // the oracle's slice is scratch: keep a copy to re-lift
+					sp.boxes = append(sp.boxes, g.Clone())
+				}
 			}
-			sk.add(g)
+			sk.add(img)
 		}
-		if bestJ == n {
+		if bestJ == wn {
 			return nil, fmt.Errorf("core: oracle contract violation: no returned gap box contains probe point %v", point)
 		}
 		if !progress {
@@ -287,11 +304,11 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 		if budget.outputsExhausted() {
 			return nil, errStopped
 		}
-		b.ValuesInto(point, depths)
+		sp.point(b, point, wdepths)
 		last = point
-		w := b
+		var w dyadic.Box
 		var gaps []dyadic.Box
-		if opts.Mode == Reloaded {
+		if lazy {
 			res.Stats.OracleCalls++
 			gaps = o.GapsContaining(point)
 		}
@@ -300,8 +317,12 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 			if w, err = loadGaps(b, gaps); err != nil {
 				return nil, err
 			}
+			if sp.due() {
+				return nil, errRelift
+			}
 		} else {
-			// b is an output tuple: report it and amend A with its box.
+			// point is an output tuple: report it and amend A with the
+			// box that covers it.
 			emit, stop := budget.ClaimOutput()
 			if !emit {
 				return nil, errStopped
@@ -312,11 +333,10 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 					stop = true
 				}
 			} else {
-				tup := make([]uint64, len(point))
-				copy(tup, point)
-				res.Tuples = append(res.Tuples, tup)
+				res.Tuples = append(res.Tuples, slices.Clone(point))
 			}
-			sk.addOutput(b)
+			w = sp.cover(b, point)
+			sk.addOutput(w)
 			if stop {
 				return nil, errStopped
 			}
@@ -326,19 +346,30 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 		}
 		return w, nil
 	}
+	// The one re-entry loop: a pass that unwound to donate work or to
+	// re-lift walks back down from root. Everything it settled is in the
+	// knowledge base — kept across a donation, refilled after a re-lift,
+	// whose learned resolvents belong to the discarded lifted space.
 	for {
 		if steal != nil {
 			root = steal.offer(root, last)
 		}
 		_, _, err := sk.root(root)
-		if err == errDonate {
+		switch err {
+		case errDonate:
 			continue // split the region above, then walk back down to it
+		case errRelift:
+			res.Stats.Rebuilds++
+			if err := sp.partition(); err != nil {
+				return nil, err
+			}
+			sk.reset()
+			sp.fill(sk)
+			continue
+		case nil, errStopped:
+			res.Stats.KnowledgeBase = sk.kb.Len()
+			return res, nil
 		}
-		if err != nil && err != errStopped {
-			return nil, err
-		}
-		break
+		return nil, err
 	}
-	res.Stats.KnowledgeBase = sk.kb.Len()
-	return res, nil
 }

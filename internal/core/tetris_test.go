@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"tetrisjoin/internal/dyadic"
@@ -407,6 +408,29 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestModeNameRoundTrip: Name is ParseMode's inverse on all four modes —
+// what the durable catalog's records and the protocol rely on — and an
+// unknown mode's name does not parse.
+func TestModeNameRoundTrip(t *testing.T) {
+	for _, m := range allModes() {
+		got, err := ParseMode(m.Name())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.Name(), got, err, m)
+		}
+		if m.String() != "tetris-"+m.Name() {
+			t.Errorf("%v: String %q is not tetris-%s", int(m), m.String(), m.Name())
+		}
+	}
+	if got, err := ParseMode(""); err != nil || got != Reloaded {
+		t.Errorf(`ParseMode("") = %v, %v; want the Reloaded default`, got, err)
+	}
+	for _, m := range []Mode{Mode(-1), Mode(4), Mode(99)} {
+		if _, err := ParseMode(m.Name()); err == nil {
+			t.Errorf("unknown mode %d has the parseable name %q", int(m), m.Name())
+		}
+	}
+}
+
 func TestLBFallbackLowDimensions(t *testing.T) {
 	// n=2: LB modes fall back to the plain variants but must be correct.
 	depths := depthsOf(2, 3)
@@ -560,6 +584,19 @@ func TestRunValidation(t *testing.T) {
 	o := MustBoxOracle(depthsOf(2, 2), nil)
 	if _, err := Run(o, Options{Mode: Mode(42)}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+	// The box-restricted entry points take the plain modes only, with one
+	// message.
+	for _, m := range []Mode{PreloadedLB, ReloadedLB, Mode(42)} {
+		_, boxErr := RunBox(o, Options{Mode: m}, dyadic.Universe(2))
+		_, shardErr := RunShards(func() Oracle { return o }, Options{Mode: m}, 2, 2)
+		if boxErr == nil || shardErr == nil {
+			t.Errorf("%v: RunBox error %v, RunShards error %v; want both refused", m, boxErr, shardErr)
+			continue
+		}
+		if want := strings.Replace(boxErr.Error(), "RunBox", "RunShards", 1); shardErr.Error() != want {
+			t.Errorf("%v: RunShards refused with %q, RunBox with %q", m, shardErr, boxErr)
+		}
 	}
 }
 

@@ -146,7 +146,7 @@ type Catalog struct {
 
 // walOp is the JSON payload of one WAL record: exactly the arguments
 // needed to re-apply the mutation against a recovering catalog. Mode is
-// stored in its parseable form ("preloaded", not Mode.String()'s
+// stored as Mode.Name ("preloaded", not Mode.String()'s
 // "tetris-preloaded"), and specs by family name, so records survive a
 // round-trip through core.ParseMode and index.ParseFamily.
 type walOp struct {
@@ -425,7 +425,7 @@ func (j journal) Log(m catalog.Mutation) error {
 
 // recordOf is a registration in durable form.
 func recordOf(r catalog.Registration) maintRecord {
-	return maintRecord{ID: r.ID, Query: r.Query, Mode: modeString(r.Mode), SAO: r.SAOVars}
+	return maintRecord{ID: r.ID, Query: r.Query, Mode: r.Mode.Name(), SAO: r.SAOVars}
 }
 
 // applyOp re-applies one WAL record during recovery. These records were
@@ -534,22 +534,6 @@ func (d *Catalog) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.log.Close()
-}
-
-// modeString is core.ParseMode's inverse: the durable spelling of a
-// mode. Mode.String() is deliberately NOT used — its "tetris-" prefixed
-// names do not parse back.
-func modeString(m core.Mode) string {
-	switch m {
-	case core.Preloaded:
-		return "preloaded"
-	case core.ReloadedLB:
-		return "reloaded-lb"
-	case core.PreloadedLB:
-		return "preloaded-lb"
-	default:
-		return "reloaded"
-	}
 }
 
 func specToRecord(s index.Spec) specRecord {

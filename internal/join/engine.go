@@ -354,8 +354,6 @@ func (p *Plan) Execute(opts Options) (*Result, error) {
 			shards = 2 * parallelism
 		}
 	}
-	lb := opts.Mode == core.PreloadedLB || opts.Mode == core.ReloadedLB
-
 	if opts.SharedBase && opts.Base != nil {
 		return nil, fmt.Errorf("join: SharedBase and an explicit Base are mutually exclusive")
 	}
@@ -369,7 +367,7 @@ func (p *Plan) Execute(opts Options) (*Result, error) {
 	}
 	var coreRes *core.Result
 	var err error
-	if lb || (parallelism == 1 && shards == 1) {
+	if !opts.Mode.Plain() || (parallelism == 1 && shards == 1) {
 		coreRes, err = core.Run(p.NewOracle(), copts)
 	} else {
 		coreRes, err = core.RunShards(func() core.Oracle { return p.NewOracle() },
