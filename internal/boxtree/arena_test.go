@@ -178,4 +178,17 @@ func TestZeroAllocOps(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state ops allocate %.1f times per run, want 0", allocs)
 	}
+	// The two walks of a line, into a root buffer that has grown once.
+	roots := tr.LastRoots(nil, boxes[0])
+	allocs = testing.AllocsPerRun(500, func() {
+		b := boxes[i%len(boxes)]
+		roots = tr.LastRoots(roots[:0], b)
+		for _, root := range roots {
+			tr.SupersetUnder(root, b)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("LastRoots + SupersetUnder allocate %.1f times per run, want 0", allocs)
+	}
 }

@@ -9,6 +9,20 @@
 // level, giving Õ(1) superset queries; the boxes contained in a box w form
 // whole subtrees, giving cheap subsumption pruning.
 //
+// # Level order
+//
+// "The i-th component" is taken in the tree's level order, a permutation
+// mapping level to dimension (identity unless SetOrder says otherwise).
+// Appendix C.1 orders the levels by the splitting attribute order, and a
+// knowledge base probed by the skeleton is set up that way: the frames of
+// a descent are units in an SAO prefix and λ in an SAO suffix, so with the
+// SAO on top a probe follows one full-length path through the first levels
+// and fans out only below, the subsume sweep of an insert starts at the
+// first SAO component, and everything stored over a line of the last SAO
+// dimension sits in a handful of last-level tries (LastRoots). The order
+// is about levels only: stored and returned boxes keep their components in
+// dimension order, and every dim argument names a dimension.
+//
 // # Arena layout
 //
 // The paper's cost model (Lemma 4.5) charges Õ(1) *word operations* per
@@ -37,6 +51,7 @@ package boxtree
 
 import (
 	"fmt"
+	"slices"
 
 	"tetrisjoin/internal/dyadic"
 )
@@ -70,6 +85,7 @@ const rootNode = 1
 // Tree stores a set of n-dimensional dyadic boxes.
 type Tree struct {
 	n     int
+	order []int             // level → dimension; a permutation of 0..n-1
 	nodes []node            // nodes[0] reserved; nodes[rootNode] is the root
 	ivs   []dyadic.Interval // append-only payload slab, n intervals per stored box
 	free  uint32            // head of the node free-list (nilNode = empty)
@@ -82,10 +98,37 @@ func New(n int) *Tree {
 	if n < 1 {
 		panic("boxtree: dimension must be positive")
 	}
-	t := &Tree{n: n}
+	t := &Tree{n: n, order: make([]int, n)}
 	t.nodes = make([]node, 2, 64)
+	t.SetOrder(nil)
 	return t
 }
+
+// SetOrder sets the level order of an empty tree: level i holds the
+// component of dimension order[i]. Nil is the identity. The order is
+// copied, survives Reset, and must be a permutation of 0..n-1.
+func (t *Tree) SetOrder(order []int) {
+	if t.size != 0 {
+		panic("boxtree: SetOrder on a non-empty tree")
+	}
+	if order == nil {
+		for i := range t.order {
+			t.order[i] = i
+		}
+		return
+	}
+	ok := len(order) == t.n
+	for i := 0; ok && i < t.n; i++ {
+		ok = order[i] >= 0 && order[i] < t.n && !slices.Contains(order[:i], order[i])
+	}
+	if !ok {
+		panic(fmt.Sprintf("boxtree: level order %v is not a permutation of 0..%d", order, t.n-1))
+	}
+	copy(t.order, order)
+}
+
+// Order returns the level order. Callers must not modify it.
+func (t *Tree) Order() []int { return t.order }
 
 // Dims returns the dimensionality of the stored boxes.
 func (t *Tree) Dims() int { return t.n }
@@ -103,6 +146,10 @@ func (t *Tree) Reset() {
 	t.free = nilNode
 	t.size = 0
 }
+
+// SlabCaps returns the capacities of the node and payload slabs, in
+// entries: what the tree keeps allocated across Reset.
+func (t *Tree) SlabCaps() (nodes, intervals int) { return cap(t.nodes), cap(t.ivs) }
 
 // alloc returns a fresh zeroed node slot, recycling the free-list first.
 func (t *Tree) alloc() uint32 {
@@ -171,10 +218,11 @@ func (t *Tree) noteLen(r uint32, l uint8) {
 
 // insert is the one descent behind Insert and InsertSubsuming. A positive
 // budget asks for the subsume sweep of DeleteContainedInBudget(b, budget)
-// on the way down: it starts at the node spelling b[0], which the descent
-// reaches anyway, so it runs from there and fixes the ancestors' counts
-// from the recorded path — and not at all when the descent had to create
-// that node, since nothing is stored below a node that did not exist.
+// on the way down: it starts at the node spelling b's first-level
+// component, which the descent reaches anyway, so it runs from there and
+// fixes the ancestors' counts from the recorded path — and not at all when
+// the descent had to create that node, since nothing is stored below a
+// node that did not exist.
 func (t *Tree) insert(b dyadic.Box, budget int) bool {
 	if len(b) != t.n {
 		panic(fmt.Sprintf("boxtree: inserting %d-dimensional box into %d-dimensional tree", len(b), t.n))
@@ -187,7 +235,7 @@ func (t *Tree) insert(b dyadic.Box, budget int) bool {
 	cur, levelRoot := uint32(rootNode), uint32(rootNode)
 	path = append(path, cur)
 	for level := 0; level < t.n; level++ {
-		iv := b[level]
+		iv := b[t.order[level]]
 		for i := int(iv.Len) - 1; i >= 0; i-- {
 			bit := iv.Bits >> uint(i) & 1
 			nxt := t.nodes[cur].children[bit]
@@ -263,8 +311,8 @@ func (t *Tree) ContainsSupersetExactAt(b dyadic.Box, dim int) (dyadic.Box, bool)
 }
 
 // findSuperset probes the trie rooted at level root ni. exact, when not
-// -1, is the level at which only the node spelling b's full component may
-// be a storage point.
+// -1, is the dimension at whose level only the node spelling b's full
+// component may be a storage point.
 func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, exact int) (dyadic.Box, bool) {
 	nodes := t.nodes
 	root := &nodes[ni]
@@ -274,9 +322,10 @@ func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, exact int) (dyad
 	// Storage points that can hold a prefix of b's component sit at depths
 	// first..last of the walk; the level root's summary narrows the range
 	// and empties it for a level that cannot hold a cover.
-	iv := b[level]
+	dim := t.order[level]
+	iv := b[dim]
 	first, last := int(root.lo), min(int(iv.Len), int(root.hi))
-	if level == exact {
+	if dim == exact {
 		first = int(iv.Len)
 	}
 	if first > last {
@@ -323,7 +372,7 @@ func (t *Tree) collectSupersets(ni uint32, level int, b dyadic.Box, out []dyadic
 	if ni == nilNode || t.nodes[ni].count == 0 {
 		return out
 	}
-	iv := b[level]
+	iv := b[t.order[level]]
 	cur := ni
 	for depth := 0; ; depth++ {
 		nd := t.nodes[cur]
@@ -345,6 +394,55 @@ func (t *Tree) collectSupersets(ni uint32, level int, b dyadic.Box, out []dyadic
 	}
 }
 
+// LastRoots appends to out the roots of the last-level tries stored under
+// every combination of prefixes of b's components at the levels above the
+// last, in probe order: the tries a ContainsSuperset of any box that
+// agrees with b above the last level would descend, in the order it would
+// reach them. b's last-level component is not read. The roots are node
+// indices, good for SupersetUnder until the tree is next written to.
+func (t *Tree) LastRoots(out []uint32, b dyadic.Box) []uint32 {
+	if len(b) != t.n {
+		panic("boxtree: dimension mismatch in LastRoots")
+	}
+	return t.lastRoots(rootNode, 0, b, out)
+}
+
+func (t *Tree) lastRoots(ni uint32, level int, b dyadic.Box, out []uint32) []uint32 {
+	nodes := t.nodes
+	root := &nodes[ni]
+	if root.count == 0 {
+		return out
+	}
+	if level == t.n-1 {
+		return append(out, ni)
+	}
+	iv := b[t.order[level]]
+	first, last := int(root.lo), min(int(iv.Len), int(root.hi))
+	nd := root
+	for depth := 0; depth <= last; depth++ {
+		if depth >= first && nd.link != 0 {
+			out = t.lastRoots(nd.link, level+1, b, out)
+		}
+		if depth == last {
+			break
+		}
+		next := nd.children[iv.Bits>>uint(int(iv.Len)-1-depth)&1]
+		if next == nilNode {
+			break
+		}
+		nd = &nodes[next]
+	}
+	return out
+}
+
+// SupersetUnder is the last step of ContainsSuperset(b) below one of
+// LastRoots(b): the first box stored in that trie whose last-level
+// component contains b's. Probing the roots in order and stopping at the
+// first hit answers exactly as ContainsSuperset does.
+func (t *Tree) SupersetUnder(root uint32, b dyadic.Box) (dyadic.Box, bool) {
+	return t.findSuperset(root, t.n-1, b, -1)
+}
+
 // IntersectsAny reports whether any stored box shares at least one point
 // with b. A box intersects b exactly when every pair of corresponding
 // components is prefix-comparable, so the search explores the prefixes of
@@ -361,7 +459,7 @@ func (t *Tree) intersectsAny(ni uint32, level int, b dyadic.Box) bool {
 	if ni == nilNode || t.nodes[ni].count == 0 {
 		return false
 	}
-	iv := b[level]
+	iv := b[t.order[level]]
 	// Prefix path: nodes whose interval contains b's component.
 	cur := ni
 	for depth := 0; ; depth++ {
@@ -427,8 +525,8 @@ func (t *Tree) deleteContained(ni uint32, level int, w dyadic.Box, budget *int) 
 	if ni == nilNode || t.nodes[ni].count == 0 {
 		return 0
 	}
-	// Descend along w[level] to the subtree of contained boxes.
-	iv := w[level]
+	// Descend along w's component to the subtree of contained boxes.
+	iv := w[t.order[level]]
 	cur := ni
 	for depth := 0; depth < int(iv.Len); depth++ {
 		bit := iv.Bits >> uint(int(iv.Len)-1-depth) & 1
@@ -542,7 +640,7 @@ func (t *Tree) appendAll(ni uint32, level int, out []dyadic.Box) []dyadic.Box {
 func (t *Tree) Contains(b dyadic.Box) bool {
 	cur := uint32(rootNode)
 	for level := 0; level < t.n; level++ {
-		iv := b[level]
+		iv := b[t.order[level]]
 		for i := int(iv.Len) - 1; i >= 0; i-- {
 			bit := iv.Bits >> uint(i) & 1
 			cur = t.nodes[cur].children[bit]

@@ -170,9 +170,17 @@ func randBox(r *rand.Rand, n int, d uint8) dyadic.Box {
 // TestRandomAgainstBruteForce cross-checks every tree operation against a
 // plain slice implementation under a random workload.
 func TestRandomAgainstBruteForce(t *testing.T) {
+	// What the tree answers does not depend on its level order.
+	for _, order := range [][]int{nil, {2, 0, 1}, {1, 2, 0}} {
+		randomAgainstBruteForce(t, order)
+	}
+}
+
+func randomAgainstBruteForce(t *testing.T, order []int) {
 	const n, d = 3, 4
 	r := rand.New(rand.NewSource(42))
 	tr := New(n)
+	tr.SetOrder(order)
 	var ref []dyadic.Box
 
 	refContains := func(b dyadic.Box) bool {

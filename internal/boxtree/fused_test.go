@@ -27,11 +27,16 @@ func composedInsertSubsuming(t *Tree, b dyadic.Box) bool {
 // InsertUncovered stands in for InsertSubsuming whenever the box is in
 // fact uncovered.
 func TestInsertSubsumingMatchesComposition(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(3)
 		d := uint8(2 + r.Intn(5))
 		fused, composed := New(n), New(n)
+		if seed%2 == 0 { // half the sequences under a random level order
+			order := r.Perm(n)
+			fused.SetOrder(order)
+			composed.SetOrder(order)
+		}
 		for step := 0; step < 2500; step++ {
 			b := randBox(r, n, d)
 			switch r.Intn(20) {
@@ -98,9 +103,16 @@ func checkSummaries(t *testing.T, tr *Tree, r uint32, level int) {
 // parent along the dimension is uncovered — the only situation the
 // skeleton uses it in.
 func TestContainsSupersetExactAt(t *testing.T) {
+	for _, order := range [][]int{nil, {1, 2, 0}} { // dim names a dimension under any level order
+		containsSupersetExactAt(t, order)
+	}
+}
+
+func containsSupersetExactAt(t *testing.T, order []int) {
 	const n, d = 3, 4
 	r := rand.New(rand.NewSource(11))
 	tr := New(n)
+	tr.SetOrder(order)
 	for step := 0; step < 4000; step++ {
 		b := randBox(r, n, d)
 		if r.Intn(3) == 0 {

@@ -474,8 +474,9 @@ func (m *Maintained) patch(opts join.Options, current map[string]*relation.Relat
 
 // sharedBase resolves the prebuilt knowledge base for deltas of the
 // named relation: the gap set of every atom not referencing it, built
-// once from the pinned plan and reused for as long as the OTHER
-// relations' versions hold still. Only a single-relation change can use
+// once from the pinned plan — in its SAO, which every delta pass runs
+// under — and reused for as long as the OTHER relations' versions hold
+// still. Only a single-relation change can use
 // it — with two relations changing, the base would carry stale gaps of
 // the other changed relation — and a change touching every atom (a
 // self-join over the changed relation) has no unchanged atoms to share.
@@ -501,7 +502,7 @@ func (m *Maintained) sharedBase(name string, changed []string) *core.PreparedBas
 	po := m.plan.PartialOracle(func(ai int) bool {
 		return q.Atoms()[ai].Relation.Name() != name
 	})
-	base, err := core.BuildPreloadedBase(po, core.Options{})
+	base, err := core.BuildPreloadedBase(po, core.Options{SAO: m.plan.SAO()})
 	if err != nil {
 		// The base is an optimization; the pass is exact without it.
 		return nil

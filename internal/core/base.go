@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
@@ -25,14 +26,21 @@ type PreparedBase struct {
 }
 
 // BuildPreloadedBase loads the oracle's full gap set into a fresh shared
-// base. Only Mode-independent build options matter: DisableSubsume
-// selects plain insertion, everything else is ignored.
+// base. Two build options matter: SAO is the level order of the base's
+// tree, which must be the SAO of every run the base is handed to (the
+// skeleton walks both its trees in that order), and DisableSubsume selects
+// plain insertion. Everything else is ignored.
 func BuildPreloadedBase(o Oracle, opts Options) (*PreparedBase, error) {
 	n, err := validateOracle(o)
 	if err != nil {
 		return nil, err
 	}
+	sao, err := checkSAO(opts.SAO, n)
+	if err != nil {
+		return nil, err
+	}
 	tree := boxtree.New(n)
+	tree.SetOrder(sao)
 	insert := func(b dyadic.Box) {
 		if opts.DisableSubsume {
 			tree.Insert(b)
@@ -62,9 +70,10 @@ func (b *PreparedBase) Len() int { return b.tree.Len() }
 // contain no output — consulted read-only while the run still loads
 // lazily from the oracle, which is the delta-execution shape: the
 // unchanged atoms' gaps come prebuilt, only the delta's certificate is
-// discovered. A base built under a different subsumption setting or
-// dimensionality is a misuse, not a silent fallback.
-func (o Options) preparedBase(n int) (*boxtree.Tree, int64, error) {
+// discovered. A base built under a different subsumption setting,
+// dimensionality or SAO (sao is the run's, checked) is a misuse, not a
+// silent fallback.
+func (o Options) preparedBase(n int, sao []int) (*boxtree.Tree, int64, error) {
 	if o.Base == nil || !o.Mode.Plain() {
 		return nil, 0, nil
 	}
@@ -73,6 +82,9 @@ func (o Options) preparedBase(n int) (*boxtree.Tree, int64, error) {
 	}
 	if o.Base.subsume == o.DisableSubsume {
 		return nil, 0, fmt.Errorf("core: prepared base subsumption setting does not match the run's (base subsume=%v, DisableSubsume=%v)", o.Base.subsume, o.DisableSubsume)
+	}
+	if order := o.Base.tree.Order(); !slices.Equal(order, sao) {
+		return nil, 0, fmt.Errorf("core: prepared base was built for SAO %v, run has SAO %v", order, sao)
 	}
 	return o.Base.tree, o.Base.loaded, nil
 }

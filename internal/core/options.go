@@ -118,7 +118,11 @@ type Options struct {
 	SAO []int
 	// NoCache disables line 19 of Algorithm 1 (caching of resolvents),
 	// restricting the algorithm to Tree Ordered Geometric Resolution
-	// (Section 5.1). Used to reproduce Theorems 5.1 and 5.2.
+	// (Section 5.1). Used to reproduce Theorems 5.1 and 5.2. Like
+	// TrackProvenance and OnResolve it is about the binary resolution
+	// steps themselves, so a run with any of the three bisects the last
+	// SAO dimension like the others instead of walking it as lines
+	// (Stats.Lines stays 0).
 	NoCache bool
 	// DisableSubsume turns off knowledge-base compaction (removal of
 	// boxes covered by a newly learned resolvent). Compaction does not
@@ -130,7 +134,8 @@ type Options struct {
 	// Stats.OutputResolutions at the cost of one map entry per resolvent.
 	TrackProvenance bool
 	// MaxResolutions aborts the run with an error after this many
-	// resolutions (0 = unlimited). A safety valve for adversarial
+	// resolutions (0 = unlimited), in the middle of a line if that is
+	// where the count is reached. A safety valve for adversarial
 	// experiments.
 	MaxResolutions int64
 	// MaxOutput stops after reporting this many output tuples
@@ -142,7 +147,8 @@ type Options struct {
 	// When nil, the Max* fields above apply to this run alone.
 	Budget *Budget
 	// Base, when non-nil, is a prebuilt shared knowledge base
-	// (BuildPreloadedBase) consulted read-only during the run. Under
+	// (BuildPreloadedBase) consulted read-only during the run; it must
+	// have been built for this run's SAO. Under
 	// Preloaded it stands in for re-inserting the full gap set: prepared
 	// plans build it once and hand it to every subsequent execution,
 	// which is what amortizes the Preloaded setup cost across repeated
@@ -155,7 +161,8 @@ type Options struct {
 	Base *PreparedBase
 	// Context, when non-nil, cancels the run cooperatively: it is checked
 	// at every settled unit box (output report or gap load) and every 1024
-	// skeleton calls, and the run returns the context's error. The sharded executor uses it to stop
+	// skeleton calls (frames probed and line positions alike), and the run
+	// returns the context's error. The sharded executor uses it to stop
 	// sibling shards after a failure or an early stop.
 	Context context.Context
 	// StealDepth bounds dynamic shard splitting in RunShards. An idle
@@ -192,10 +199,19 @@ type Stats struct {
 	// directly or transitively (Definition C.4). Populated only with
 	// Options.TrackProvenance.
 	OutputResolutions int64
-	// SkeletonCalls counts recursive TetrisSkeleton invocations.
+	// SkeletonCalls counts recursive TetrisSkeleton invocations, and the
+	// positions probed along lines.
 	SkeletonCalls int64
-	// Splits counts Split-First-Thick-Dimension operations.
+	// Splits counts Split-First-Thick-Dimension operations; a line counts
+	// as one.
 	Splits int64
+	// Lines counts frames thick only in the last SAO dimension that were
+	// settled by one left-to-right walk instead of being bisected. A line
+	// over k covers charges Resolutions k-1 (the ordered resolutions that
+	// combine them), SkeletonCalls one per position probed and CoverHits
+	// one per stored cover used. Zero under NoCache, TrackProvenance and
+	// OnResolve, which count or observe binary steps and keep them.
+	Lines int64
 	// CoverHits counts successful knowledge-base containment lookups
 	// (line 1 of Algorithm 1).
 	CoverHits int64
@@ -247,6 +263,7 @@ func (s *Stats) Merge(other Stats) {
 	s.OutputResolutions += other.OutputResolutions
 	s.SkeletonCalls += other.SkeletonCalls
 	s.Splits += other.Splits
+	s.Lines += other.Lines
 	s.CoverHits += other.CoverHits
 	s.OracleCalls += other.OracleCalls
 	s.BoxesLoaded += other.BoxesLoaded

@@ -107,7 +107,7 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 	// learned resolvents go to per-shard private trees). Without this,
 	// every shard would re-insert its slice of B, and boxes thick across
 	// the shard dimension would be re-inserted by every shard.
-	base, baseLoaded, err := opts.preparedBase(n)
+	base, baseLoaded, err := opts.preparedBase(n, sao)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,13 @@ import (
 	"tetrisjoin/internal/dyadic"
 )
 
-// restartReference is Algorithm 2 as printed: TetrisSkeleton is restarted
-// from root after every output and every gap load. The engine no longer
-// runs this loop; it is kept here as the reference the single pass must
-// reproduce — same tuples in the same order, same resolutions, same
-// knowledge base — because loadGaps' choice of witness is argued from
-// what this loop would have hit first.
+// restartReference is Algorithm 2 as printed: TetrisSkeleton, every frame
+// bisected, is restarted from root after every output and every gap load.
+// The engine no longer runs this loop; it is kept here as the reference the
+// single pass must reproduce — same tuples in the same order, same
+// certificate, and when the pass bisects every frame too (TrackProvenance)
+// the same resolutions and knowledge base — because loadGaps' choice of
+// witness is argued from what this loop would have hit first.
 func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Result {
 	t.Helper()
 	n, depths := o.Dims(), o.Depths()
@@ -25,6 +26,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	}
 	res := &Result{}
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
+	sk.walk = nil
 	loaded := boxtree.New(n)
 	if opts.Mode == Preloaded {
 		fresh, err := loadGapSet(o, root, loaded, sk.add)
@@ -80,6 +82,7 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 	}
 	liftSAO, _ := checkSAO(nil, lift.Dims())
 	sk := newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
+	sk.walk = nil
 	loaded := boxtree.New(len(depths))
 	load := func(b dyadic.Box) bool {
 		fresh := loaded.Insert(b)
@@ -101,6 +104,7 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 				t.Fatal(err)
 			}
 			sk = newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
+			sk.walk = nil
 			for _, b := range baseBoxes {
 				sk.add(lift.Box(b))
 			}
@@ -135,29 +139,52 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 	return res
 }
 
-// sameWork fails unless the single pass did exactly the restart loop's
-// work: the counts that define a run's cost and certificate.
-func sameWork(t *testing.T, label string, got, want *Result) {
+// sameCertificate fails unless the single pass reported what the restart
+// loop reports: the tuples in its order, and the counts no choice of cover
+// can move — whether a unit box is uncovered depends only on the gap boxes
+// loaded and the outputs reported before it, and units come up in
+// SAO-lexicographic order either way. (Callers compare OracleCalls: the
+// loop probes at every uncovered unit, the preloaded modes at none.)
+func sameCertificate(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Tuples, want.Tuples) {
 		t.Fatalf("%s: single pass enumerated %v, restart loop %v", label, got.Tuples, want.Tuples)
 	}
 	g, w := got.Stats, want.Stats
-	if g.Resolutions != w.Resolutions || g.BoxesLoaded != w.BoxesLoaded ||
-		g.KnowledgeBase != w.KnowledgeBase || g.Outputs != w.Outputs {
-		t.Fatalf("%s: single pass resolutions/loaded/kb/outputs %d/%d/%d/%d, restart loop %d/%d/%d/%d", label,
-			g.Resolutions, g.BoxesLoaded, g.KnowledgeBase, g.Outputs,
-			w.Resolutions, w.BoxesLoaded, w.KnowledgeBase, w.Outputs)
-	}
-	if g.SkeletonCalls > w.SkeletonCalls {
-		t.Fatalf("%s: single pass made %d skeleton calls, restart loop %d", label, g.SkeletonCalls, w.SkeletonCalls)
+	if g.Outputs != w.Outputs || g.BoxesLoaded != w.BoxesLoaded || g.Rebuilds != w.Rebuilds {
+		t.Fatalf("%s: single pass outputs/loaded/rebuilds %d/%d/%d, restart loop %d/%d/%d", label,
+			g.Outputs, g.BoxesLoaded, g.Rebuilds, w.Outputs, w.BoxesLoaded, w.Rebuilds)
 	}
 }
 
-// TestSinglePassMatchesRestartMode: the depth-first pass must do the work
-// of the restart-based outer loop bit for bit, in both modes, from the
-// universe and from a fragment's root, under every SAO — and in both LB
-// modes from the lifted universe.
+// sameWork is sameCertificate for a pass that bisects every frame, as the
+// restart loop does: it must have done exactly the loop's work, the counts
+// that define a run's cost included.
+func sameWork(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	sameCertificate(t, label, got, want)
+	g, w := got.Stats, want.Stats
+	if g.Lines != 0 {
+		t.Fatalf("%s: %d lines in a pass that must bisect", label, g.Lines)
+	}
+	if g.Resolutions != w.Resolutions || g.KnowledgeBase != w.KnowledgeBase ||
+		g.GapResolutions != w.GapResolutions || g.OutputResolutions != w.OutputResolutions {
+		t.Fatalf("%s: single pass resolutions/kb/gap/output resolutions %d/%d/%d/%d, restart loop %d/%d/%d/%d", label,
+			g.Resolutions, g.KnowledgeBase, g.GapResolutions, g.OutputResolutions,
+			w.Resolutions, w.KnowledgeBase, w.GapResolutions, w.OutputResolutions)
+	}
+	if g.SkeletonCalls > w.SkeletonCalls || g.Splits > w.Splits || g.CoverHits > w.CoverHits {
+		t.Fatalf("%s: single pass calls/splits/cover hits %d/%d/%d, restart loop %d/%d/%d", label,
+			g.SkeletonCalls, g.Splits, g.CoverHits, w.SkeletonCalls, w.Splits, w.CoverHits)
+	}
+}
+
+// TestSinglePassMatchesRestartMode: the depth-first pass must report what
+// the restart-based outer loop reports, in both modes, from the universe
+// and from a fragment's root, under every SAO — and in both LB modes from
+// the lifted universe. Under TrackProvenance the pass bisects every frame
+// as the loop does, over the same SAO-ordered tree, and must then do the
+// loop's work bit for bit.
 func TestSinglePassMatchesRestartMode(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 30; trial++ {
@@ -179,30 +206,37 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 			for _, mode := range []Mode{Preloaded, Reloaded} {
 				for _, subsume := range []bool{true, false} {
 					opts := Options{Mode: mode, SAO: sao, DisableSubsume: !subsume}
+					var want *Result
+					for _, prov := range []bool{false, true} {
+						opts.TrackProvenance = prov
+						got, err := RunBox(o, opts, root)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = restartReference(t, o, opts, root)
+						if prov {
+							sameWork(t, mode.String(), got, want)
+						} else {
+							sameCertificate(t, mode.String(), got, want)
+						}
+						if mode == Reloaded && got.Stats.OracleCalls != want.Stats.OracleCalls {
+							t.Fatalf("trial %d: Reloaded probed the oracle %d times, restart loop %d",
+								trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
+						}
+						if mode == Preloaded && got.Stats.OracleCalls != 0 {
+							t.Fatalf("trial %d: Preloaded probed the oracle %d times", trial, got.Stats.OracleCalls)
+						}
+					}
+					// Without the resolvent cache the restart loop repeats
+					// resolutions the pass does once; the output is the same.
+					opts.TrackProvenance, opts.NoCache = false, true
 					got, err := RunBox(o, opts, root)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := restartReference(t, o, opts, root)
-					label := mode.String()
-					sameWork(t, label, got, want)
-					if mode == Reloaded && got.Stats.OracleCalls != want.Stats.OracleCalls {
-						t.Fatalf("trial %d: Reloaded probed the oracle %d times, restart loop %d",
-							trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
-					}
-					if mode == Preloaded && got.Stats.OracleCalls != 0 {
-						t.Fatalf("trial %d: Preloaded probed the oracle %d times", trial, got.Stats.OracleCalls)
-					}
-					// Without the resolvent cache the restart loop repeats
-					// resolutions the pass does once; the output is the same.
-					opts.NoCache = true
-					got, err = RunBox(o, opts, root)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got.Tuples, want.Tuples) {
-						t.Fatalf("trial %d %v: cache-free single pass enumerated %v, want %v",
-							trial, mode, got.Tuples, want.Tuples)
+					if !reflect.DeepEqual(got.Tuples, want.Tuples) || got.Stats.Lines != 0 {
+						t.Fatalf("trial %d %v: cache-free single pass enumerated %v over %d lines, want %v over none",
+							trial, mode, got.Tuples, got.Stats.Lines, want.Tuples)
 					}
 				}
 			}
@@ -231,23 +265,18 @@ func lbMatchesRestartMode(t *testing.T, r *rand.Rand) {
 						t.Fatal(err)
 					}
 					want := restartReferenceLB(t, o, opts)
-					sameWork(t, mode.String(), got, want)
-					g, w := got.Stats, want.Stats
-					if g.Rebuilds != w.Rebuilds || g.GapResolutions != w.GapResolutions || g.OutputResolutions != w.OutputResolutions {
-						t.Fatalf("trial %d %v: rebuilds/gap/output resolutions %d/%d/%d, restart loop %d/%d/%d", trial, mode,
-							g.Rebuilds, g.GapResolutions, g.OutputResolutions, w.Rebuilds, w.GapResolutions, w.OutputResolutions)
+					if prov {
+						sameWork(t, mode.String(), got, want)
+					} else {
+						sameCertificate(t, mode.String(), got, want)
 					}
-					if g.Splits > w.Splits || g.CoverHits > w.CoverHits {
-						t.Fatalf("trial %d %v: splits/cover hits %d/%d, restart loop %d/%d", trial, mode,
-							g.Splits, g.CoverHits, w.Splits, w.CoverHits)
+					if mode == ReloadedLB && got.Stats.OracleCalls != want.Stats.OracleCalls {
+						t.Fatalf("trial %d: ReloadedLB probed the oracle %d times, restart loop %d", trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
 					}
-					if mode == ReloadedLB && g.OracleCalls != w.OracleCalls {
-						t.Fatalf("trial %d: ReloadedLB probed the oracle %d times, restart loop %d", trial, g.OracleCalls, w.OracleCalls)
+					if mode == PreloadedLB && got.Stats.OracleCalls != 0 {
+						t.Fatalf("trial %d: PreloadedLB probed the oracle %d times", trial, got.Stats.OracleCalls)
 					}
-					if mode == PreloadedLB && g.OracleCalls != 0 {
-						t.Fatalf("trial %d: PreloadedLB probed the oracle %d times", trial, g.OracleCalls)
-					}
-					rebuilds += g.Rebuilds
+					rebuilds += got.Stats.Rebuilds
 				}
 			}
 		}
@@ -274,9 +303,11 @@ func TestSinglePassAvoidsRestartAmplification(t *testing.T) {
 		if single.Stats.Outputs != 4096 || restart.Stats.Outputs != 4096 {
 			t.Fatalf("%v: outputs %d (restart %d), want 4096", mode, single.Stats.Outputs, restart.Stats.Outputs)
 		}
-		// A binary tree over 4096 leaves has 8191 nodes.
-		if single.Stats.SkeletonCalls != 8191 {
-			t.Errorf("%v: single pass made %d skeleton calls, want 8191", mode, single.Stats.SkeletonCalls)
+		// A binary tree over the 64 values of the first dimension has 127
+		// nodes; each leaf is a line over the 64 values of the second.
+		if single.Stats.SkeletonCalls != 127+64*64 || single.Stats.Lines != 64 {
+			t.Errorf("%v: single pass made %d skeleton calls over %d lines, want 4223 over 64",
+				mode, single.Stats.SkeletonCalls, single.Stats.Lines)
 		}
 		if single.Stats.SkeletonCalls*2 >= restart.Stats.SkeletonCalls {
 			t.Errorf("%v: single pass used %d skeleton calls vs restart's %d — no amplification avoided",

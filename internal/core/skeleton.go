@@ -26,7 +26,7 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 // (scratch), managed with per-frame watermarks instead of the heap:
 //
 //   - a frame that splits reserves 2n intervals at its watermark for the
-//     split halves;
+//     split halves (a line: its witness and the unit box it moves along);
 //   - the resolvent is composed above the live region, so the callback
 //     and provenance reads of w1/w2 see intact data even when a witness
 //     aliases the frame's own scratch;
@@ -58,6 +58,14 @@ type skeleton struct {
 	n       int
 	noCache bool
 	subsume bool
+
+	// walk settles a frame that is thick only in the last SAO dimension
+	// (line). Nil when the run counts or observes binary steps — NoCache,
+	// TrackProvenance, OnResolve — and so splits such frames like any
+	// other; tests put the line's definition here.
+	walk func(b dyadic.Box, dim int) (bool, dyadic.Box, error)
+	// kbRoots and baseRoots are line's last-level tries, reused across lines.
+	kbRoots, baseRoots []uint32
 
 	scratch []dyadic.Interval // split/resolvent arena, watermark-managed
 
@@ -103,8 +111,13 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 		stats:     stats,
 		onResolve: opts.OnResolve,
 	}
+	// Appendix C.1: the levels of the knowledge base follow the SAO.
+	s.kb.SetOrder(sao)
 	if opts.TrackProvenance {
 		s.fromOutput = boxtree.New(n)
+	}
+	if !opts.NoCache && !opts.TrackProvenance && opts.OnResolve == nil {
+		s.walk = s.line
 	}
 	return s
 }
@@ -116,13 +129,29 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 // caller a witness that aliases the tree).
 var treePool sync.Pool
 
-// getTree returns an empty n-dimensional tree, recycled when one fits.
+// maxPooledSlab is the slab capacity, in nodes or intervals, above which
+// putTree lets a tree go: well over ten times what the benchmark shapes'
+// trees grow to (15 k nodes, 60 k intervals), so those are always
+// recycled, while one huge query does not pin its slabs (20 and 16 bytes
+// an entry) for the life of the daemon.
+const maxPooledSlab = 1 << 20
+
+// getTree returns an empty n-dimensional tree in identity level order,
+// recycled when one fits.
 func getTree(n int) *boxtree.Tree {
 	if t, _ := treePool.Get().(*boxtree.Tree); t != nil && t.Dims() == n {
 		t.Reset()
+		t.SetOrder(nil)
 		return t
 	}
 	return boxtree.New(n)
+}
+
+// putTree hands a tree the run is done with back to the pool.
+func putTree(t *boxtree.Tree) {
+	if nodes, ivs := t.SlabCaps(); nodes <= maxPooledSlab && ivs <= maxPooledSlab {
+		treePool.Put(t)
+	}
 }
 
 // reset empties the knowledge base: the boxes of a lifted space that is
@@ -182,23 +211,32 @@ func (s *skeleton) settle(mark int, w dyadic.Box) dyadic.Box {
 	return dst
 }
 
+// call counts one skeleton call — a frame probed, or a position of a line
+// — and polls for cancellation: recursions have no natural check point
+// (Covers runs one giant root call, and a pass may go a long way between
+// settled units; a Reloaded line alone can be 2^d probes long). The counter
+// gate keeps the hot path at one branch per call and one channel poll
+// every 1024 calls.
+func (s *skeleton) call() error {
+	s.stats.SkeletonCalls++
+	if s.ctx != nil && s.stats.SkeletonCalls&1023 == 0 {
+		select {
+		case <-s.ctx.Done():
+			return s.ctx.Err()
+		default:
+		}
+	}
+	return nil
+}
+
 // run is TetrisSkeleton (Algorithm 1). Given a target box b it returns
 // (true, w) where w ⊇ b is covered by the union of the knowledge base, or
 // (false, p) where p ∈ b is a unit box not covered by any stored box.
 // split is the dimension the parent frame split on to produce b, -1 for
 // the root of a descent.
 func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
-	s.stats.SkeletonCalls++
-	// Cooperative cancellation for recursions with no natural check point
-	// (Covers runs one giant root call, and a pass may go a long way
-	// between settled units). The counter gate keeps the hot path at one
-	// branch per call and one channel poll every 1024 calls.
-	if s.ctx != nil && s.stats.SkeletonCalls&1023 == 0 {
-		select {
-		case <-s.ctx.Done():
-			return false, nil, s.ctx.Err()
-		default:
-		}
+	if err := s.call(); err != nil {
+		return false, nil, err
 	}
 	// Line 1: a stored box covering b is a ready-made witness. The
 	// private kb (learned resolvents, outputs, lazily loaded gaps) is
@@ -222,6 +260,9 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 		}
 		w, err := s.settleUnit(b)
 		return err == nil, w, err
+	}
+	if s.walk != nil && dim == s.sao[s.n-1] {
+		return s.walk(b, dim)
 	}
 	// Line 6: Split-First-Thick-Dimension. The two halves are carved from
 	// the arena at this frame's watermark; append copies b, so this is
@@ -295,4 +336,90 @@ func (s *skeleton) probe(t *boxtree.Tree, b dyadic.Box, split int) (dyadic.Box, 
 		return t.ContainsSuperset(b)
 	}
 	return t.ContainsSupersetExactAt(b, split)
+}
+
+// line settles a frame b whose probe missed and that is thick only in
+// dim, the last SAO dimension, without bisecting it: every finer frame
+// below b is a segment of the one line b[dim], so the stored boxes that
+// can cover any of them sit in the last-level tries under the prefix
+// combinations of b's other components — collected once per tree — and a
+// left-to-right walk over b[dim] finds at each position p what the probes
+// of a descent to the unit box at p would: the first stored box containing
+// it in probe order (kb, then base), or none, in which case the unit is
+// uncovered and settled as ever. The walk jumps past each cover's segment;
+// the k covers it used resolve on dim, k-1 ordered resolutions (Lemma C.1)
+// charged one by one, into ⟨the meet of their other components, b[dim]⟩,
+// which is cached and handed up as the frame's witness. A cover containing
+// b is handed up as is instead, at once — only a settled unit's witness can
+// be one: b's probe missed, and the shallowest-frame rule brings up
+// whatever was loaded since that contains b — so no stored box contains the
+// cached witness, and the parent's exact probes stay complete.
+func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
+	s.stats.Splits++
+	s.stats.Lines++
+	mark := len(s.scratch)
+	s.scratch = dyadic.AppendLambdas(s.scratch, s.n)
+	s.scratch = append(s.scratch, b...)
+	w := dyadic.Box(s.scratch[mark : mark+s.n])       // the meet of the covers so far
+	u := dyadic.Box(s.scratch[mark+s.n : mark+2*s.n]) // the unit box at p
+	s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
+	if s.base != nil {
+		s.baseRoots = s.base.LastRoots(s.baseRoots[:0], b)
+	}
+	d, covers := s.depths[dim], 0
+	for p, end := b[dim].Lo(d), b[dim].Hi(d); p <= end; {
+		if err := s.call(); err != nil {
+			return false, nil, err
+		}
+		u[dim] = dyadic.Interval{Bits: p, Len: d}
+		c, ok := s.coverAt(u)
+		if ok {
+			s.stats.CoverHits++
+		} else {
+			if s.settleUnit == nil {
+				return false, s.settle(mark, u), nil
+			}
+			var err error
+			if c, err = s.settleUnit(u); err != nil {
+				return false, nil, err
+			}
+			// The unit's cover went into kb, and may have subsumed there.
+			s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
+		}
+		// c contains u, which is b everywhere but in dim.
+		if c[dim].Len <= b[dim].Len {
+			return true, s.settle(mark, c), nil
+		}
+		if covers++; covers > 1 {
+			s.stats.Resolutions++
+			if !s.budget.AddResolution() {
+				return false, nil, errResolutionBudget
+			}
+		}
+		for i, iv := range c {
+			if iv.Len > w[i].Len {
+				w[i] = iv
+			}
+		}
+		p = c[dim].Hi(d) + 1
+	}
+	w[dim] = b[dim]
+	s.addResolvent(w)
+	return true, s.settle(mark, w), nil
+}
+
+// coverAt is line 1 for the unit box u of the line being walked, answered
+// from the collected last-level tries.
+func (s *skeleton) coverAt(u dyadic.Box) (dyadic.Box, bool) {
+	for _, r := range s.kbRoots {
+		if c, ok := s.kb.SupersetUnder(r, u); ok {
+			return c, true
+		}
+	}
+	for _, r := range s.baseRoots {
+		if c, ok := s.base.SupersetUnder(r, u); ok {
+			return c, true
+		}
+	}
+	return nil, false
 }

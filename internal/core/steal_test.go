@@ -118,46 +118,62 @@ func TestStealSinglePassDonation(t *testing.T) {
 // TestStealReloadedGapLoadDonation: a Reloaded pass also unwinds at a
 // gap load, with the witness it was about to hand up discarded and the
 // loaded boxes left in the knowledge base for the re-entry to find. The
-// instance has its outputs only in the last quarter of dimension 0 —
+// first instance has its outputs only in the last quarter of dimension 0 —
 // columns a < 192 are one lazily loaded gap box ⟨a,λ⟩ each — and the run
 // starts from a single seed, so the first donation can only happen at a
-// gap load.
+// gap load. In the second every column is a comb, outputs at the even
+// values of dimension 1 and unit gap boxes at the odd ones, so every unit
+// is settled inside a line and a donation abandons one midway: the
+// re-entry walks it again from its left end, over what it had settled
+// (TestLineDonatesAtEveryUnit makes every unit a donation).
 func TestStealReloadedGapLoadDonation(t *testing.T) {
 	const d = 8
-	var boxes []dyadic.Box
+	var columns, combs []dyadic.Box
 	for a := uint64(0); a < 1<<d; a++ {
 		col := dyadic.Unit(a, d)
+		for v := uint64(1); a < 16 && v < 32; v += 2 {
+			combs = append(combs, dyadic.Box{dyadic.Unit(a, 4), dyadic.Unit(v, 5)})
+		}
 		if a < 192 {
-			boxes = append(boxes, dyadic.Box{col, dyadic.Lambda})
+			columns = append(columns, dyadic.Box{col, dyadic.Lambda})
 			continue
 		}
 		for l := uint8(1); l <= d; l++ { // everything in the column but (a,0)
-			boxes = append(boxes, dyadic.Box{col, dyadic.NewInterval(1, l)})
+			columns = append(columns, dyadic.Box{col, dyadic.NewInterval(1, l)})
 		}
 	}
-	o := MustBoxOracle([]uint8{d, d}, boxes)
-	seq, err := Run(o, Options{Mode: Reloaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Tuples) != 64 {
-		t.Fatalf("instance has %d outputs, want 64", len(seq.Tuples))
-	}
-	for _, workers := range []int{1, 2, 4} {
-		got, err := RunShards(func() Oracle { return slowOracle{o.Clone()} },
-			Options{Mode: Reloaded}, workers, 1)
+	for _, c := range []struct {
+		name    string
+		o       *BoxOracle
+		outputs int
+	}{
+		{"columns", MustBoxOracle([]uint8{d, d}, columns), 64},
+		{"combs", MustBoxOracle([]uint8{4, 5}, combs), 16 * 16},
+	} {
+		seq, err := Run(c.o, Options{Mode: Reloaded})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
-			t.Fatalf("workers=%d: stealing run diverged from sequential (%d vs %d tuples)",
-				workers, len(got.Tuples), len(seq.Tuples))
+		if len(seq.Tuples) != c.outputs {
+			t.Fatalf("%s: instance has %d outputs, want %d", c.name, len(seq.Tuples), c.outputs)
 		}
-		if got.Stats.BoxesLoaded < seq.Stats.BoxesLoaded {
-			t.Fatalf("workers=%d: loaded %d boxes, sequential %d", workers, got.Stats.BoxesLoaded, seq.Stats.BoxesLoaded)
-		}
-		if workers > 1 && got.Stats.Steals == 0 {
-			t.Fatalf("workers=%d: no donation from the single seed", workers)
+		for _, workers := range []int{1, 2, 4} {
+			got, err := RunShards(func() Oracle { return slowOracle{c.o.Clone()} },
+				Options{Mode: Reloaded}, workers, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
+				t.Fatalf("%s workers=%d: stealing run diverged from sequential (%d vs %d tuples)",
+					c.name, workers, len(got.Tuples), len(seq.Tuples))
+			}
+			if got.Stats.BoxesLoaded < seq.Stats.BoxesLoaded || got.Stats.OracleCalls < seq.Stats.OracleCalls {
+				t.Fatalf("%s workers=%d: loaded %d boxes in %d probes, sequential %d in %d", c.name, workers,
+					got.Stats.BoxesLoaded, got.Stats.OracleCalls, seq.Stats.BoxesLoaded, seq.Stats.OracleCalls)
+			}
+			if workers > 1 && got.Stats.Steals == 0 {
+				t.Fatalf("%s workers=%d: no donation from the single seed", c.name, workers)
+			}
 		}
 	}
 }

@@ -72,7 +72,7 @@ func RunBox(o Oracle, opts Options, root dyadic.Box) (*Result, error) {
 // and BoxesLoaded keeps meaning what this run itself pulled from the
 // oracle — the delta run's certificate-size witness.
 func runWithBase(o Oracle, opts Options, sao []int, root dyadic.Box) (*Result, error) {
-	base, baseLoaded, err := opts.preparedBase(o.Dims())
+	base, baseLoaded, err := opts.preparedBase(o.Dims(), sao)
 	if err != nil {
 		return nil, err
 	}
@@ -180,6 +180,18 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // the donated half is untouched, and cheap because everything settled so
 // far is in the knowledge base.
 func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.Tree, steal *stealSession) (*Result, error) {
+	_, run, err := newPass(o, opts, sao, root, base, steal)
+	if err != nil {
+		return nil, err
+	}
+	return run()
+}
+
+// newPass is runPlain in two steps: it returns the skeleton, loaded and
+// wired to the driver that settles its units, and the function that runs
+// the pass over it. Only tests take the steps apart, to run the same pass
+// over the definition of a line (skeleton.walk).
+func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.Tree, steal *stealSession) (*skeleton, func() (*Result, error), error) {
 	n, depths := o.Dims(), o.Depths()
 	res := &Result{}
 	// Resolve the budget once and share it with the skeleton, so the
@@ -193,7 +205,6 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 	// boxtree rather than a map keyed by Box.Key keeps the per-box cost at
 	// word operations with zero allocation.
 	loaded := getTree(n)
-	defer treePool.Put(loaded)
 
 	// sp is the space the pass works in, wn and wdepths its shape: the
 	// oracle's own (nil), or the Balance lift of it.
@@ -202,7 +213,7 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 	if !opts.Mode.Plain() {
 		var err error
 		if sp, err = newLifted(o, opts.Mode, loaded, &res.Stats); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		wn, wdepths = sp.lift.Dims(), sp.lift.Depths()
 		sao, _ = checkSAO(nil, wn)
@@ -210,9 +221,6 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 	}
 	sk := newSkeleton(wn, wdepths, sao, opts, &res.Stats)
 	sk.base = base
-	// Nothing outlives the run inside either tree: tuples are copied out
-	// and every witness is consumed within the pass.
-	defer treePool.Put(sk.kb)
 	switch {
 	case sp != nil:
 		sp.fill(sk)
@@ -223,7 +231,7 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 		}
 		fresh, err := loadGapSet(o, filter, loaded, sk.add)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.Stats.BoxesLoaded += fresh
 	}
@@ -350,26 +358,32 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 	// re-lift walks back down from root. Everything it settled is in the
 	// knowledge base — kept across a donation, refilled after a re-lift,
 	// whose learned resolvents belong to the discarded lifted space.
-	for {
-		if steal != nil {
-			root = steal.offer(root, last)
-		}
-		_, _, err := sk.root(root)
-		switch err {
-		case errDonate:
-			continue // split the region above, then walk back down to it
-		case errRelift:
-			res.Stats.Rebuilds++
-			if err := sp.partition(); err != nil {
-				return nil, err
+	return sk, func() (*Result, error) {
+		// Nothing outlives the run inside either tree: tuples are copied
+		// out and every witness is consumed within the pass.
+		defer putTree(loaded)
+		defer putTree(sk.kb)
+		for {
+			if steal != nil {
+				root = steal.offer(root, last)
 			}
-			sk.reset()
-			sp.fill(sk)
-			continue
-		case nil, errStopped:
-			res.Stats.KnowledgeBase = sk.kb.Len()
-			return res, nil
+			_, _, err := sk.root(root)
+			switch err {
+			case errDonate:
+				continue // split the region above, then walk back down to it
+			case errRelift:
+				res.Stats.Rebuilds++
+				if err := sp.partition(); err != nil {
+					return nil, err
+				}
+				sk.reset()
+				sp.fill(sk)
+				continue
+			case nil, errStopped:
+				res.Stats.KnowledgeBase = sk.kb.Len()
+				return res, nil
+			}
+			return nil, err
 		}
-		return nil, err
-	}
+	}, nil
 }

@@ -99,7 +99,8 @@ type Options struct {
 	SharedBase bool
 	// Base, when non-nil, is an externally prepared read-only knowledge
 	// base handed to the core engine (core.Options.Base): every box in
-	// it must be a certified-empty region of THIS query's output space.
+	// it must be a certified-empty region of THIS query's output space,
+	// and it must have been built for this plan's SAO.
 	// The catalog's maintenance layer builds such bases from the
 	// unchanged atoms of a maintained query (Plan.PartialOracle +
 	// core.BuildPreloadedBase) and hands them to delta passes, which

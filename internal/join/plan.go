@@ -165,7 +165,7 @@ func (p *Plan) AllGaps() []dyadic.Box {
 // DisableSubsume runs must not use it (Plan.Execute skips it for them).
 func (p *Plan) PreloadedBase() (*core.PreparedBase, error) {
 	p.baseOnce.Do(func() {
-		p.base, p.baseErr = core.BuildPreloadedBase(p.NewOracle(), core.Options{Mode: core.Preloaded})
+		p.base, p.baseErr = core.BuildPreloadedBase(p.NewOracle(), core.Options{Mode: core.Preloaded, SAO: p.sao})
 	})
 	return p.base, p.baseErr
 }
