@@ -54,7 +54,7 @@ func main() {
 	}
 	fmt.Printf("\nPHP(4,4) has %d models (4! perfect matchings)\n", res.Models)
 
-	// Counting without enumeration: the memoized counting skeleton sums
+	// Counting without enumeration: the counting skeleton sums
 	// whole satisfying sub-cubes, so astronomically many models are fine.
 	big50 := tetrisjoin.CNF{
 		NumVars: 50,

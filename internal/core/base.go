@@ -41,13 +41,7 @@ func BuildPreloadedBase(o Oracle, opts Options) (*PreparedBase, error) {
 	}
 	tree := boxtree.New(n)
 	tree.SetOrder(sao)
-	insert := func(b dyadic.Box) {
-		if opts.DisableSubsume {
-			tree.Insert(b)
-		} else {
-			tree.InsertSubsuming(b)
-		}
-	}
+	insert := func(b dyadic.Box) { insertBox(tree, b, !opts.DisableSubsume, false) }
 	loaded, err := loadGapSet(o, nil, boxtree.New(n), insert)
 	if err != nil {
 		return nil, err

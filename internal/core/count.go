@@ -22,13 +22,18 @@ type CountReport struct {
 // covered by any of the boxes — without enumerating them. This is the
 // counting variant of TetrisSkeleton that Section 4.2.4 alludes to ("it
 // is for #SAT"): instead of returning witness boxes, each recursion
-// returns the uncovered count of its target, memoized per target box, so
-// a sub-space with 2^50 uncovered points costs one cache hit rather than
-// 2^50 outputs. Counts are exact big integers.
+// returns the uncovered count of its target, and a target no box meets
+// counts its whole volume at once, so a sub-space with 2^50 uncovered
+// points costs one probe rather than 2^50 outputs. Counts are exact big
+// integers.
 //
-// Combined with package sat this is a #SAT counter with caching; as
-// SpaceSize − CountUncovered it solves the counting version of Klee's
-// measure problem in any dimension.
+// The descent splits each target into its two halves and so reaches every
+// target once: there is nothing for a cache to hit, and opts.NoCache is
+// ignored, as is everything but SAO and Context.
+//
+// Combined with package sat this is a #SAT counter; as SpaceSize −
+// CountUncovered it solves the counting version of Klee's measure problem
+// in any dimension.
 func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountReport, error) {
 	n := len(depths)
 	if n == 0 {
@@ -53,13 +58,11 @@ func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountRep
 		rep.Stats.BoxesLoaded++
 	}
 	c := &counter{
-		kb:      kb,
-		sao:     sao,
-		depths:  depths,
-		noCache: opts.NoCache,
-		ctx:     opts.Context,
-		memo:    map[string]*big.Int{},
-		stats:   &rep.Stats,
+		kb:     kb,
+		sao:    sao,
+		depths: depths,
+		ctx:    opts.Context,
+		stats:  &rep.Stats,
 	}
 	rep.Uncovered = c.count(dyadic.Universe(n))
 	if c.ctxErr != nil {
@@ -70,14 +73,12 @@ func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountRep
 }
 
 type counter struct {
-	kb      *boxtree.Tree
-	sao     []int
-	depths  []uint8
-	noCache bool
-	ctx     context.Context // cooperative cancellation; nil = never
-	ctxErr  error           // sticky: set once cancelled, unwinds the recursion
-	memo    map[string]*big.Int
-	stats   *Stats
+	kb     *boxtree.Tree
+	sao    []int
+	depths []uint8
+	ctx    context.Context // cooperative cancellation; nil = never
+	ctxErr error           // sticky: set once cancelled, unwinds the recursion
+	stats  *Stats
 }
 
 var bigZero = big.NewInt(0)
@@ -114,25 +115,7 @@ func (c *counter) count(b dyadic.Box) *big.Int {
 		v := new(big.Int).Lsh(bigOne, uint(b.LogVolume(c.depths)))
 		return v
 	}
-	key := ""
-	if !c.noCache {
-		key = b.Key()
-		if v, ok := c.memo[key]; ok {
-			c.stats.CoverHits++
-			return v
-		}
-	}
 	c.stats.Splits++
 	b1, b2 := b.SplitAt(dim)
-	v := new(big.Int).Add(c.count(b1), c.count(b2))
-	if !c.noCache {
-		if v.Sign() == 0 {
-			// Fully covered: record it geometrically (the analogue of
-			// caching the resolvent) so supersets of b short-circuit.
-			c.kb.InsertSubsuming(b)
-		} else {
-			c.memo[key] = v
-		}
-	}
-	return v
+	return new(big.Int).Add(c.count(b1), c.count(b2))
 }

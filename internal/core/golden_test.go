@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tetrisjoin/internal/catalog"
@@ -21,25 +23,6 @@ type goldenLB struct {
 	probes, rebuilds int64
 }
 
-// checkGoldenLB runs the query sequentially in both LB modes.
-func checkGoldenLB(t *testing.T, label string, c *catalog.Catalog, query string, preloaded, reloaded goldenLB) {
-	t.Helper()
-	// In this order: the catalog's plan cache and planner feedback make an
-	// ad-hoc execution depend on the ones before it.
-	for i, want := range []goldenLB{preloaded, reloaded} {
-		mode := []core.Mode{core.PreloadedLB, core.ReloadedLB}[i]
-		res, err := c.Execute(query, join.Options{Mode: mode, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, label+" "+mode.Name(), res.Stats, want.golden)
-		if res.Stats.OracleCalls != want.probes || res.Stats.Rebuilds != want.rebuilds {
-			t.Errorf("%s %s: %d oracle probes and %d rebuilds, want %d and %d", label, mode.Name(),
-				res.Stats.OracleCalls, res.Stats.Rebuilds, want.probes, want.rebuilds)
-		}
-	}
-}
-
 func checkGolden(t *testing.T, label string, s core.Stats, want golden) {
 	t.Helper()
 	got := golden{s.Resolutions, s.BoxesLoaded, int64(s.KnowledgeBase), s.Outputs}
@@ -48,17 +31,43 @@ func checkGolden(t *testing.T, label string, s core.Stats, want golden) {
 	}
 }
 
-// TestGoldenEngineCounts pins the engine's deterministic work on the two
-// shapes the serving benchmark measures. The loaded, outputs, probes and
-// rebuilds columns are the restart-loop engine's and no change to how
-// frames are covered may move them: the pass, the fused insert, the
-// narrowed probes, the SAO-ordered tries and the lines all load the same
-// boxes and report the same tuples. The resolutions and kb columns are as
-// of the lines: a line over k covers charges k-1, which is the bisection's
-// count unless a cover loaded late reaches back over earlier ones (the
-// reloaded rows rose; the preloaded ones did not move), and it caches one
-// witness per line where the bisection cached one per level.
-func TestGoldenEngineCounts(t *testing.T) {
+func checkGoldenLB(t *testing.T, label string, s core.Stats, want goldenLB) {
+	t.Helper()
+	checkGolden(t, label, s, want.golden)
+	if s.OracleCalls != want.probes || s.Rebuilds != want.rebuilds {
+		t.Errorf("%s: %d oracle probes and %d rebuilds, want %d and %d", label,
+			s.OracleCalls, s.Rebuilds, want.probes, want.rebuilds)
+	}
+}
+
+// execution is one run of a golden row: its tuples, in order, and its work.
+type execution struct {
+	tuples [][]uint64
+	stats  core.Stats
+}
+
+// goldenExecutions runs the rows of TestGoldenEngineCounts, each shape on a
+// fresh catalog, and returns them by label.
+func goldenExecutions(t *testing.T) (map[string]execution, []string) {
+	runs := map[string]execution{}
+	var labels []string
+	record := func(label string, res *join.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[label] = execution{res.Tuples, res.Stats}
+		labels = append(labels, label)
+	}
+	// Both LB modes, in this order: the catalog's plan cache and planner
+	// feedback make an ad-hoc execution depend on the ones before it.
+	lifted := func(label string, c *catalog.Catalog, query string) {
+		for _, mode := range []core.Mode{core.PreloadedLB, core.ReloadedLB} {
+			res, err := c.Execute(query, join.Options{Mode: mode, Parallelism: 1})
+			record(label+" "+mode.Name(), res, err)
+		}
+	}
+
 	// The AGM-hard star triangle R=S=T={0}×[64] ∪ [64]×{0} at depth 12 as
 	// the prepared_star workload runs it: prepared once, executed in
 	// Preloaded mode over the plan's shared base, planner-chosen SAO.
@@ -77,36 +86,16 @@ func TestGoldenEngineCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for exec := 0; exec < 2; exec++ { // the second execution reuses the base
+	for exec := 1; exec <= 2; exec++ { // the second execution reuses the base
 		res, err := p.Execute(join.Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "star", res.Stats, golden{2475, 2298, 2269, 190})
-		if res.Stats.SkeletonCalls > 3600 || res.Stats.Lines != 127 {
-			t.Errorf("star: %d skeleton calls over %d lines, want at most 3600 over 127 (bisecting every frame made 4951, the restart loop 12557)",
-				res.Stats.SkeletonCalls, res.Stats.Lines)
-		}
-		if res.Stats.OracleCalls != 0 {
-			t.Errorf("star: Preloaded probed the oracle %d times", res.Stats.OracleCalls)
-		}
+		record(fmt.Sprintf("star %d", exec), res, err)
 	}
 	// The same query in the lifted space.
-	checkGoldenLB(t, "star", c, "R(A,B), S(B,C), T(A,C)",
-		goldenLB{golden{3333, 2298, 45, 190}, 0, 0},
-		goldenLB{golden{10960, 1164, 45, 190}, 1342, 10})
+	lifted("star", c, "R(A,B), S(B,C), T(A,C)")
 
 	// Seeded random triangles, 400 tuples per relation over 64×64, run
-	// Reloaded the way an ad-hoc query is. Every uncovered unit box costs
-	// one oracle probe, as it did under the restart loop.
-	for seed, want := range map[int64]struct {
-		golden
-		probes int64
-	}{
-		1: {golden{13430, 2864, 968, 227}, 2141},
-		2: {golden{13282, 2974, 989, 258}, 2275},
-		3: {golden{13878, 2989, 991, 250}, 2267},
-	} {
+	// Reloaded the way an ad-hoc query is.
+	for seed := int64(1); seed <= 3; seed++ {
 		c := catalog.New()
 		for i, name := range []string{"E0", "E1", "E2"} {
 			rng := rand.New(rand.NewSource(seed*10 + int64(i)))
@@ -118,35 +107,98 @@ func TestGoldenEngineCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		label := fmt.Sprintf("random triangle %d", seed)
 		res, err := c.Execute("E0(A,B), E1(B,C), E2(A,C)", join.Options{Mode: core.Reloaded, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "random triangle", res.Stats, want.golden)
-		if res.Stats.OracleCalls != want.probes {
-			t.Errorf("random triangle %d: %d oracle probes, want %d", seed, res.Stats.OracleCalls, want.probes)
-		}
+		record(label, res, err)
 		if seed == 1 {
-			checkGoldenLB(t, "random triangle 1", c, "E0(A,B), E1(B,C), E2(A,C)",
-				goldenLB{golden{9079, 3195, 1233, 227}, 0, 0},
-				goldenLB{golden{41926, 2866, 1520, 227}, 2135, 10})
+			lifted(label, c, "E0(A,B), E1(B,C), E2(A,C)")
 		}
 	}
 
 	// Example F.1, the instance the LB modes exist for (plain Tetris needs
-	// ~|C|² resolutions on it, the lift ~|C|^{3/2}): no outputs, so every
-	// settled unit is a gap load, and the restart loop walked back down
-	// from the lifted universe after each one.
+	// ~|C|² resolutions on it, the lift ~|C|^{3/2}).
 	f1 := workload.ExampleF1(8)
 	res, err := core.Run(core.MustBoxOracle(f1.Depths, f1.Boxes), core.Options{Mode: core.ReloadedLB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, f1.Name, res.Stats, golden{3371, 384, 56, 0})
-	if res.Stats.Rebuilds != 8 {
-		t.Errorf("%s: %d rebuilds, want 8", f1.Name, res.Stats.Rebuilds)
+	runs[f1.Name] = execution{res.Tuples, res.Stats}
+	labels = append(labels, f1.Name)
+	return runs, labels
+}
+
+// TestGoldenEngineCounts pins the engine's deterministic work on the two
+// shapes the serving benchmark measures. The loaded, outputs, probes and
+// rebuilds columns are the restart-loop engine's and no change to how
+// frames are covered may move them: the pass, the fused insert, the
+// narrowed probes, the SAO-ordered tries and the lines all load the same
+// boxes and report the same tuples. The resolutions column is as of the
+// lines: a line over k covers charges k-1, which is the bisection's count
+// unless a cover loaded late reaches back over earlier ones (the reloaded
+// rows rose; the preloaded ones did not move). The kb column counts what a
+// run keeps, which in the plain modes is its gap boxes and the resolvents
+// larger than their frame: every row is also run with every box stored,
+// and must do the same work but for that column.
+func TestGoldenEngineCounts(t *testing.T) {
+	runs, labels := goldenExecutions(t)
+	var kept map[string]execution
+	core.KeepingEverything(func() { kept, _ = goldenExecutions(t) })
+	if runs["random triangle 1"].stats.KnowledgeBase == kept["random triangle 1"].stats.KnowledgeBase {
+		t.Fatal("random triangle 1 kept as many boxes storing everything: the comparison is vacuous")
 	}
-	if res.Stats.SkeletonCalls > 7100 {
-		t.Errorf("%s: %d skeleton calls, want at most 7100 (bisecting every frame made 7387, the restart loop 18237)", f1.Name, res.Stats.SkeletonCalls)
+	for _, label := range labels {
+		got, all := runs[label], kept[label]
+		all.stats.KnowledgeBase = got.stats.KnowledgeBase
+		if !reflect.DeepEqual(got.tuples, all.tuples) || got.stats != all.stats {
+			t.Errorf("%s: storing only boxes larger than their frame changed the run: %d tuples, %+v; storing every box %d tuples, %+v",
+				label, len(got.tuples), got.stats, len(all.tuples), all.stats)
+		}
+	}
+
+	for _, label := range []string{"star 1", "star 2"} {
+		s := runs[label].stats
+		// A prepared Preloaded run keeps nothing of its own: the kb column
+		// is its shared base.
+		checkGolden(t, label, s, golden{2475, 2298, 2268, 190})
+		if s.SkeletonCalls > 3600 || s.Lines != 127 {
+			t.Errorf("%s: %d skeleton calls over %d lines, want at most 3600 over 127 (bisecting every frame made 4951, the restart loop 12557)",
+				label, s.SkeletonCalls, s.Lines)
+		}
+		if s.OracleCalls != 0 {
+			t.Errorf("%s: Preloaded probed the oracle %d times", label, s.OracleCalls)
+		}
+	}
+	checkGoldenLB(t, "star preloaded-lb", runs["star preloaded-lb"].stats, goldenLB{golden{3333, 2298, 45, 190}, 0, 0})
+	checkGoldenLB(t, "star reloaded-lb", runs["star reloaded-lb"].stats, goldenLB{golden{10960, 1164, 45, 190}, 1342, 10})
+
+	// Every uncovered unit box costs one oracle probe, as it did under the
+	// restart loop.
+	for seed, want := range []struct {
+		golden
+		probes int64
+	}{
+		{golden{13430, 2864, 2863, 227}, 2141},
+		{golden{13282, 2974, 2974, 258}, 2275},
+		{golden{13878, 2989, 2988, 250}, 2267},
+	} {
+		label := fmt.Sprintf("random triangle %d", seed+1)
+		checkGolden(t, label, runs[label].stats, want.golden)
+		if got := runs[label].stats.OracleCalls; got != want.probes {
+			t.Errorf("%s: %d oracle probes, want %d", label, got, want.probes)
+		}
+	}
+	checkGoldenLB(t, "random triangle 1 preloaded-lb", runs["random triangle 1 preloaded-lb"].stats, goldenLB{golden{9079, 3195, 1233, 227}, 0, 0})
+	checkGoldenLB(t, "random triangle 1 reloaded-lb", runs["random triangle 1 reloaded-lb"].stats, goldenLB{golden{41926, 2866, 1520, 227}, 2135, 10})
+
+	// Example F.1: no outputs, so every settled unit is a gap load, and the
+	// restart loop walked back down from the lifted universe after each one.
+	f1 := workload.ExampleF1(8)
+	s := runs[f1.Name].stats
+	checkGolden(t, f1.Name, s, golden{3371, 384, 56, 0})
+	if s.Rebuilds != 8 {
+		t.Errorf("%s: %d rebuilds, want 8", f1.Name, s.Rebuilds)
+	}
+	if s.SkeletonCalls > 7100 {
+		t.Errorf("%s: %d skeleton calls, want at most 7100 (bisecting every frame made 7387, the restart loop 18237)", f1.Name, s.SkeletonCalls)
 	}
 }

@@ -14,7 +14,8 @@ import (
 
 // referenceLine is skeleton.line as DESIGN.md words it, with nothing
 // hoisted: at every position of b[dim] the unit box is probed whole — kb,
-// then base — so no trie root outlives the probe that found it.
+// then base — so no trie root outlives the probe that found it. Its witness
+// is stored by the same rule as the line's.
 func referenceLine(s *skeleton) func(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 	return func(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 		s.stats.Splits++
@@ -60,7 +61,9 @@ func referenceLine(s *skeleton) func(b dyadic.Box, dim int) (bool, dyadic.Box, e
 			}
 			p = c[dim].Hi(d) + 1
 		}
-		s.addResolvent(w)
+		if s.keeps(w, b) {
+			s.addResolvent(w)
+		}
 		return true, w, nil
 	}
 }
@@ -186,9 +189,10 @@ func permutations(n int) [][]int {
 }
 
 // TestLineMatchesItsDefinition: the collected last-level tries, re-collected
-// after every settled unit, must answer every position of every line as a
-// whole probe of the unit box does — over every SAO, in every mode, with
-// and without a shared base, from the universe, a shard and an odd root.
+// after every settled unit that wrote to kb, must answer every position of
+// every line as a whole probe of the unit box does — over every SAO, in
+// every mode, with and without a shared base, from the universe, a shard
+// and an odd root.
 func TestLineMatchesItsDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(2301))
 	lines, relifts := 0, int64(0)
@@ -292,6 +296,11 @@ func TestLineGapLoads(t *testing.T) {
 	if s := got.stats; s.Resolutions != 3 || s.OracleCalls != 4 || s.Lines != 1 || s.SkeletonCalls != 1+4 {
 		t.Errorf("late gap: resolutions/probes/lines/calls %d/%d/%d/%d, want 3/4/1/5", s.Resolutions, s.OracleCalls, s.Lines, s.SkeletonCalls)
 	}
+	// The witness ⟨λ⟩ is the line's own frame, so it is not stored: the
+	// knowledge base keeps the gaps that ⟨0⟩ did not subsume.
+	if fmt.Sprint(got.kb) != "[⟨0⟩ ⟨1⟩]" {
+		t.Errorf("late gap: the line left the knowledge base %v, want the gaps ⟨0⟩ and ⟨1⟩", got.kb)
+	}
 	binary, err := Run(late, Options{TrackProvenance: true})
 	if err != nil {
 		t.Fatal(err)
@@ -336,10 +345,11 @@ func TestLineStopsMidway(t *testing.T) {
 }
 
 // TestLineDonatesAtEveryUnit: with a crowd of idle workers that never goes
-// away, every settled unit unwinds its line to donate, until the region can
-// be split no further. Run one after the other in key order, the fragments
-// must still add up to the sequential enumeration, every abandoned line
-// walked again over what it had settled.
+// away, every settled unit unwinds its line to donate, until nothing is left
+// to split. Run one after the other in key order, the fragments must add up
+// to the sequential enumeration, settle exactly its units in its order and
+// probe each position once: a pass goes on from the right siblings of the
+// unit it settled last, so no settled unit is walked again.
 func TestLineDonatesAtEveryUnit(t *testing.T) {
 	depths, sao := []uint8{3, 4}, []int{0, 1}
 	var combs []dyadic.Box
@@ -351,30 +361,48 @@ func TestLineDonatesAtEveryUnit(t *testing.T) {
 	o := MustBoxOracle(depths, combs)
 	for _, mode := range []Mode{Preloaded, Reloaded} {
 		opts := Options{Mode: mode, SAO: sao}
-		seq, err := Run(o, opts)
-		if err != nil {
-			t.Fatal(err)
+		var settled []string
+		run := func(root dyadic.Box, steal *stealSession) *Result {
+			sk, run, err := newPass(o, opts, sao, root, nil, steal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settle := sk.settleUnit
+			sk.settleUnit = func(b dyadic.Box) (dyadic.Box, error) {
+				settled = append(settled, b.String())
+				return settle(b)
+			}
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
+		seq := run(dyadic.Universe(2), nil)
+		seqSettled := settled
+		settled = nil
 		seeds, _ := stealSeeds(depths, sao, 1)
 		sched := newStealScheduler(1, seeds, defaultStealDepth, sao, depths)
 		sched.waiters = 1 << 20
 		sched.syncDemand()
 		var got Result
 		for f := sched.nextToMerge(); f != nil; f = sched.nextToMerge() {
-			res, err := runPlain(o, opts, sao, f.box, nil, sched.session(0, f))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := run(f.box, sched.session(0, f))
 			got.Tuples = append(got.Tuples, res.Tuples...)
 			got.Stats.Merge(res.Stats)
 		}
 		if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
 			t.Fatalf("%v: fragments enumerated %v, sequential run %v", mode, got.Tuples, seq.Tuples)
 		}
-		// At least the 64 outputs each abandoned a line to donate.
-		if sched.steals < 64 || got.Stats.Lines < seq.Stats.Lines+32 || got.Stats.OracleCalls != seq.Stats.OracleCalls {
-			t.Errorf("%v: %d steals, %d lines, %d probes; sequential run %d lines, %d probes", mode,
-				sched.steals, got.Stats.Lines, got.Stats.OracleCalls, seq.Stats.Lines, seq.Stats.OracleCalls)
+		if !reflect.DeepEqual(settled, seqSettled) {
+			t.Fatalf("%v: fragments settled the units %v, sequential run %v", mode, settled, seqSettled)
+		}
+		// At least the 64 outputs each unwound to donate. Every cover here is
+		// a unit box, so a position walked again — a settled unit, or a gap
+		// found before — would be one more cover hit.
+		if sched.steals < 64 || got.Stats.OracleCalls != seq.Stats.OracleCalls || got.Stats.CoverHits != seq.Stats.CoverHits {
+			t.Errorf("%v: %d steals, %d probes, %d cover hits; sequential run %d probes, %d cover hits", mode,
+				sched.steals, got.Stats.OracleCalls, got.Stats.CoverHits, seq.Stats.OracleCalls, seq.Stats.CoverHits)
 		}
 	}
 }

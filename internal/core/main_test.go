@@ -14,3 +14,11 @@ func TestMain(m *testing.M) {
 	boxtree.CheckPreconditions = true
 	os.Exit(m.Run())
 }
+
+// KeepingEverything runs f with every skeleton storing every box, also
+// those equal to their frame; the external tests reach it from here.
+func KeepingEverything(f func()) {
+	keepEverything = true
+	defer func() { keepEverything = false }()
+	f()
+}

@@ -122,7 +122,8 @@ type Options struct {
 	// TrackProvenance and OnResolve it is about the binary resolution
 	// steps themselves, so a run with any of the three bisects the last
 	// SAO dimension like the others instead of walking it as lines
-	// (Stats.Lines stays 0).
+	// (Stats.Lines stays 0), and does not apply the plain modes' storage
+	// rule (see Stats.KnowledgeBase).
 	NoCache bool
 	// DisableSubsume turns off knowledge-base compaction (removal of
 	// boxes covered by a newly learned resolvent). Compaction does not
@@ -166,10 +167,10 @@ type Options struct {
 	// sibling shards after a failure or an early stop.
 	Context context.Context
 	// StealDepth bounds dynamic shard splitting in RunShards. An idle
-	// worker steals by having a busy worker split off the SAO-later half
-	// of its remaining region (the same first-thick-dimension split the
-	// skeleton's recursion takes); fragments may be carved at most
-	// StealDepth binary splits below the universe. 0 applies the default
+	// worker steals by having a busy worker donate the SAO-latest untouched
+	// node of its remaining region (a node of the first-thick-dimension
+	// splits the skeleton's recursion takes); fragments may be carved at
+	// most StealDepth binary splits below the universe. 0 applies the default
 	// bound; a negative value disables dynamic splitting entirely, so the
 	// run balances only across the static ShardRoots partition. The
 	// deterministic merge order — and therefore the output order — is
@@ -234,7 +235,12 @@ type Stats struct {
 	// while an execution of an already-prepared plan reports 0 — the
 	// measurable witness that the catalog amortizes index construction.
 	IndexBuilds int64
-	// KnowledgeBase is the final number of boxes in the knowledge base.
+	// KnowledgeBase is the number of boxes the run keeps in its knowledge
+	// base at the end, not the number it derived: in the plain modes a
+	// resolvent, a line's witness or an output's cover is kept only when it
+	// is larger than the frame it was found for, since no later probe can
+	// hit one that is not (NoCache, TrackProvenance, OnResolve and the LB
+	// modes keep them all).
 	KnowledgeBase int
 	// Steals counts fragments the work-stealing executor split off
 	// running workers' regions (0 for sequential runs and for runs with

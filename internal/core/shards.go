@@ -44,8 +44,8 @@ func ShardRoots(depths []uint8, sao []int, shards int) []dyadic.Box {
 // the SAO prefix (the ShardRoots partition); workers own deques of
 // fragments, and an idle worker steals either a whole pending fragment
 // from another deque or — when every deque is empty — by having a busy
-// worker split off the SAO-later half of its remaining region at the
-// first thick dimension, the same split the skeleton's own recursion
+// worker donate the SAO-latest untouched node of its remaining region,
+// a node of the first-thick-dimension splits the skeleton's own recursion
 // takes (bounded by Options.StealDepth). Every fragment is therefore a
 // node of the sequential recursion tree, keyed by its depth-first path;
 // output decomposition over disjoint dyadic boxes is exact (Proposition

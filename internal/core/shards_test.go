@@ -140,10 +140,10 @@ func TestRunShardsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunShardsSinglePass: a fragment's pass that unwinds to donate
-// re-enters over a knowledge base holding only what line 19 cached, so
-// the cache-free variant is the one whose re-entry has to re-derive every
-// witness; it must still reproduce the sequential enumeration.
+// TestRunShardsSinglePass: a fragment's pass that unwinds to donate goes
+// on from the untouched right siblings of the unit it settled last, over a
+// knowledge base holding no resolvent in the cache-free variant; it must
+// still reproduce the sequential enumeration.
 func TestRunShardsSinglePass(t *testing.T) {
 	o := shardInstance(t)
 	for _, mode := range []Mode{Preloaded, Reloaded} {

@@ -26,7 +26,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	}
 	res := &Result{}
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
-	sk.walk = nil
+	sk.walk, sk.keepAll = nil, true // a restart walks back into finished frames
 	loaded := boxtree.New(n)
 	if opts.Mode == Preloaded {
 		fresh, err := loadGapSet(o, root, loaded, sk.add)
@@ -179,6 +179,24 @@ func sameWork(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// sameAsKeepingEverything fails unless got is what run returns with every
+// box stored, also those equal to their frame, in everything but
+// KnowledgeBase: the boxes the storage rule drops are never hit.
+func sameAsKeepingEverything(t *testing.T, label string, got *Result, run func() (*Result, error)) {
+	t.Helper()
+	var all *Result
+	var err error
+	KeepingEverything(func() { all, err = run() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := all.Stats
+	stats.KnowledgeBase = got.Stats.KnowledgeBase
+	if !reflect.DeepEqual(got.Tuples, all.Tuples) || got.Stats != stats {
+		t.Fatalf("%s: pass enumerated %v with %+v, storing every box %v with %+v", label, got.Tuples, got.Stats, all.Tuples, all.Stats)
+	}
+}
+
 // TestSinglePassMatchesRestartMode: the depth-first pass must report what
 // the restart-based outer loop reports, in both modes, from the universe
 // and from a fragment's root, under every SAO — and in both LB modes from
@@ -209,10 +227,12 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 					var want *Result
 					for _, prov := range []bool{false, true} {
 						opts.TrackProvenance = prov
-						got, err := RunBox(o, opts, root)
+						run := func() (*Result, error) { return RunBox(o, opts, root) }
+						got, err := run()
 						if err != nil {
 							t.Fatal(err)
 						}
+						sameAsKeepingEverything(t, mode.String(), got, run)
 						want = restartReference(t, o, opts, root)
 						if prov {
 							sameWork(t, mode.String(), got, want)
@@ -260,10 +280,12 @@ func lbMatchesRestartMode(t *testing.T, r *rand.Rand) {
 			for _, subsume := range []bool{true, false} {
 				for _, prov := range []bool{false, true} {
 					opts := Options{Mode: mode, DisableSubsume: !subsume, TrackProvenance: prov}
-					got, err := Run(o, opts)
+					run := func() (*Result, error) { return Run(o, opts) }
+					got, err := run()
 					if err != nil {
 						t.Fatal(err)
 					}
+					sameAsKeepingEverything(t, mode.String(), got, run)
 					want := restartReferenceLB(t, o, opts)
 					if prov {
 						sameWork(t, mode.String(), got, want)

@@ -49,15 +49,21 @@ type skeleton struct {
 	kb *boxtree.Tree
 	// base, when non-nil, is a read-only knowledge base consulted after
 	// kb: the preloaded gap box set shared by every shard of a RunShards
-	// execution. The skeleton never writes to it (learned resolvents and
-	// outputs go to the private kb), which is what makes sharing it
-	// across worker goroutines safe.
+	// execution. The skeleton never writes to it (whatever the run stores
+	// goes to the private kb), which is what makes sharing it across
+	// worker goroutines safe.
 	base    *boxtree.Tree
 	sao     []int
 	depths  []uint8
 	n       int
 	noCache bool
 	subsume bool
+	// keepAll stores every resolvent, line witness and output cover, also
+	// those equal to their frame, which no later probe of a plain pass can
+	// hit (see keeps).
+	keepAll bool
+	// wrote records that an insert reached kb since it was last cleared.
+	wrote bool
 
 	// walk settles a frame that is thick only in the last SAO dimension
 	// (line). Nil when the run counts or observes binary steps — NoCache,
@@ -116,11 +122,21 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 	if opts.TrackProvenance {
 		s.fromOutput = boxtree.New(n)
 	}
-	if !opts.NoCache && !opts.TrackProvenance && opts.OnResolve == nil {
+	binary := opts.NoCache || opts.TrackProvenance || opts.OnResolve != nil
+	if !binary {
 		s.walk = s.line
 	}
+	// The storage rule. A plain pass reaches every frame once, along one
+	// path, and never probes inside a frame it has finished, so only a box
+	// strictly larger than its frame can be hit again. The lifted modes keep
+	// everything: a ReloadedLB re-lift walks back down from the universe.
+	s.keepAll = binary || !opts.Mode.Plain() || keepEverything
 	return s
 }
+
+// keepEverything sets keepAll on every skeleton. Only tests set it, to run
+// a pass beside the same pass storing everything.
+var keepEverything bool
 
 // treePool recycles knowledge-base trees between runs, plain and lifted
 // (getTree matches on dimensionality): regrowing the slabs on every
@@ -163,13 +179,25 @@ func (s *skeleton) reset() {
 	}
 }
 
+// insertBox is the one knowledge-base insert. With subsumption the box is
+// stored unless a stored box contains it — known not to when uncovered is
+// set, which skips the probe — and sweeps out stored boxes it contains;
+// without, it is stored as is.
+func insertBox(t *boxtree.Tree, b dyadic.Box, subsume, uncovered bool) {
+	switch {
+	case !subsume:
+		t.Insert(b)
+	case uncovered:
+		t.InsertUncovered(b)
+	default:
+		t.InsertSubsuming(b)
+	}
+}
+
 // add inserts a box into the knowledge base.
 func (s *skeleton) add(b dyadic.Box) {
-	if s.subsume {
-		s.kb.InsertSubsuming(b)
-	} else {
-		s.kb.Insert(b)
-	}
+	insertBox(s.kb, b, s.subsume, false)
+	s.wrote = true
 }
 
 // addResolvent caches the resolvent w of the frame with box b ⊆ w (line
@@ -178,19 +206,33 @@ func (s *skeleton) add(b dyadic.Box) {
 // resolvent or a settled unit's witness from one of b's halves — came back
 // up as a witness and ended the frame before it resolved.
 func (s *skeleton) addResolvent(w dyadic.Box) {
-	if s.subsume {
-		s.kb.InsertUncovered(w)
-	} else {
-		s.kb.Insert(w)
-	}
+	insertBox(s.kb, w, s.subsume, true)
+	s.wrote = true
 }
 
-// addOutput inserts an output (unit) box and marks its provenance.
+// addOutput inserts an output's cover and marks its provenance.
 func (s *skeleton) addOutput(b dyadic.Box) {
 	if s.fromOutput != nil {
 		s.fromOutput.Insert(b)
 	}
 	s.add(b)
+}
+
+// keeps reports whether w, found for the frame b ⊆ w — its resolvent, a
+// line's witness, or an output's cover — goes into the knowledge base: only
+// when it is strictly larger than b, unless keepAll. A box equal to its
+// frame can contain only frames inside it, and the pass never probes inside
+// a finished frame again.
+func (s *skeleton) keeps(w, b dyadic.Box) bool {
+	if s.keepAll {
+		return true
+	}
+	for i, iv := range w {
+		if iv.Len < b[i].Len {
+			return true
+		}
+	}
+	return false
 }
 
 // root invokes run on a fresh arena. Drivers must enter through root so
@@ -240,10 +282,13 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	}
 	// Line 1: a stored box covering b is a ready-made witness. The
 	// private kb (learned resolvents, outputs, lazily loaded gaps) is
-	// probed first, then the shared read-only base if the shard has one.
-	if a, ok := s.probe(s.kb, b, split); ok {
-		s.stats.CoverHits++
-		return true, a, nil
+	// probed first — unless it is empty, as a prepared Preloaded run's
+	// stays — then the shared read-only base if the shard has one.
+	if s.kb.Len() > 0 {
+		if a, ok := s.probe(s.kb, b, split); ok {
+			s.stats.CoverHits++
+			return true, a, nil
+		}
 	}
 	if s.base != nil {
 		if a, ok := s.probe(s.base, b, split); ok {
@@ -318,8 +363,9 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 			s.stats.GapResolutions++
 		}
 	}
-	// Line 19: cache the resolvent (skipped in Tree Ordered mode).
-	if !s.noCache {
+	// Line 19: cache the resolvent (skipped in Tree Ordered mode) if it
+	// can be hit again.
+	if !s.noCache && s.keeps(w, b) {
 		s.addResolvent(w)
 	}
 	return true, s.settle(mark, w), nil
@@ -349,11 +395,12 @@ func (s *skeleton) probe(t *boxtree.Tree, b dyadic.Box, split int) (dyadic.Box, 
 // uncovered and settled as ever. The walk jumps past each cover's segment;
 // the k covers it used resolve on dim, k-1 ordered resolutions (Lemma C.1)
 // charged one by one, into ⟨the meet of their other components, b[dim]⟩,
-// which is cached and handed up as the frame's witness. A cover containing
-// b is handed up as is instead, at once — only a settled unit's witness can
-// be one: b's probe missed, and the shallowest-frame rule brings up
-// whatever was loaded since that contains b — so no stored box contains the
-// cached witness, and the parent's exact probes stay complete.
+// which is handed up as the frame's witness and cached if it is larger than
+// b (keeps). A cover containing b is handed up as is instead, at once —
+// only a settled unit's witness can be one: b's probe missed, and the
+// shallowest-frame rule brings up whatever was loaded since that contains
+// b — so no stored box contains the cached witness, and the parent's exact
+// probes stay complete.
 func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 	s.stats.Splits++
 	s.stats.Lines++
@@ -380,11 +427,15 @@ func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 				return false, s.settle(mark, u), nil
 			}
 			var err error
+			s.wrote = false
 			if c, err = s.settleUnit(u); err != nil {
 				return false, nil, err
 			}
-			// The unit's cover went into kb, and may have subsumed there.
-			s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
+			// Loaded gaps or a stored cover may have created a trie in kb,
+			// or subsumed one away.
+			if s.wrote {
+				s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
+			}
 		}
 		// c contains u, which is b everywhere but in dim.
 		if c[dim].Len <= b[dim].Len {
@@ -404,7 +455,9 @@ func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 		p = c[dim].Hi(d) + 1
 	}
 	w[dim] = b[dim]
-	s.addResolvent(w)
+	if s.keeps(w, b) {
+		s.addResolvent(w)
+	}
 	return true, s.settle(mark, w), nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -221,19 +222,18 @@ func (s *stealScheduler) maxWorkerResolutions() int64 {
 }
 
 // stealSession is the per-running-fragment donation state a worker
-// threads into runPlain: the DFS path of the region it still owns
-// (extending the fragment's key) and a flag set once the region can no
-// longer be split within the depth bound.
+// threads into runPlain: the fragment's key and a flag set once nothing
+// the pass has left can be donated within the depth bound.
 type stealSession struct {
 	s         *stealScheduler
 	w         int
-	path      []byte
+	key       string
 	exhausted bool
 }
 
 // session starts a donation session for fragment f running on worker w.
 func (s *stealScheduler) session(w int, f *fragment) *stealSession {
-	return &stealSession{s: s, w: w, path: []byte(f.key)}
+	return &stealSession{s: s, w: w, key: f.key}
 }
 
 // wanted reports whether unwinding to a donation checkpoint could help:
@@ -243,55 +243,70 @@ func (ss *stealSession) wanted() bool {
 	return !ss.exhausted && ss.s.demand.Load() > 0
 }
 
-// offer is the work-stealing checkpoint, called by runPlain before each
-// (re-)entry of its pass. When idle workers outnumber pending fragments
-// it splits the caller's remaining region for them. last is the most
-// recently settled point (nil before the first): the pass settles points
-// in increasing SAO-lexicographic order, so every point at or before
-// last is already covered or emitted. The walk
-// re-runs the skeleton's own Split-First-Thick-Dimension splits from
-// the region's root: halves SAO-before last are fully done and are
-// descended past; the first half SAO-after last is untouched and is
-// donated whole — a node of the sequential recursion tree, keyed by its
-// DFS path. Returns the (possibly shrunk) region the caller keeps.
-func (ss *stealSession) offer(root dyadic.Box, last []uint64) dyadic.Box {
+// entry is a node of the sequential recursion tree that a pass has yet to
+// enter, keyed by its DFS path from the universe like a fragment.
+type entry struct {
+	box  dyadic.Box
+	path string
+}
+
+// after is what is left of e once the pass has settled the point last in
+// it: the right siblings along last's Split-First-Thick-Dimension path
+// from e down to the unit, in SAO order (deepest first). Every point of e
+// before last is settled, every point in these siblings is untouched, and
+// inside a line they are the dyadic segments after last.
+func (e entry) after(last []uint64, sao []int, depths []uint8) []entry {
+	var rest []entry
+	box, path := e.box, e.path
+	for dim := box.FirstThick(sao, depths); dim != -1; dim = box.FirstThick(sao, depths) {
+		r0, r1 := box.SplitAt(dim)
+		if r1.ContainsPoint(last, depths) {
+			box, path = r1, path+"1"
+			continue
+		}
+		rest = append(rest, entry{r1, path + "1"})
+		box, path = r0, path+"0"
+	}
+	slices.Reverse(rest)
+	return rest
+}
+
+// offer is the work-stealing checkpoint, called by runPlain before it
+// enters the next entry of its work list — all of whose entries are
+// untouched, in SAO order. When idle workers outnumber pending fragments
+// it donates the SAO-latest entry — splitting a lone entry first and
+// donating its later half — as a fragment keyed by its DFS path, and
+// returns what the caller keeps. Later entries are never deeper than
+// earlier ones, and an entry is only ever replaced by deeper ones, so once
+// the last entry sits below the depth bound nothing can be donated again.
+func (ss *stealSession) offer(work []entry) []entry {
 	s := ss.s
 	if ss.exhausted || s.demand.Load() <= 0 {
-		return root
+		return work
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.waiters <= s.pending {
-		return root // the demand was satisfied while we took the lock
+		return work // the demand was satisfied while we took the lock
 	}
-	region := root
-	path := ss.path
-	for {
-		if len(path) >= s.maxDepth {
-			ss.exhausted = true // only ever gets deeper; stop checking
-			return root
-		}
-		dim := region.FirstThick(s.sao, s.depths)
-		if dim == -1 {
+	if len(work) == 1 {
+		e := work[0]
+		dim := e.box.FirstThick(s.sao, s.depths)
+		if dim == -1 || len(e.path) >= s.maxDepth {
 			ss.exhausted = true
-			return root
+			return work
 		}
-		r0, r1 := region.SplitAt(dim)
-		if last != nil && r1.ContainsPoint(last, s.depths) {
-			// The frontier has passed all of r0: descend into r1.
-			region = r1
-			path = append(path, '1')
-			continue
-		}
-		// last (if any) lies in r0: donate the untouched later half,
-		// keep enumerating the earlier one.
-		f := &fragment{key: string(path) + "1", box: r1, done: make(chan struct{})}
-		s.insertLocked(ss.w, f)
-		path = append(path, '0')
-		ss.path = path
-		s.cond.Broadcast()
-		return r0
+		r0, r1 := e.box.SplitAt(dim)
+		work = []entry{{r0, e.path + "0"}, {r1, e.path + "1"}}
 	}
+	e := work[len(work)-1]
+	if len(e.path) > s.maxDepth {
+		ss.exhausted = true
+		return work
+	}
+	s.insertLocked(ss.w, &fragment{key: e.path, box: e.box, done: make(chan struct{})})
+	s.cond.Broadcast()
+	return work[:len(work)-1]
 }
 
 // stealSeeds builds the initial fragment set: exactly the ShardRoots

@@ -117,14 +117,14 @@ func TestStealSinglePassDonation(t *testing.T) {
 
 // TestStealReloadedGapLoadDonation: a Reloaded pass also unwinds at a
 // gap load, with the witness it was about to hand up discarded and the
-// loaded boxes left in the knowledge base for the re-entry to find. The
+// loaded boxes left in the knowledge base for the entries after it. The
 // first instance has its outputs only in the last quarter of dimension 0 —
 // columns a < 192 are one lazily loaded gap box ⟨a,λ⟩ each — and the run
 // starts from a single seed, so the first donation can only happen at a
 // gap load. In the second every column is a comb, outputs at the even
 // values of dimension 1 and unit gap boxes at the odd ones, so every unit
-// is settled inside a line and a donation abandons one midway: the
-// re-entry walks it again from its left end, over what it had settled
+// is settled inside a line and a donation abandons one midway: the pass
+// goes on from the dyadic segments after the unit it settled
 // (TestLineDonatesAtEveryUnit makes every unit a donation).
 func TestStealReloadedGapLoadDonation(t *testing.T) {
 	const d = 8

@@ -174,11 +174,12 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // every fragment, so a Preloaded fragment starts with an empty private
 // knowledge base instead of re-inserting its slice of B. steal, when
 // non-nil, is the run's work-stealing session: when an idle worker wants
-// work the pass unwinds at the next settled unit, offers the SAO-later
-// part of its remaining region, and re-enters over what it kept — safe
-// because points are settled in increasing SAO-lexicographic order, so
-// the donated half is untouched, and cheap because everything settled so
-// far is in the knowledge base.
+// work the pass unwinds at the next settled unit, replaces the region it
+// was in by the untouched right siblings along that unit's path — points
+// are settled in increasing SAO-lexicographic order, so everything before
+// it is done and nothing after it has been touched — donates the SAO-latest
+// of them, and enters the others one by one. Nothing is walked twice, so
+// nothing relies on the knowledge base to remember what was settled.
 func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.Tree, steal *stealSession) (*Result, error) {
 	_, run, err := newPass(o, opts, sao, root, base, steal)
 	if err != nil {
@@ -244,14 +245,15 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	frame := make(dyadic.Box, wn) // loadGaps scratch
 
 	// loadGaps inserts the oracle's answer for the uncovered unit box b
-	// (at point) and returns the witness a restart from root would have
-	// hit first: the stored cover of the shallowest frame of the current
-	// descent that the answer covers. The frames are root with b's bits
-	// filled in in SAO order, so a gap box g containing point — its image
-	// in the working space, where the frames live — covers exactly the
-	// frames from (j, g[sao[j]].Len) down, j being the last SAO position
-	// where g is longer than root. The witness is the knowledge base's own
-	// copy: the oracle's slice is overwritten by its next probe.
+	// (at point) and returns the witness a restart from root — the entry
+	// being run — would have hit first: the stored cover of the shallowest
+	// frame of the current descent that the answer covers. The frames are
+	// root with b's bits filled in in SAO order, so a gap box g containing
+	// point — its image in the working space, where the frames live —
+	// covers exactly the frames from (j, g[sao[j]].Len) down, j being the
+	// last SAO position where g is longer than root. The witness is the
+	// knowledge base's own copy: the oracle's slice is overwritten by its
+	// next probe.
 	loadGaps := func(b dyadic.Box, gaps []dyadic.Box) (dyadic.Box, error) {
 		progress := false
 		bestJ, bestLen := wn, uint8(0)
@@ -343,8 +345,11 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 			} else {
 				res.Tuples = append(res.Tuples, slices.Clone(point))
 			}
-			w = sp.cover(b, point)
-			sk.addOutput(w)
+			// The cover is stored only if it can be hit again: a lifted
+			// class box, never a plain unit box.
+			if w = sp.cover(b, point); sk.keeps(w, b) {
+				sk.addOutput(w)
+			}
 			if stop {
 				return nil, errStopped
 			}
@@ -354,23 +359,31 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 		}
 		return w, nil
 	}
-	// The one re-entry loop: a pass that unwound to donate work or to
-	// re-lift walks back down from root. Everything it settled is in the
-	// knowledge base — kept across a donation, refilled after a re-lift,
-	// whose learned resolvents belong to the discarded lifted space.
+	// The one re-entry loop, over a work list of untouched boxes in SAO
+	// order: a pass that unwound to donate work goes on from the right
+	// siblings of the unit it had settled last; one that unwound to re-lift
+	// walks back down from the lifted universe over the refilled knowledge
+	// base (its learned resolvents belong to the discarded lifted space).
 	return sk, func() (*Result, error) {
 		// Nothing outlives the run inside either tree: tuples are copied
 		// out and every witness is consumed within the pass.
 		defer putTree(loaded)
 		defer putTree(sk.kb)
-		for {
+		work := []entry{{box: root}}
+		if steal != nil {
+			work[0].path = steal.key
+		}
+		for len(work) > 0 {
 			if steal != nil {
-				root = steal.offer(root, last)
+				work = steal.offer(work)
 			}
+			root = work[0].box
 			_, _, err := sk.root(root)
 			switch err {
+			case nil:
+				work = work[1:]
 			case errDonate:
-				continue // split the region above, then walk back down to it
+				work = append(work[0].after(last, sk.sao, sk.depths), work[1:]...)
 			case errRelift:
 				res.Stats.Rebuilds++
 				if err := sp.partition(); err != nil {
@@ -378,12 +391,13 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 				}
 				sk.reset()
 				sp.fill(sk)
-				continue
-			case nil, errStopped:
-				res.Stats.KnowledgeBase = sk.kb.Len()
-				return res, nil
+			case errStopped:
+				work = nil
+			default:
+				return nil, err
 			}
-			return nil, err
 		}
+		res.Stats.KnowledgeBase = sk.kb.Len()
+		return res, nil
 	}, nil
 }

@@ -31,7 +31,7 @@ func workloadFamilies() map[string]*join.Query {
 }
 
 // TestCountModeMatchesBaselines: for every workload family, the
-// counting variant (join.Count — the memoized #SAT-style skeleton) must
+// counting variant (join.Count — the #SAT-style skeleton) must
 // agree with the enumerated cardinality of both the Tetris engine and
 // the Generic Join baseline, without materializing tuples. Until now
 // only enumeration was differentially tested end-to-end.

@@ -69,7 +69,7 @@ func TestStealMatrixOrderEquality(t *testing.T) {
 		}
 		// Reloaded from a single seed: every fragment but the first is
 		// carved at runtime, where the pass unwound at a gap load or an
-		// output and re-entered over the boxes it had loaded.
+		// output and went on from the right siblings of that unit.
 		for _, workers := range []int{1, 2, 4} {
 			res, err := join.Execute(q, join.Options{
 				Mode: core.Reloaded, Parallelism: workers, Shards: 1, StealDepth: 63,

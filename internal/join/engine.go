@@ -214,8 +214,8 @@ func buildIndices(q *Query, d *Decision, src IndexSource) ([]index.Index, int64,
 }
 
 // Count returns the exact number of output tuples of the query without
-// materializing them, via the counting variant of Tetris (the memoized
-// #SAT-style skeleton over the preloaded gap box set). For queries whose
+// materializing them, via the counting variant of Tetris (the #SAT-style skeleton
+// over the preloaded gap box set). For queries whose
 // output is enormous this is exponentially cheaper than Execute.
 func Count(q *Query, opts Options) (*big.Int, core.Stats, error) {
 	p, err := NewPlan(q, opts)
@@ -233,11 +233,11 @@ func Count(q *Query, opts Options) (*big.Int, core.Stats, error) {
 // Count runs the counting variant over the prepared plan, reusing its
 // indices and memoized gap set; no index is built. opts.Context cancels
 // the count cooperatively. The counting skeleton performs no geometric
-// resolutions, so MaxResolutions/Budget do not apply to it.
+// resolutions and caches nothing, so MaxResolutions/Budget and NoCache do
+// not apply to it.
 func (p *Plan) Count(opts Options) (*big.Int, core.Stats, error) {
 	rep, err := core.CountUncovered(p.q.Depths(), p.AllGaps(), core.Options{
 		SAO:     p.sao,
-		NoCache: opts.NoCache,
 		Context: opts.Context,
 	})
 	if err != nil {

@@ -97,7 +97,7 @@ type Options struct {
 	// 1..n. This is Tetris' splitting attribute order.
 	VarOrder []int
 	// NoLearning disables clause learning (resolvent caching): plain DPLL
-	// search, the Tree Ordered resolution class.
+	// search, the Tree Ordered resolution class. CountFast ignores it.
 	NoLearning bool
 	// MaxModels stops after this many models (0 = all).
 	MaxModels int
@@ -171,10 +171,11 @@ func Count(c CNF, opts Options) (*Result, error) {
 }
 
 // CountFast returns the exact model count without enumerating models:
-// the memoized counting skeleton (core.CountUncovered) sums whole
-// uncovered sub-cubes at once, so formulas with astronomically many
-// models (e.g. 2^50) are counted in polynomial space. This is the true
-// #DPLL-with-caching reading of Section 4.2.4.
+// the counting skeleton (core.CountUncovered) sums whole uncovered
+// sub-cubes at once, so formulas with astronomically many models (e.g.
+// 2^50) are counted in polynomial space — the #DPLL reading of Section
+// 4.2.4. The counting descent reaches every sub-cube once, so it has
+// nothing to learn: NoLearning is ignored.
 func CountFast(c CNF, opts Options) (*big.Int, core.Stats, error) {
 	if err := c.Check(); err != nil {
 		return nil, core.Stats{}, err
@@ -192,7 +193,7 @@ func CountFast(c CNF, opts Options) (*big.Int, core.Stats, error) {
 			sao[i] = v - 1
 		}
 	}
-	rep, err := core.CountUncovered(c.depths(), c.Boxes(), core.Options{SAO: sao, NoCache: opts.NoLearning})
+	rep, err := core.CountUncovered(c.depths(), c.Boxes(), core.Options{SAO: sao})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}

@@ -27,7 +27,7 @@ type SATResult = sat.Result
 func CountModels(c CNF, opts SATOptions) (*SATResult, error) { return sat.Count(c, opts) }
 
 // CountModelsFast returns the exact model count without enumeration: the
-// memoized counting skeleton sums whole satisfying sub-cubes, handling
+// counting skeleton sums whole satisfying sub-cubes, handling
 // formulas with astronomically many models.
 func CountModelsFast(c CNF, opts SATOptions) (*big.Int, error) {
 	count, _, err := sat.CountFast(c, opts)
