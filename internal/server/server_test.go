@@ -401,11 +401,10 @@ func TestSessionStatementIDReplacement(t *testing.T) {
 
 // TestAppendTupleLineMatchesJSON pins the streamed row encoder to the
 // bytes encoding/json produced before it: the protocol's tuple lines must
-// not move.
+// not move. Each line is appended both to an empty buffer and behind the
+// lines before it, as a chunk is built.
 func TestAppendTupleLineMatchesJSON(t *testing.T) {
-	type tupleLine struct {
-		Tuple []uint64 `json:"tuple"`
-	}
+	var chunk, wantChunk []byte
 	for _, tup := range [][]uint64{
 		nil,
 		{},
@@ -414,17 +413,26 @@ func TestAppendTupleLineMatchesJSON(t *testing.T) {
 		{0, math.MaxUint64, 9, 10, 99, 100},
 		{18446744073709551615, 1, 12345678901234567890},
 	} {
-		want, err := json.Marshal(tupleLine{tup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, '\n')
-		got := appendTupleLine(nil, tup)
-		if !bytes.Equal(got, want) {
+		want := jsonTupleLine(t, tup)
+		if got := appendTupleLine(nil, tup); !bytes.Equal(got, want) {
 			t.Errorf("appendTupleLine(%v) = %q, want %q", tup, got, want)
 		}
-		if tupleLineLen(tup) != len(want) {
-			t.Errorf("tupleLineLen(%v) = %d, line is %d bytes", tup, tupleLineLen(tup), len(want))
+		chunk = appendTupleLine(chunk, tup)
+		wantChunk = append(wantChunk, want...)
+		if !bytes.Equal(chunk, wantChunk) {
+			t.Errorf("appending %v to a chunk gave %q, want %q", tup, chunk, wantChunk)
 		}
 	}
+}
+
+// jsonTupleLine is the streamed line for tup as encoding/json writes it.
+func jsonTupleLine(t *testing.T, tup []uint64) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Tuple []uint64 `json:"tuple"`
+	}{tup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
 }

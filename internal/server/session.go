@@ -275,28 +275,6 @@ func appendTupleLine(dst []byte, tup []uint64) []byte {
 	return append(dst, "]}\n"...)
 }
 
-// tupleLineLen is the exact length of the line appendTupleLine writes.
-func tupleLineLen(tup []uint64) int {
-	n := len("{\"tuple\":[]}\n") + len(tup) // brackets, and a digit per value
-	if len(tup) > 1 {
-		n += len(tup) - 1 // commas
-	} else if tup == nil {
-		n += 2 // null is two longer than []
-	}
-	for _, v := range tup {
-		for ; v >= 10; v /= 10 {
-			n++
-		}
-	}
-	return n
-}
-
-// sendTuple queues one streamed output row (no delivery wait). The writer
-// keeps the slice, so each line gets its own, sized to fit.
-func (sess *session) sendTuple(tup []uint64) error {
-	return sess.out.enqueue(appendTupleLine(make([]byte, 0, tupleLineLen(tup)), tup))
-}
-
 // fail formats an error response.
 func fail(err error) Response { return Response{Err: err.Error()} }
 
@@ -518,7 +496,7 @@ func (sess *session) execMaintained(req Request, m *catalog.Maintained) Response
 		return resp
 	}
 	for _, tup := range tuples {
-		if err := sess.sendTuple(tup); err != nil {
+		if err := sess.out.tuple(tup); err != nil {
 			return fail(err)
 		}
 	}
@@ -654,7 +632,7 @@ func (sess *session) run(req Request,
 		// next output, releasing the admission slot instead of holding it
 		// hostage to the peer's read rate.
 		opts.OnOutput = func(tuple []uint64) bool {
-			if streamErr = sess.sendTuple(tuple); streamErr != nil {
+			if streamErr = sess.out.tuple(tuple); streamErr != nil {
 				return false
 			}
 			delivered++
