@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,12 +52,14 @@ func TestLazyLoadFailuresNameTheCause(t *testing.T) {
 		// A fixed valid box: right for the first probe, wrong ever after.
 		{"no box contains the point", funcOracle(func([]uint64) []dyadic.Box { return []dyadic.Box{origin} }),
 			Options{}, "oracle contract violation"},
-		// The same box, and the probe point rewritten to sit inside it:
-		// the second probe's answer contains "the point" and is all known.
+		// The same box, and the probe point rewritten to sit inside it. The
+		// oracle rewrites its own copy: the engine checks the answer against
+		// the unit it settles, and the second probe's known box does not
+		// contain that. (It used to pass as "no progress".)
 		{"only known boxes", funcOracle(func(point []uint64) []dyadic.Box {
 			clear(point)
 			return []dyadic.Box{origin}
-		}), Options{}, "no progress"},
+		}), Options{}, "oracle contract violation"},
 		{"resolution budget", hard, Options{MaxResolutions: 1}, "resolution budget exhausted"},
 		{"cancelled context", hard, Options{Context: cancelled}, context.Canceled.Error()},
 	} {
@@ -64,6 +68,52 @@ func TestLazyLoadFailuresNameTheCause(t *testing.T) {
 			res, err := Run(c.o, c.opts)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s under %v: result %v, error %v; want an error naming %q", c.name, m, res, err, c.want)
+			}
+		}
+	}
+}
+
+// scribblingOracle answers honestly for the point it is handed, then
+// overwrites it.
+type scribblingOracle struct{ *BoxOracle }
+
+func (s scribblingOracle) GapsContaining(point []uint64) []dyadic.Box {
+	gaps := s.BoxOracle.GapsContaining(point)
+	clear(point)
+	return gaps
+}
+
+// TestOracleScribblingOnThePoint: the probe point is the oracle's to
+// overwrite. The engine reports and checks against its own unit box, so an
+// oracle that clears the point after answering honestly changes nothing:
+// not the tuples (which used to come out as the cleared point), not the
+// work.
+func TestOracleScribblingOnThePoint(t *testing.T) {
+	o := MustBoxOracle(depthsOf(3, 2), boxes("0,0,λ", "1,1,λ", "λ,0,0", "λ,1,1", "0,λ,1"))
+	for _, m := range []Mode{Reloaded, ReloadedLB} {
+		var streamed [][]uint64
+		for _, stream := range []bool{false, true} {
+			opts := Options{Mode: m}
+			if stream {
+				opts.OnOutput = func(tup []uint64) bool { streamed = append(streamed, slices.Clone(tup)); return true }
+			}
+			want, err := Run(o.Clone(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stream {
+				want.Tuples, streamed = streamed, nil
+			}
+			got, err := Run(scribblingOracle{o.Clone()}, opts)
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			if stream {
+				got.Tuples = streamed
+			}
+			if len(want.Tuples) == 0 || !reflect.DeepEqual(got.Tuples, want.Tuples) || got.Stats != want.Stats {
+				t.Errorf("%v stream=%v: scribbled-on probes gave %v with %+v, honest ones %v with %+v",
+					m, stream, got.Tuples, got.Stats, want.Tuples, want.Stats)
 			}
 		}
 	}

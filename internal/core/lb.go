@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"tetrisjoin/internal/balance"
-	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 )
 
@@ -30,12 +29,14 @@ type lifted struct {
 
 // newLifted prepares the lifted space of a run. PreloadedLB balances the
 // partitions over the oracle's whole gap set, loaded here (validated, and
-// counted through loaded like every Preloaded load); ReloadedLB starts
-// from the trivial partitions and no boxes.
-func newLifted(o Oracle, mode Mode, loaded *boxtree.Tree, stats *Stats) (*lifted, error) {
+// counted like every Preloaded load); ReloadedLB starts from the trivial
+// partitions and no boxes.
+func newLifted(o Oracle, mode Mode, stats *Stats) (*lifted, error) {
 	l := &lifted{depths: o.Depths(), online: mode == ReloadedLB}
 	if !l.online {
+		loaded := getTree(len(l.depths))
 		fresh, err := loadGapSet(o, nil, loaded, func(b dyadic.Box) { l.boxes = append(l.boxes, b) })
+		putTree(loaded)
 		if err != nil {
 			return nil, err
 		}

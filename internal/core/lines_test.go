@@ -297,9 +297,11 @@ func TestLineGapLoads(t *testing.T) {
 		t.Errorf("late gap: resolutions/probes/lines/calls %d/%d/%d/%d, want 3/4/1/5", s.Resolutions, s.OracleCalls, s.Lines, s.SkeletonCalls)
 	}
 	// The witness ⟨λ⟩ is the line's own frame, so it is not stored: the
-	// knowledge base keeps the gaps that ⟨0⟩ did not subsume.
-	if fmt.Sprint(got.kb) != "[⟨0⟩ ⟨1⟩]" {
-		t.Errorf("late gap: the line left the knowledge base %v, want the gaps ⟨0⟩ and ⟨1⟩", got.kb)
+	// knowledge base keeps every gap loaded. A gap load is one plain insert,
+	// so ⟨0⟩ does not sweep out ⟨000⟩ and ⟨001⟩ (no probe can return them
+	// while ⟨0⟩ is stored; they used to be subsumed).
+	if fmt.Sprint(got.kb) != "[⟨0⟩ ⟨000⟩ ⟨001⟩ ⟨1⟩]" {
+		t.Errorf("late gap: the line left the knowledge base %v, want the four gaps", got.kb)
 	}
 	binary, err := Run(late, Options{TrackProvenance: true})
 	if err != nil {

@@ -20,6 +20,9 @@ type Oracle interface {
 	Depths() []uint8
 	// GapsContaining returns the gap boxes of B that contain the given
 	// point. An empty result certifies that the point is an output tuple.
+	// The answer may repeat a box; the engine counts distinct ones. A box
+	// that does not contain the point breaks the contract and ends the run
+	// with an error. The point is the oracle's to overwrite.
 	// Implementations may reuse the returned slice and box storage: the
 	// result is only valid until the next GapsContaining call, and
 	// callers retaining boxes across calls must Clone them.

@@ -27,9 +27,8 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	res := &Result{}
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
 	sk.walk, sk.keepAll = nil, true // a restart walks back into finished frames
-	loaded := boxtree.New(n)
 	if opts.Mode == Preloaded {
-		fresh, err := loadGapSet(o, root, loaded, sk.add)
+		fresh, err := loadGapSet(o, root, boxtree.New(n), sk.add)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +51,13 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 			sk.addOutput(w)
 			continue
 		}
+		// Gaps are loaded by the engine's rule: one plain insert each, its
+		// answer the distinct count (the unit was uncovered, so no stored box
+		// contains a gap, and none needs sweeping).
 		for _, g := range gaps {
-			if loaded.Insert(g) {
+			if sk.kb.Insert(g) {
 				res.Stats.BoxesLoaded++
 			}
-			sk.add(g)
 		}
 	}
 	res.Stats.KnowledgeBase = sk.kb.Len()
@@ -84,16 +85,11 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 	sk := newSkeleton(lift.Dims(), lift.Depths(), liftSAO, opts, &res.Stats)
 	sk.walk = nil
 	loaded := boxtree.New(len(depths))
-	load := func(b dyadic.Box) bool {
-		fresh := loaded.Insert(b)
-		if fresh {
+	for _, b := range baseBoxes {
+		if loaded.Insert(b) {
 			res.Stats.BoxesLoaded++
 		}
 		sk.add(lift.Box(b))
-		return fresh
-	}
-	for _, b := range baseBoxes {
-		load(b)
 	}
 	lastBuild := 0
 	universe := dyadic.Universe(lift.Dims())
@@ -129,8 +125,9 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 			sk.addOutput(lift.Point(point))
 			continue
 		}
-		for _, g := range gaps {
-			if load(g) {
+		for _, g := range gaps { // loaded by the engine's rule, as in restartReference
+			if sk.kb.Insert(lift.Box(g)) {
+				res.Stats.BoxesLoaded++
 				baseBoxes = append(baseBoxes, g.Clone())
 			}
 		}
@@ -368,7 +365,7 @@ func TestSinglePassMaxOutputAndStreaming(t *testing.T) {
 func TestLiftedRetainsOutputsOnlyForRebuilds(t *testing.T) {
 	o := MustBoxOracle(depthsOf(3, 2), nil) // 64 outputs
 	for mode, want := range map[Mode]int{PreloadedLB: 0, ReloadedLB: 64} {
-		sp, err := newLifted(o, mode, boxtree.New(3), &Stats{})
+		sp, err := newLifted(o, mode, &Stats{})
 		if err != nil {
 			t.Fatal(err)
 		}

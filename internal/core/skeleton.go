@@ -413,6 +413,7 @@ func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 	if s.base != nil {
 		s.baseRoots = s.base.LastRoots(s.baseRoots[:0], b)
 	}
+	s.wrote = false
 	d, covers := s.depths[dim], 0
 	for p, end := b[dim].Lo(d), b[dim].Hi(d); p <= end; {
 		if err := s.call(); err != nil {
@@ -427,19 +428,19 @@ func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 				return false, s.settle(mark, u), nil
 			}
 			var err error
-			s.wrote = false
 			if c, err = s.settleUnit(u); err != nil {
 				return false, nil, err
-			}
-			// Loaded gaps or a stored cover may have created a trie in kb,
-			// or subsumed one away.
-			if s.wrote {
-				s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
 			}
 		}
 		// c contains u, which is b everywhere but in dim.
 		if c[dim].Len <= b[dim].Len {
 			return true, s.settle(mark, c), nil
+		}
+		// The line goes on. Loaded gaps or a stored cover may have created a
+		// trie in kb, or subsumed one away.
+		if s.wrote {
+			s.wrote = false
+			s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
 		}
 		if covers++; covers > 1 {
 			s.stats.Resolutions++

@@ -201,19 +201,13 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	opts.Budget = effectiveBudget(opts)
 	budget := opts.Budget
 
-	// loaded is the exact-match set of gap boxes seen so far, used both
-	// for BoxesLoaded accounting and for the no-progress check. A second
-	// boxtree rather than a map keyed by Box.Key keeps the per-box cost at
-	// word operations with zero allocation.
-	loaded := getTree(n)
-
 	// sp is the space the pass works in, wn and wdepths its shape: the
 	// oracle's own (nil), or the Balance lift of it.
 	var sp *lifted
 	wn, wdepths := n, depths
 	if !opts.Mode.Plain() {
 		var err error
-		if sp, err = newLifted(o, opts.Mode, loaded, &res.Stats); err != nil {
+		if sp, err = newLifted(o, opts.Mode, &res.Stats); err != nil {
 			return nil, nil, err
 		}
 		wn, wdepths = sp.lift.Dims(), sp.lift.Depths()
@@ -230,7 +224,9 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 		if root.IsUniverse() {
 			filter = nil // every box intersects the universe; skip the test
 		}
+		loaded := getTree(n)
 		fresh, err := loadGapSet(o, filter, loaded, sk.add)
+		putTree(loaded)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -241,6 +237,7 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	lazy := opts.Mode.unlifted() == Reloaded
 
 	point := make([]uint64, n)    // base tuple, reused per settled unit; OnOutput must copy
+	probe := make([]uint64, n)    // the oracle's copy of point, which it may overwrite
 	var last []uint64             // point once a unit has been settled
 	frame := make(dyadic.Box, wn) // loadGaps scratch
 
@@ -249,46 +246,53 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	// being run — would have hit first: the stored cover of the shallowest
 	// frame of the current descent that the answer covers. The frames are
 	// root with b's bits filled in in SAO order, so a gap box g containing
-	// point — its image in the working space, where the frames live —
-	// covers exactly the frames from (j, g[sao[j]].Len) down, j being the
-	// last SAO position where g is longer than root. The witness is the
-	// knowledge base's own copy: the oracle's slice is overwritten by its
-	// next probe.
+	// b — its image in the working space, where the frames live — covers
+	// exactly the frames from (j, g[sao[j]].Len) down, j being the last SAO
+	// position where g is longer than root. The witness is the knowledge
+	// base's own copy: the oracle's slice is overwritten by its next probe.
+	//
+	// A gap must contain b, or the oracle broke its contract; then a plain
+	// insert loads it. b's probes missed, so no stored box contains b or the
+	// gap: the insert's answer alone tells a new box from a repeat, and no
+	// sweep is needed (a probe returns the length-lexicographically least
+	// cover, never a box inside a stored gap).
 	loadGaps := func(b dyadic.Box, gaps []dyadic.Box) (dyadic.Box, error) {
-		progress := false
+		if boxtree.CheckPreconditions {
+			if sb, ok := sk.kb.ContainsSuperset(b); ok {
+				panic(fmt.Sprintf("core: settling unit box %v, but %v is stored", b, sb))
+			}
+		}
+		fresh := false
 		bestJ, bestLen := wn, uint8(0)
 		for _, g := range gaps {
 			if err := g.Check(depths); err != nil {
 				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", g, err)
 			}
 			img := sp.image(g)
-			if g.ContainsPoint(point, depths) {
-				j := wn - 1
-				for j >= 0 && img[sao[j]].Len <= root[sao[j]].Len {
-					j--
-				}
-				l := uint8(0)
-				if j >= 0 {
-					l = img[sao[j]].Len
-				}
-				if bestJ == wn || j < bestJ || (j == bestJ && l < bestLen) {
-					bestJ, bestLen = j, l
-				}
+			if !img.Contains(b) {
+				return nil, fmt.Errorf("core: oracle contract violation: gap box %v does not contain probe point %v", g, point)
 			}
-			if loaded.Insert(g) {
+			j := wn - 1
+			for j >= 0 && img[sao[j]].Len <= root[sao[j]].Len {
+				j--
+			}
+			l := uint8(0)
+			if j >= 0 {
+				l = img[sao[j]].Len
+			}
+			if j < bestJ || j == bestJ && l < bestLen {
+				bestJ, bestLen = j, l
+			}
+			if sk.kb.Insert(img) {
 				res.Stats.BoxesLoaded++
-				progress = true
+				fresh, sk.wrote = true, true
 				if sp != nil { // the oracle's slice is scratch: keep a copy to re-lift
 					sp.boxes = append(sp.boxes, g.Clone())
 				}
 			}
-			sk.add(img)
 		}
-		if bestJ == wn {
-			return nil, fmt.Errorf("core: oracle contract violation: no returned gap box contains probe point %v", point)
-		}
-		if !progress {
-			return nil, fmt.Errorf("core: no progress: oracle returned only known gap boxes for uncovered point %v", point)
+		if !fresh { // an engine bug: b's probes missed a stored box
+			return nil, fmt.Errorf("core: no progress: every gap box for uncovered point %v is stored", point)
 		}
 		copy(frame, root)
 		for j := 0; j < bestJ; j++ {
@@ -320,7 +324,8 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 		var gaps []dyadic.Box
 		if lazy {
 			res.Stats.OracleCalls++
-			gaps = o.GapsContaining(point)
+			copy(probe, point)
+			gaps = o.GapsContaining(probe)
 		}
 		if len(gaps) > 0 {
 			var err error
@@ -365,9 +370,8 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	// walks back down from the lifted universe over the refilled knowledge
 	// base (its learned resolvents belong to the discarded lifted space).
 	return sk, func() (*Result, error) {
-		// Nothing outlives the run inside either tree: tuples are copied
-		// out and every witness is consumed within the pass.
-		defer putTree(loaded)
+		// Nothing outlives the run inside the knowledge base: tuples are
+		// copied out and every witness is consumed within the pass.
 		defer putTree(sk.kb)
 		work := []entry{{box: root}}
 		if steal != nil {

@@ -2,7 +2,11 @@ package fuzz
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+
+	"tetrisjoin/internal/core"
 )
 
 // failingWith returns the shrinker predicate for a checker: a candidate
@@ -54,6 +58,56 @@ func FuzzBCPDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		checkSeed(t, seed, BCPKind)
+	})
+}
+
+// FuzzHostileOracle bends the probes of a small generated box cover
+// oracle, one Fault per probe chosen by the input bytes (cycling), and runs
+// both lazy modes with the knowledge base's preconditions checked. No input
+// may panic the engine; an added stray gap must end the run with an oracle
+// contract violation; with no stray and no drop, the run must be the honest
+// one, tuple for tuple and count for count.
+func FuzzHostileOracle(f *testing.F) {
+	f.Add(int64(1), []byte{byte(Honest)})
+	f.Add(int64(2), []byte{byte(Repeat), byte(Scribble)})
+	f.Add(int64(3), []byte{byte(Honest), byte(Honest), byte(Stray)})
+	f.Add(int64(4), []byte{byte(Drop), byte(Repeat)})
+	f.Add(int64(5), []byte{byte(Scribble), byte(Drop), byte(Stray), byte(Repeat)})
+	f.Fuzz(func(t *testing.T, seed int64, bytes []byte) {
+		c := GenCase(rand.New(rand.NewSource(seed)), BCPKind)
+		depths, boxes, err := c.BuildBCP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := core.NewBoxOracle(depths, boxes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := make([]Fault, len(bytes))
+		for i, b := range bytes {
+			faults[i] = Fault(b % byte(numFaults))
+		}
+		for _, mode := range []core.Mode{core.Reloaded, core.ReloadedLB} {
+			opts := core.Options{Mode: mode}
+			honest, err := core.Run(o.Clone(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewHostileOracle(o.Clone(), faults...)
+			got, err := core.Run(h, opts)
+			switch {
+			case h.Strayed:
+				if err == nil || !strings.Contains(err.Error(), "oracle contract violation") {
+					t.Fatalf("%v: a stray gap gave error %v, want an oracle contract violation", mode, err)
+				}
+			case h.Dropped: // withheld knowledge may change the answer
+			case err != nil:
+				t.Fatalf("%v: faults %v within the contract failed the run: %v", mode, faults, err)
+			case !reflect.DeepEqual(got.Tuples, honest.Tuples) || got.Stats != honest.Stats:
+				t.Fatalf("%v: faults %v gave %v with %+v, the honest run %v with %+v",
+					mode, faults, got.Tuples, got.Stats, honest.Tuples, honest.Stats)
+			}
+		}
 	})
 }
 

@@ -31,17 +31,19 @@ func TestCursorsShareImmutableIndex(t *testing.T) {
 	indices = append(indices, u)
 
 	for _, ix := range indices {
-		// Reference answers from a private cursor, keyed by probe point.
+		// Reference answers from a private cursor, keyed by probe point. An
+		// answer is a list, not a set: a union repeats a box its members
+		// share, and a probe must come out the same whoever makes it.
 		ref := ix.NewCursor()
 		type probe struct{ a, b uint64 }
-		want := map[probe]map[string]bool{}
+		want := map[probe][]string{}
 		for a := uint64(0); a < 16; a++ {
 			for b := uint64(0); b < 16; b++ {
-				set := map[string]bool{}
+				var list []string
 				for _, g := range ref.GapsAt([]uint64{a, b}) {
-					set[g.String()] = true
+					list = append(list, g.String())
 				}
-				want[probe{a, b}] = set
+				want[probe{a, b}] = list
 			}
 		}
 		var wg sync.WaitGroup
@@ -57,14 +59,14 @@ func TestCursorsShareImmutableIndex(t *testing.T) {
 					j := (i*7 + w*37) % 256
 					pt[0], pt[1] = uint64(j/16), uint64(j%16)
 					got := cur.GapsAt(pt)
-					wantSet := want[probe{pt[0], pt[1]}]
-					if len(got) != len(wantSet) {
-						t.Errorf("%s: worker %d probe %v: %d boxes, want %d", ix.Kind(), w, pt, len(got), len(wantSet))
+					wantList := want[probe{pt[0], pt[1]}]
+					if len(got) != len(wantList) {
+						t.Errorf("%s: worker %d probe %v: %d boxes, want %d", ix.Kind(), w, pt, len(got), len(wantList))
 						return
 					}
-					for _, g := range got {
-						if !wantSet[g.String()] {
-							t.Errorf("%s: worker %d probe %v: unexpected box %v", ix.Kind(), w, pt, g)
+					for i, g := range got {
+						if g.String() != wantList[i] {
+							t.Errorf("%s: worker %d probe %v: box %d is %v, want %s", ix.Kind(), w, pt, i, g, wantList[i])
 							return
 						}
 					}

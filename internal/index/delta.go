@@ -196,7 +196,6 @@ type appendedCursor struct {
 	delta      Cursor
 	arena      []dyadic.Interval // storage for result boxes, reused
 	out        []dyadic.Box
-	seen       *boxtree.Tree
 	deltaBoxes []dyadic.Box // copy of the delta probe (its scratch dies on reuse)
 }
 
@@ -206,11 +205,11 @@ func (a *Appended) NewCursor() Cursor {
 		a:     a,
 		base:  a.base.NewCursor(),
 		delta: a.delta.NewCursor(),
-		seen:  boxtree.New(a.rel.Arity()),
 	}
 }
 
-// GapsAt implements Cursor. Results are valid until the next call.
+// GapsAt implements Cursor: every pairwise meet, repeats included (two
+// pairs can meet in the same box). Results are valid until the next call.
 func (c *appendedCursor) GapsAt(point []uint64) []dyadic.Box {
 	n := c.a.rel.Arity()
 	c.out = c.out[:0]
@@ -233,7 +232,6 @@ func (c *appendedCursor) GapsAt(point []uint64) []dyadic.Box {
 	if len(bg) == 0 {
 		return nil // point is a prior tuple of rel
 	}
-	c.seen.Reset()
 	for _, g := range bg {
 		for _, h := range c.deltaBoxes {
 			mark := len(c.arena)
@@ -247,11 +245,7 @@ func (c *appendedCursor) GapsAt(point []uint64) []dyadic.Box {
 				}
 				m[d] = h[d]
 			}
-			if c.seen.Insert(m) {
-				c.out = append(c.out, m)
-			} else {
-				c.arena = c.arena[:mark]
-			}
+			c.out = append(c.out, m)
 		}
 	}
 	return c.out

@@ -62,9 +62,11 @@ type Index interface {
 type Cursor interface {
 	// GapsAt returns maximal dyadic gap boxes containing the probe point.
 	// The result is empty exactly when the point is a tuple of the
-	// relation (no gap can contain it). The returned slice and box
-	// storage are cursor scratch: the result is valid only until the next
-	// GapsAt call on the same cursor.
+	// relation (no gap can contain it). It may repeat a box: the engine's
+	// knowledge-base insert absorbs repeats, so layered indices do not pay
+	// to remove them. The returned slice and box storage are cursor
+	// scratch: the result is valid only until the next GapsAt call on the
+	// same cursor.
 	GapsAt(point []uint64) []dyadic.Box
 }
 
@@ -106,20 +108,16 @@ func (u *Union) Kind() string {
 	return s + ")"
 }
 
-// unionCursor merges the member cursors' probe results, deduplicating
-// boxes contributed by several member indices.
+// unionCursor concatenates the member cursors' probe results. A box that
+// several members contribute is repeated, as GapsAt allows.
 type unionCursor struct {
 	cursors []Cursor
-	out     []dyadic.Box  // result buffer, reused
-	seen    *boxtree.Tree // per-call dedup set, Reset each probe
+	out     []dyadic.Box // result buffer, reused
 }
 
 // NewCursor implements Index.
 func (u *Union) NewCursor() Cursor {
-	c := &unionCursor{
-		cursors: make([]Cursor, len(u.indices)),
-		seen:    boxtree.New(u.rel.Arity()),
-	}
+	c := &unionCursor{cursors: make([]Cursor, len(u.indices))}
 	for i, ix := range u.indices {
 		c.cursors[i] = ix.NewCursor()
 	}
@@ -130,13 +128,8 @@ func (u *Union) NewCursor() Cursor {
 // cursor scratch) is valid until the next call.
 func (c *unionCursor) GapsAt(point []uint64) []dyadic.Box {
 	c.out = c.out[:0]
-	c.seen.Reset()
 	for _, cur := range c.cursors {
-		for _, b := range cur.GapsAt(point) {
-			if c.seen.Insert(b) {
-				c.out = append(c.out, b)
-			}
-		}
+		c.out = append(c.out, cur.GapsAt(point)...)
 	}
 	return c.out
 }

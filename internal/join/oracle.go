@@ -20,16 +20,18 @@ type atomBinding struct {
 // An Oracle is a per-worker prober: the indices it probes are immutable
 // and shared (between oracles of the same Plan and with every other
 // reader), while the oracle owns the mutable probe state — one index
-// cursor per atom plus projection/extension/dedup scratch. Use one oracle
-// per goroutine; Plan.NewOracle mints them cheaply.
+// cursor per atom plus projection/extension scratch. Use one oracle per
+// goroutine; Plan.NewOracle mints them cheaply.
 //
 // GapsContaining is the oracle's hot path — it runs once per probe of the
 // outer Tetris loop — so it reuses that per-oracle scratch and performs
 // zero steady-state allocations. Its results are valid only until the
 // next GapsContaining call on the same oracle; the core engine consumes
 // them immediately, and callers that retain boxes (e.g. the LB rebuild
-// set) must Clone them. AllGaps results are shared and read-only for
-// plan-backed oracles, freshly allocated otherwise.
+// set) must Clone them. An answer may repeat a box (several atoms, or an
+// index's members, can contribute it); the engine's knowledge-base insert
+// counts it once. AllGaps results are deduplicated, shared and read-only
+// for plan-backed oracles, freshly allocated otherwise.
 type Oracle struct {
 	depths   []uint8
 	bindings []atomBinding
@@ -39,7 +41,6 @@ type Oracle struct {
 	proj []uint64          // projected probe point, reused
 	ext  []dyadic.Interval // arena for extended gap boxes, reused
 	out  []dyadic.Box      // result slice, reused
-	seen *boxtree.Tree     // per-call dedup set, Reset each probe
 }
 
 // NewOracle assembles a standalone oracle for a query with the given
@@ -72,7 +73,6 @@ func newOracle(depths []uint8, bindings []atomBinding, maxArity int, gaps func()
 		cursors:  make([]index.Cursor, len(bindings)),
 		allGaps:  gaps,
 		proj:     make([]uint64, maxArity),
-		seen:     boxtree.New(len(depths)),
 	}
 	for i, b := range bindings {
 		o.cursors[i] = b.ix.NewCursor()
@@ -98,12 +98,12 @@ func (b atomBinding) extendInto(out dyadic.Box, rb dyadic.Box) {
 // the projected point; its gap boxes, extended to query space, all
 // contain the probe point. The result is empty exactly when the point's
 // projection is a tuple of every relation — i.e. the point is an output
-// tuple. The returned boxes are valid until the next call.
+// tuple. A box that several atoms contribute is repeated. The returned
+// boxes are valid until the next call.
 func (o *Oracle) GapsContaining(point []uint64) []dyadic.Box {
 	n := len(o.depths)
 	o.ext = o.ext[:0]
 	o.out = o.out[:0]
-	o.seen.Reset()
 	for bi, b := range o.bindings {
 		proj := o.proj[:len(b.relPos)]
 		for i, pos := range b.relPos {
@@ -114,11 +114,7 @@ func (o *Oracle) GapsContaining(point []uint64) []dyadic.Box {
 			o.ext = dyadic.AppendLambdas(o.ext, n)
 			eb := dyadic.Box(o.ext[mark : mark+n])
 			b.extendInto(eb, g)
-			if o.seen.Insert(eb) {
-				o.out = append(o.out, eb)
-			} else {
-				o.ext = o.ext[:mark] // duplicate: reclaim the slot
-			}
+			o.out = append(o.out, eb)
 		}
 	}
 	return o.out
