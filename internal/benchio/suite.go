@@ -421,8 +421,8 @@ func maintainedBench(n int, patched bool) func(b *testing.B) Metrics {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Prime one refresh so the unchanged-atom knowledge base and
-			// the first delta layer exist before the timer starts.
+			// Prime one refresh so the first delta layer exists before
+			// the timer starts.
 			if _, err := cat.Append("R2", freshTuple()); err != nil {
 				b.Fatal(err)
 			}

@@ -2,11 +2,13 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"tetrisjoin/internal/core"
+	"tetrisjoin/internal/dyadic"
 	"tetrisjoin/internal/index"
 	"tetrisjoin/internal/join"
 	"tetrisjoin/internal/relation"
@@ -17,11 +19,16 @@ import (
 // re-execution — Execute patches the cached result from the deltas via
 // the standard delta-query decomposition, one Tetris pass per atom of
 // each changed relation with that atom's relation replaced by its
-// delta. Work per refresh scales with the delta's certificate, not the
-// size of the unchanged data: the delta passes run Reloaded over the
-// tiny delta index plus the already-built indexes of the other atoms,
-// with the unchanged atoms' gap set handed in as a prebuilt shared
-// knowledge base.
+// delta. A pass runs Reloaded over the tiny delta index plus the other
+// atoms' indexes, and it starts at the boxes of the delta tuples, not at
+// the universe — its outputs all lie there, because the delta atom's gaps
+// cover every other point. Its order leads with the delta atom's
+// variables and keys the other atoms' indexes by them (passSAO), so its
+// work follows the certificate around the delta tuples, not the size of
+// the unchanged data. The exception is an atom of a relation the same
+// refresh writes whose index that order would re-key (a self-join, say):
+// the pass then keeps the plan's order, and an index keyed by a variable
+// the root leaves free can answer with Θ(N) gaps (ROADMAP item 6).
 //
 // The patch rule is exact for pure per-step deltas (a span of appends,
 // or a span of deletes, per relation): staggered old/new atom versions
@@ -47,17 +54,8 @@ type Maintained struct {
 	pinned              map[string]*relation.Relation // snapshot the result reflects
 	result              [][]uint64                    // enumeration (SAO-lex) order
 	gen                 uint64                        // catalog generation at last sync
-	bases               map[string]*maintBase         // changed-relation → shared knowledge
 	last                Refresh
 	patches, recomputes int64
-}
-
-// maintBase caches the prebuilt knowledge base for deltas of one
-// relation: the gap set of every atom NOT referencing it, valid as long
-// as the other relations' versions stay what they were at build time.
-type maintBase struct {
-	base *core.PreparedBase
-	deps map[string]uint64
 }
 
 // Refresh describes what one Execute call did to bring the result up to
@@ -70,6 +68,10 @@ type Refresh struct {
 	Passes int
 	// Added and Removed count the tuples the patch applied.
 	Added, Removed int
+	// Rekeyed counts the indexes the delta passes built in full to key an
+	// unwritten relation by a pass's own order (passSAO): at most once per
+	// (relation, order), which later writes carry as delta layers.
+	Rekeyed int
 	// Stats aggregates the engine work of the refresh (delta passes or
 	// the full recompute), including its index builds.
 	Stats core.Stats
@@ -120,7 +122,6 @@ func (c *Catalog) Maintain(query string, opts join.Options) (*Maintained, error)
 		plan:   p.Plan(),
 		result: res.Tuples,
 		gen:    gen,
-		bases:  map[string]*maintBase{},
 		last: Refresh{
 			Kind:  "recomputed",
 			Stats: res.Stats,
@@ -252,9 +253,9 @@ func (m *Maintained) Text() string { return m.text }
 //
 // Stats reporting: IndexBuilds is the number of indexes this refresh
 // constructed (delta indexes over the changed tuples — bounded by the
-// changed atoms — or a full rebuild's worth on fallback; 0 when nothing
-// changed), Resolutions the refresh's geometric resolutions, Outputs
-// the result cardinality.
+// changed atoms — plus Refresh.Rekeyed, or a full rebuild's worth on
+// fallback; 0 when nothing changed), Resolutions the refresh's geometric
+// resolutions, Outputs the result cardinality.
 func (m *Maintained) Execute(opts join.Options) (*join.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -348,7 +349,10 @@ func (m *Maintained) assess() (current map[string]*relation.Relation, deltas map
 }
 
 // repin re-prepares the plan over the given snapshots (warm indexes: no
-// builds expected) and records them as the result's versions.
+// builds expected) and records them as the result's versions. It bypasses
+// the plan cache: a plan pinned to versions a write will retire is never
+// asked for again, and caching one per refresh would evict every prepared
+// statement's plan.
 func (m *Maintained) repin(current map[string]*relation.Relation) error {
 	atoms := make([]join.Atom, 0, len(m.plan.Query().Atoms()))
 	for _, a := range m.plan.Query().Atoms() {
@@ -358,11 +362,11 @@ func (m *Maintained) repin(current map[string]*relation.Relation) error {
 	if err != nil {
 		return err
 	}
-	p, err := m.c.PrepareQuery(q, m.opts)
+	p, err := join.PreparePlan(q, m.opts, source{m.c})
 	if err != nil {
 		return err
 	}
-	m.plan = p.Plan()
+	m.plan = p
 	m.pinFromPlan()
 	return nil
 }
@@ -404,8 +408,7 @@ func (m *Maintained) patch(opts join.Options, current map[string]*relation.Relat
 	}
 	sort.Strings(changed)
 
-	var additions [][]uint64
-	removals := map[string]bool{}
+	var additions, removals [][]uint64
 	processed := map[string]bool{}
 
 	for _, name := range changed {
@@ -424,29 +427,27 @@ func (m *Maintained) patch(opts join.Options, current map[string]*relation.Relat
 		}
 		deltaRel.Tuples()
 
-		base := m.sharedBase(name, changed)
-
 		for ai, a := range q.Atoms() {
 			if a.Relation.Name() != name {
 				continue
 			}
-			passQ, err := m.passQuery(q, ai, name, deltaRel, current, processed)
+			sao := passSAO(q, ai, m.plan.SAOVars(), deltas)
+			passQ, rekeyed, err := m.passQuery(q, ai, name, deltaRel, current, processed, sao)
 			if err != nil {
 				return nil, err
 			}
-			passOpts := join.Options{
-				Mode:        core.Reloaded,
-				Parallelism: 1,
-				SAOVars:     m.plan.SAOVars(),
-				Base:        base,
-				Context:     opts.Context,
-				Budget:      opts.Budget,
-			}
-			pp, err := join.PreparePlan(passQ, passOpts, source{m.c})
+			refresh.Rekeyed += rekeyed
+			refresh.Stats.IndexBuilds += int64(rekeyed)
+			pp, err := join.PreparePlan(passQ, join.Options{SAOVars: sao}, source{m.c})
 			if err != nil {
 				return nil, err
 			}
-			res, err := pp.Execute(passOpts)
+			res, err := core.RunBox(pp.NewOracle(), core.Options{
+				Mode:    core.Reloaded,
+				SAO:     pp.SAO(),
+				Context: opts.Context,
+				Budget:  opts.Budget,
+			}, deltaRoots(q, a, side)...)
 			if err != nil {
 				return nil, err
 			}
@@ -456,9 +457,7 @@ func (m *Maintained) patch(opts join.Options, current map[string]*relation.Relat
 			if len(d.Inserted) > 0 {
 				additions = append(additions, res.Tuples...)
 			} else {
-				for _, t := range res.Tuples {
-					removals[tupleKeyString(t)] = true
-				}
+				removals = append(removals, res.Tuples...)
 			}
 		}
 		processed[name] = true
@@ -472,55 +471,71 @@ func (m *Maintained) patch(opts join.Options, current map[string]*relation.Relat
 	return m.serve(refresh), nil
 }
 
-// sharedBase resolves the prebuilt knowledge base for deltas of the
-// named relation: the gap set of every atom not referencing it, built
-// once from the pinned plan — in its SAO, which every delta pass runs
-// under — and reused for as long as the OTHER relations' versions hold
-// still. Only a single-relation change can use
-// it — with two relations changing, the base would carry stale gaps of
-// the other changed relation — and a change touching every atom (a
-// self-join over the changed relation) has no unchanged atoms to share.
-func (m *Maintained) sharedBase(name string, changed []string) *core.PreparedBase {
-	if len(changed) != 1 {
-		return nil
+// deltaRoots returns the root boxes of a delta pass for atom a: one per
+// delta tuple, with a's variables fixed to the tuple's values as unit
+// intervals and every other variable λ. The pass's outputs all lie in
+// these boxes — the delta atom's gaps cover every other point — and, the
+// tuples being distinct and an atom's variables distinct (NewQuery
+// refuses a repeated one), the boxes are pairwise disjoint, so by
+// Proposition 3.6 the pass over them reports exactly its outputs.
+func deltaRoots(q *join.Query, a join.Atom, tuples []relation.Tuple) []dyadic.Box {
+	n, depths := len(q.Vars()), q.Depths()
+	pos := make([]int, len(a.Vars))
+	for i, v := range a.Vars {
+		pos[i] = q.VarIndex(v)
 	}
-	q := m.plan.Query()
-	others := 0
-	deps := map[string]uint64{}
-	for _, a := range q.Atoms() {
-		if a.Relation.Name() != name {
-			others++
-			deps[a.Relation.Name()] = a.Relation.Version()
+	arena := make([]dyadic.Interval, len(tuples)*n) // all λ
+	roots := make([]dyadic.Box, len(tuples))
+	for k, t := range tuples {
+		root := dyadic.Box(arena[k*n : (k+1)*n])
+		for i, p := range pos {
+			root[p] = dyadic.Unit(t[i], depths[p])
 		}
+		roots[k] = root
 	}
-	if others == 0 {
-		return nil
-	}
-	if mb, ok := m.bases[name]; ok && depsEqual(mb.deps, deps) {
-		return mb.base
-	}
-	po := m.plan.PartialOracle(func(ai int) bool {
-		return q.Atoms()[ai].Relation.Name() != name
-	})
-	base, err := core.BuildPreloadedBase(po, core.Options{SAO: m.plan.SAO()})
-	if err != nil {
-		// The base is an optimization; the pass is exact without it.
-		return nil
-	}
-	m.bases[name] = &maintBase{base: base, deps: deps}
-	return base
+	return roots
 }
 
-func depsEqual(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+// passSAO returns the variable order of the delta pass for atom ai: the
+// plan's, with ai's variables — the ones its root boxes fix — moved to
+// the front. Every other atom's index is then keyed by the root's fixed
+// variables first, so a probe answers with the gaps around the delta
+// tuple's neighbours rather than one gap per value of a free variable
+// ordered before them: on path-3 under C B D A, a pass rooted at an
+// R1(A,B) tuple would otherwise cover C with R2's C-major gaps at B = b,
+// Θ(N) probes. An atom whose index order this changes is resolved
+// through its relation's registry (passQuery), which builds the order
+// once and carries it across later writes as a delta layer. Only
+// relations the refresh does not write may change order: a written
+// relation's atoms straddle its old and new versions, and the old one
+// has no registry to hold a second order. When one would have to, the
+// pass keeps the plan's order.
+func passSAO(q *join.Query, ai int, plan []string, deltas map[string]relation.Delta) []string {
+	fixed := q.Atoms()[ai].Vars
+	sao := make([]string, 0, len(plan))
+	for _, v := range plan {
+		if slices.Contains(fixed, v) {
+			sao = append(sao, v)
 		}
 	}
-	return true
+	for _, v := range plan {
+		if !slices.Contains(fixed, v) {
+			sao = append(sao, v)
+		}
+	}
+	for _, a := range q.Atoms() {
+		if _, written := deltas[a.Relation.Name()]; written && !sameOrder(plan, sao, a.Vars) {
+			return plan
+		}
+	}
+	return sao
+}
+
+// sameOrder reports whether the two SAOs rank vars alike, i.e. call for
+// the same index order of an atom over them.
+func sameOrder(x, y, vars []string) bool {
+	other := func(v string) bool { return !slices.Contains(vars, v) }
+	return slices.Equal(slices.DeleteFunc(slices.Clone(x), other), slices.DeleteFunc(slices.Clone(y), other))
 }
 
 // passQuery assembles the delta-decomposition pass for atom ai of the
@@ -531,9 +546,12 @@ func depsEqual(a, b map[string]uint64) bool {
 // dictates. Old-version atoms carry the pinned plan's index explicitly
 // — the catalog may have dropped the old snapshot's registry — while
 // new/current versions resolve through the catalog's registries, where
-// the maintained specs are already layered (no builds).
+// the maintained specs are already layered (no builds). An unchanged
+// atom the pass's order sao (passSAO) re-keys takes a B-tree in that
+// order from its current registry; rekeyed counts the ones it had to
+// build.
 func (m *Maintained) passQuery(q *join.Query, ai int, name string, deltaRel *relation.Relation,
-	current map[string]*relation.Relation, processed map[string]bool) (*join.Query, error) {
+	current map[string]*relation.Relation, processed map[string]bool, sao []string) (passQ *join.Query, rekeyed int, err error) {
 
 	indices := m.plan.Indices()
 	atoms := make([]join.Atom, len(q.Atoms()))
@@ -547,13 +565,30 @@ func (m *Maintained) passQuery(q *join.Query, ai int, name string, deltaRel *rel
 			atoms[j] = join.Atom{Relation: a.Relation, Vars: a.Vars, Indexes: []index.Index{indices[j]}}
 		case processed[a.Relation.Name()]:
 			atoms[j] = join.Atom{Relation: current[a.Relation.Name()], Vars: a.Vars}
+		case !sameOrder(m.plan.SAOVars(), sao, a.Vars): // unchanged: passSAO re-keys no other kind
+			rel := current[a.Relation.Name()]
+			order := make([]string, 0, len(a.Vars))
+			for _, v := range sao {
+				if i := slices.Index(a.Vars, v); i >= 0 {
+					order = append(order, rel.Attrs()[i])
+				}
+			}
+			ix, built, err := source{m.c}.IndexFor(rel, index.BTreeSpec(order...))
+			if err != nil {
+				return nil, 0, err
+			}
+			if built {
+				rekeyed++
+			}
+			atoms[j] = join.Atom{Relation: rel, Vars: a.Vars, Indexes: []index.Index{ix}}
 		default:
 			// Unchanged or not-yet-processed: the pinned snapshot with its
 			// already-built index.
 			atoms[j] = join.Atom{Relation: a.Relation, Vars: a.Vars, Indexes: []index.Index{indices[j]}}
 		}
 	}
-	return join.NewQuery(atoms...)
+	passQ, err = join.NewQuery(atoms...)
+	return passQ, rekeyed, err
 }
 
 // applyPatch merges additions and filters removals into the cached
@@ -561,7 +596,7 @@ func (m *Maintained) passQuery(q *join.Query, ai int, name string, deltaRel *rel
 // lexicographic in SAO dimension order). Additions are disjoint from
 // the result and from each other by the staggering argument; equal
 // tuples are deduplicated anyway for safety.
-func (m *Maintained) applyPatch(additions [][]uint64, removals map[string]bool, refresh *Refresh) {
+func (m *Maintained) applyPatch(additions, removals [][]uint64, refresh *Refresh) {
 	sao := m.plan.SAO()
 	less := func(a, b []uint64) bool {
 		for _, pos := range sao {
@@ -571,28 +606,38 @@ func (m *Maintained) applyPatch(additions [][]uint64, removals map[string]bool, 
 		}
 		return false
 	}
+	sort.Slice(additions, func(i, j int) bool { return less(additions[i], additions[j]) })
+	sort.Slice(removals, func(i, j int) bool { return less(removals[i], removals[j]) })
+	// filter returns a membership test for removals that walks them once,
+	// so the tuples it is asked about must come in ascending order.
+	filter := func() func(t []uint64) bool {
+		r := 0
+		return func(t []uint64) bool {
+			for r < len(removals) && less(removals[r], t) {
+				r++
+			}
+			return r < len(removals) && !less(t, removals[r])
+		}
+	}
 	// A later relation's delete step may target a tuple an earlier
 	// relation's insert step just produced (the earlier pass ran against
 	// the pre-delete state): removals must filter additions exactly like
 	// they filter the prior result. The reverse interaction cannot
 	// occur — a pass after a delete step sees the deleted-from version,
 	// so its additions never collide with earlier removals.
-	if len(removals) > 0 {
-		kept := additions[:0]
-		for _, t := range additions {
-			if removals[tupleKeyString(t)] {
-				continue
-			}
+	removed, kept := filter(), additions[:0]
+	for _, t := range additions {
+		if !removed(t) {
 			kept = append(kept, t)
 		}
-		additions = kept
 	}
-	sort.Slice(additions, func(i, j int) bool { return less(additions[i], additions[j]) })
+	additions = kept
 
 	merged := make([][]uint64, 0, len(m.result)+len(additions))
+	removed = filter()
 	i, j := 0, 0
 	for i < len(m.result) || j < len(additions) {
-		if i < len(m.result) && removals[tupleKeyString(m.result[i])] {
+		if i < len(m.result) && removed(m.result[i]) {
 			i++
 			refresh.Removed++
 			continue
@@ -619,14 +664,4 @@ func (m *Maintained) applyPatch(additions [][]uint64, removals map[string]bool, 
 		}
 	}
 	m.result = merged
-}
-
-// tupleKeyString encodes a tuple for set membership in the patch.
-func tupleKeyString(t []uint64) string {
-	buf := make([]byte, 0, len(t)*8)
-	for _, v := range t {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(buf)
 }

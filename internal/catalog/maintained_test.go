@@ -389,6 +389,117 @@ func TestMaintainedSteadyTrickle(t *testing.T) {
 	assertSameTuples(t, "final", res.Tuples, scratchRecompute(t, cat, text, sao))
 }
 
+// TestMaintainedRefreshFollowsDelta: a patched refresh's work follows the
+// delta's certificate, not the size of the data. On a path-3 instance the
+// written R2 tuple (b0,c0) joins four R1 tuples on B and four R3 tuples on
+// C, and no other tuple of any relation holds b0 or c0; growing every
+// relation 16-fold keeps that neighbourhood, so the delta pass — which
+// starts at the tuple's box — must do the same work at both sizes. Then an
+// R1 tuple (a0,b0) is written, which joins only through (b0,c0): R1 binds
+// the SAO's tail (C B D A), so its pass leads with B and A and keys R2 by
+// B, once (Rekeyed) — in the plan's C-major order it would have to cover C
+// with Θ(N) gaps at B = b0. Its work must not depend on N either, and a
+// second R1 write must reuse the re-keyed index.
+func TestMaintainedRefreshFollowsDelta(t *testing.T) {
+	const d, b0, c0 = 14, 5000, 9000
+	refresh := func(n int) [2]Refresh {
+		r := rand.New(rand.NewSource(1))
+		val := func() uint64 {
+			for {
+				if v := uint64(r.Intn(1 << d)); v != b0 && v != c0 {
+					return v
+				}
+			}
+		}
+		cat := New()
+		for i := 1; i <= 3; i++ {
+			rel := relation.MustNewUniform(fmt.Sprintf("R%d", i), []string{"X", "Y"}, d)
+			for k := 0; k < n; k++ {
+				rel.MustInsert(val(), val())
+			}
+			for k := uint64(0); k < 4; k++ {
+				switch i {
+				case 1:
+					rel.MustInsert(100+k*37, b0)
+				case 3:
+					rel.MustInsert(c0, 200+k*53)
+				}
+			}
+			if _, err := cat.Ingest(rel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := cat.Maintain("R1(A,B), R2(B,C), R3(C,D)", join.Options{Mode: core.Preloaded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		write := func(name string, tup relation.Tuple, added, rekeyed int) Refresh {
+			t.Helper()
+			if _, err := cat.Append(name, tup); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Execute(join.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			last := m.LastRefresh()
+			if last.Kind != "patched" || last.Added != added || last.Rekeyed != rekeyed || last.Stats.IndexBuilds != int64(1+rekeyed) {
+				t.Fatalf("N=%d, %s%v: refresh %q added %d tuples, rekeyed %d, built %d indexes; want a patch adding %d, rekeying %d",
+					n, name, tup, last.Kind, last.Added, last.Rekeyed, last.Stats.IndexBuilds, added, rekeyed)
+			}
+			return last
+		}
+		mid := write("R2", relation.Tuple{b0, c0}, 16, 0)
+		tail := write("R1", relation.Tuple{7, b0}, 4, 1)
+		write("R1", relation.Tuple{11, b0}, 4, 0)
+		return [2]Refresh{mid, tail}
+	}
+	small, large := refresh(500), refresh(8000)
+	for i, name := range []string{"R2", "R1"} {
+		s, l := small[i].Stats, large[i].Stats
+		if s.Resolutions != l.Resolutions || s.SkeletonCalls != l.SkeletonCalls || s.BoxesLoaded != l.BoxesLoaded {
+			t.Errorf("%s refresh work depends on N: N=500 %d resolutions, %d calls, %d loaded; N=8000 %d, %d, %d",
+				name, s.Resolutions, s.SkeletonCalls, s.BoxesLoaded, l.Resolutions, l.SkeletonCalls, l.BoxesLoaded)
+		}
+	}
+}
+
+// TestMaintainedRefreshLeavesPlanCache: a patched refresh re-pins its plan
+// without the plan cache, so a maintained statement under writes neither
+// counts misses nor evicts the plans of other prepared statements.
+func TestMaintainedRefreshLeavesPlanCache(t *testing.T) {
+	cat, text := pathCatalog(t, 60, 6, 8)
+	other := "R1(A,B), R3(B,C)" // over relations the writes leave alone
+	if _, err := cat.Prepare(other, join.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := cat.Maintain(text, join.Options{Mode: core.Preloaded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := cat.Stats().PlanMisses
+	for i := 0; i < 70; i++ {
+		if _, err := cat.Append("R2", relation.Tuple{uint64(i % 64), uint64(i / 64)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Execute(join.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Patches() == 0 {
+		t.Fatal("the write stream never patched")
+	}
+	if got := cat.Stats().PlanMisses; got != misses {
+		t.Fatalf("refreshes counted %d plan-cache misses, want 0", got-misses)
+	}
+	p, err := cat.Prepare(other, join.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.CacheHit() {
+		t.Fatal("refreshes evicted another statement's cached plan")
+	}
+}
+
 // Regression for a cross-relation span interaction: an insert on one
 // relation folded with a delete on another (each per-relation delta
 // pure, so the span patches). The insert pass for the

@@ -62,11 +62,9 @@ func (b *PreparedBase) Len() int { return b.tree.Len() }
 // Reloaded. Under Preloaded the base stands in for the full gap-set
 // load; under Reloaded it is prior knowledge — boxes already known to
 // contain no output — consulted read-only while the run still loads
-// lazily from the oracle, which is the delta-execution shape: the
-// unchanged atoms' gaps come prebuilt, only the delta's certificate is
-// discovered. A base built under a different subsumption setting,
-// dimensionality or SAO (sao is the run's, checked) is a misuse, not a
-// silent fallback.
+// lazily from the oracle. A base built under a different subsumption
+// setting, dimensionality or SAO (sao is the run's, checked) is a misuse,
+// not a silent fallback.
 func (o Options) preparedBase(n int, sao []int) (*boxtree.Tree, int64, error) {
 	if o.Base == nil || !o.Mode.Plain() {
 		return nil, 0, nil

@@ -91,7 +91,7 @@ func runPass(t *testing.T, o Oracle, opts Options, sao []int, root dyadic.Box, b
 	if base != nil {
 		tree = base.tree
 	}
-	sk, run, err := newPass(o, opts, sao, root, tree, nil)
+	sk, run, err := newPass(o, opts, sao, []dyadic.Box{root}, tree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestLineDonatesAtEveryUnit(t *testing.T) {
 		opts := Options{Mode: mode, SAO: sao}
 		var settled []string
 		run := func(root dyadic.Box, steal *stealSession) *Result {
-			sk, run, err := newPass(o, opts, sao, root, nil, steal)
+			sk, run, err := newPass(o, opts, sao, []dyadic.Box{root}, nil, steal)
 			if err != nil {
 				t.Fatal(err)
 			}

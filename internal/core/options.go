@@ -156,9 +156,7 @@ type Options struct {
 	// runs of one query. Under Reloaded it is prior knowledge — boxes
 	// the caller certifies to contain no output of THIS run's box cover
 	// problem — and the run still loads lazily from the oracle on top of
-	// it; the catalog's incremental maintenance uses this to hand each
-	// delta pass the unchanged atoms' gap set prebuilt, so the pass only
-	// discovers the delta's certificate. The LB modes ignore it.
+	// it. The LB modes ignore it.
 	Base *PreparedBase
 	// Context, when non-nil, cancels the run cooperatively: it is checked
 	// at every settled unit box (output report or gap load) and every 1024

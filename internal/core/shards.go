@@ -173,7 +173,7 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 				if stealDepth > 0 {
 					sess = sched.session(w, f)
 				}
-				fres, ferr := runPlain(o, sopts, sao, f.box, base, sess)
+				fres, ferr := runPlain(o, sopts, sao, []dyadic.Box{f.box}, base, sess)
 				if ferr != nil {
 					cancel() // stop sibling fragments; the merge sorts out blame
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tetrisjoin/internal/dyadic"
@@ -372,6 +373,30 @@ func TestRunBoxRestrictsToRoot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged, seq.Tuples) {
 		t.Fatalf("concatenated RunBox outputs %v != sequential %v", merged, seq.Tuples)
+	}
+	// One call over several roots is one pass over one knowledge base: the
+	// same tuples, root by root in the order given.
+	rev := slices.Clone(roots)
+	slices.Reverse(rev)
+	var want [][]uint64
+	for _, root := range rev {
+		for _, tup := range seq.Tuples {
+			if root.ContainsPoint(tup, depths) {
+				want = append(want, tup)
+			}
+		}
+	}
+	for _, mode := range []Mode{Preloaded, Reloaded} {
+		res, err := RunBox(o, Options{Mode: mode}, rev...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Tuples, want) {
+			t.Fatalf("%v: RunBox over the reversed roots reported %v, want %v", mode, res.Tuples, want)
+		}
+	}
+	if _, err := RunBox(o, Options{Mode: Reloaded}, roots[1], dyadic.Universe(3)); err == nil {
+		t.Error("RunBox accepted overlapping roots")
 	}
 	if _, err := RunBox(o, Options{Mode: PreloadedLB}, dyadic.Universe(3)); err == nil {
 		t.Error("RunBox accepted an LB mode")

@@ -28,7 +28,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
 	sk.walk, sk.keepAll = nil, true // a restart walks back into finished frames
 	if opts.Mode == Preloaded {
-		fresh, err := loadGapSet(o, root, boxtree.New(n), sk.add)
+		fresh, err := loadGapSet(o, []dyadic.Box{root}, boxtree.New(n), sk.add)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,16 +35,21 @@ func Run(o Oracle, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runWithBase(o, opts, sao, dyadic.Universe(n))
+	return runWithBase(o, opts, sao, []dyadic.Box{dyadic.Universe(n)})
 }
 
-// RunBox is the re-entrant per-shard runner: Tetris restricted to the
-// given root box, reporting exactly the output tuples inside it. By the
-// decomposition of Proposition 3.6 the BCP output over any partition of
-// the space into disjoint dyadic root boxes is the disjoint union of the
-// per-root outputs, which is what makes sharded execution (RunShards)
-// correct. Only the plain modes are supported (see Mode.Plain).
-func RunBox(o Oracle, opts Options, root dyadic.Box) (*Result, error) {
+// RunBox is Tetris restricted to the given root boxes, reporting exactly
+// the output tuples inside them, root by root in the order given. By the
+// decomposition of Proposition 3.6 the BCP output over pairwise disjoint
+// dyadic root boxes is the disjoint union of the per-root outputs, which
+// is what makes sharded execution (RunShards) correct and lets a delta
+// pass start at the boxes of its changed tuples. The roots are one pass's
+// work list over one knowledge base: what a root's descent loads or
+// resolves is certified empty or already reported everywhere, so later
+// roots start from it. Overlapping roots are refused — a point in two
+// would be reported twice. Only the plain modes are supported (see
+// Mode.Plain).
+func RunBox(o Oracle, opts Options, roots ...dyadic.Box) (*Result, error) {
 	n, err := validateOracle(o)
 	if err != nil {
 		return nil, err
@@ -52,14 +57,24 @@ func RunBox(o Oracle, opts Options, root dyadic.Box) (*Result, error) {
 	if !opts.Mode.Plain() {
 		return nil, errNotPlain("RunBox", opts.Mode)
 	}
-	if err := root.Check(o.Depths()); err != nil {
-		return nil, fmt.Errorf("core: invalid root box %v: %w", root, err)
+	if len(roots) == 0 {
+		return &Result{}, nil
+	}
+	seen := boxtree.New(n)
+	for _, root := range roots {
+		if err := root.Check(o.Depths()); err != nil {
+			return nil, fmt.Errorf("core: invalid root box %v: %w", root, err)
+		}
+		if seen.IntersectsAny(root) {
+			return nil, fmt.Errorf("core: root box %v overlaps an earlier root", root)
+		}
+		seen.Insert(root)
 	}
 	sao, err := checkSAO(opts.SAO, n)
 	if err != nil {
 		return nil, err
 	}
-	return runWithBase(o, opts, sao, root)
+	return runWithBase(o, opts, sao, roots)
 }
 
 // runWithBase dispatches a plain run through runPlain, resolving the
@@ -70,13 +85,13 @@ func RunBox(o Oracle, opts Options, root dyadic.Box) (*Result, error) {
 // reports identically to a fresh one. A Reloaded run with a base does
 // NOT: there the base is prior knowledge paid for by whoever built it,
 // and BoxesLoaded keeps meaning what this run itself pulled from the
-// oracle — the delta run's certificate-size witness.
-func runWithBase(o Oracle, opts Options, sao []int, root dyadic.Box) (*Result, error) {
+// oracle — its certificate-size witness.
+func runWithBase(o Oracle, opts Options, sao []int, roots []dyadic.Box) (*Result, error) {
 	base, baseLoaded, err := opts.preparedBase(o.Dims(), sao)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runPlain(o, opts, sao, root, base, nil)
+	res, err := runPlain(o, opts, sao, roots, base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,17 +125,17 @@ func validateOracle(o Oracle) (int, error) {
 // shared by the sequential engine (add = skeleton insert) and RunShards
 // (add = shared-base insert): it feeds the oracle's full gap box set
 // through add, validating each box and counting distinct boxes via the
-// loaded exact-match tree. A non-nil root skips boxes disjoint from it —
-// they can never witness coverage of a subbox of the root nor take part
-// in a resolution a run restricted to it performs.
-func loadGapSet(o Oracle, root dyadic.Box, loaded *boxtree.Tree, add func(dyadic.Box)) (int64, error) {
+// loaded exact-match tree. Non-nil roots skip boxes disjoint from all of
+// them — they can never witness coverage of a subbox of a root nor take
+// part in a resolution a run restricted to the roots performs.
+func loadGapSet(o Oracle, roots []dyadic.Box, loaded *boxtree.Tree, add func(dyadic.Box)) (int64, error) {
 	depths := o.Depths()
 	var fresh int64
 	for _, b := range o.AllGaps() {
 		if err := b.Check(depths); err != nil {
 			return fresh, fmt.Errorf("core: oracle returned invalid gap box %v: %w", b, err)
 		}
-		if root != nil && !b.Intersects(root) {
+		if roots != nil && !slices.ContainsFunc(roots, b.Intersects) {
 			continue
 		}
 		if loaded.Insert(b) {
@@ -153,8 +168,9 @@ func checkSAO(sao []int, n int) ([]int, error) {
 }
 
 // runPlain is Algorithm 2 under every mode, enumerating the outputs inside
-// root (the whole universe for sequential runs, one disjoint fragment per
-// worker turn under RunShards), as the single depth-first pass of
+// the pairwise disjoint roots (the whole universe for sequential runs, one
+// fragment per worker turn under RunShards, the changed tuples' boxes of a
+// delta pass), entered in order as the single depth-first pass of
 // TetrisSkeleton2 (footnote 13, proof of Theorem D.2): an uncovered unit
 // box is settled where the descent found it instead of restarting the
 // skeleton from root. Under the preloaded modes the knowledge base holds
@@ -165,7 +181,7 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // restart loop's, resolution for resolution).
 //
 // The LB modes are the same pass in the Balance-lifted space (lb.go): sao
-// and root are then the lifted identity order and universe, whatever the
+// and roots are then the lifted identity order and universe, whatever the
 // caller passed, and base and steal must be nil. The oracle keeps speaking
 // base space; the adapter carries points down and boxes up.
 //
@@ -173,15 +189,16 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // full preloaded gap set: RunShards builds it once and shares it across
 // every fragment, so a Preloaded fragment starts with an empty private
 // knowledge base instead of re-inserting its slice of B. steal, when
-// non-nil, is the run's work-stealing session: when an idle worker wants
+// non-nil, is the run's work-stealing session — its run has exactly one
+// root, the fragment it was handed: when an idle worker wants
 // work the pass unwinds at the next settled unit, replaces the region it
 // was in by the untouched right siblings along that unit's path — points
 // are settled in increasing SAO-lexicographic order, so everything before
 // it is done and nothing after it has been touched — donates the SAO-latest
 // of them, and enters the others one by one. Nothing is walked twice, so
 // nothing relies on the knowledge base to remember what was settled.
-func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.Tree, steal *stealSession) (*Result, error) {
-	_, run, err := newPass(o, opts, sao, root, base, steal)
+func runPlain(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtree.Tree, steal *stealSession) (*Result, error) {
+	_, run, err := newPass(o, opts, sao, roots, base, steal)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +209,7 @@ func runPlain(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.
 // wired to the driver that settles its units, and the function that runs
 // the pass over it. Only tests take the steps apart, to run the same pass
 // over the definition of a line (skeleton.walk).
-func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.Tree, steal *stealSession) (*skeleton, func() (*Result, error), error) {
+func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtree.Tree, steal *stealSession) (*skeleton, func() (*Result, error), error) {
 	n, depths := o.Dims(), o.Depths()
 	res := &Result{}
 	// Resolve the budget once and share it with the skeleton, so the
@@ -212,7 +229,7 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 		}
 		wn, wdepths = sp.lift.Dims(), sp.lift.Depths()
 		sao, _ = checkSAO(nil, wn)
-		root = dyadic.Universe(wn)
+		roots = []dyadic.Box{dyadic.Universe(wn)}
 	}
 	sk := newSkeleton(wn, wdepths, sao, opts, &res.Stats)
 	sk.base = base
@@ -220,8 +237,8 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	case sp != nil:
 		sp.fill(sk)
 	case opts.Mode == Preloaded && base == nil:
-		filter := root
-		if root.IsUniverse() {
+		filter := roots
+		if len(roots) == 1 && roots[0].IsUniverse() {
 			filter = nil // every box intersects the universe; skip the test
 		}
 		loaded := getTree(n)
@@ -239,6 +256,7 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 	point := make([]uint64, n)    // base tuple, reused per settled unit; OnOutput must copy
 	probe := make([]uint64, n)    // the oracle's copy of point, which it may overwrite
 	var last []uint64             // point once a unit has been settled
+	var root dyadic.Box           // the work-list entry being run
 	frame := make(dyadic.Box, wn) // loadGaps scratch
 
 	// loadGaps inserts the oracle's answer for the uncovered unit box b
@@ -364,16 +382,20 @@ func newPass(o Oracle, opts Options, sao []int, root dyadic.Box, base *boxtree.T
 		}
 		return w, nil
 	}
-	// The one re-entry loop, over a work list of untouched boxes in SAO
-	// order: a pass that unwound to donate work goes on from the right
-	// siblings of the unit it had settled last; one that unwound to re-lift
-	// walks back down from the lifted universe over the refilled knowledge
-	// base (its learned resolvents belong to the discarded lifted space).
+	// The one re-entry loop, over a work list of untouched boxes, seeded
+	// with the roots: a pass that unwound to donate work goes on from the
+	// right siblings of the unit it had settled last; one that unwound to
+	// re-lift walks back down from the lifted universe over the refilled
+	// knowledge base (its learned resolvents belong to the discarded lifted
+	// space).
 	return sk, func() (*Result, error) {
 		// Nothing outlives the run inside the knowledge base: tuples are
 		// copied out and every witness is consumed within the pass.
 		defer putTree(sk.kb)
-		work := []entry{{box: root}}
+		work := make([]entry, len(roots))
+		for i, r := range roots {
+			work[i].box = r
+		}
 		if steal != nil {
 			work[0].path = steal.key
 		}

@@ -91,7 +91,10 @@ func (ck *Checker) checkIncrementalMaintained(c Case) *Discrepancy {
 			return d
 		}
 		if last := m.LastRefresh(); last.Kind == "patched" {
-			bound := 0
+			// Delta indexes are bounded by the changed atoms; a pass that
+			// keys an unwritten relation by its own order builds that order
+			// in full once, and reports it.
+			bound := last.Rekeyed
 			for n := range span {
 				bound += atomsOf[n]
 			}

@@ -97,16 +97,6 @@ type Options struct {
 	// mode and under DisableSubsume (the base is built with
 	// subsumption).
 	SharedBase bool
-	// Base, when non-nil, is an externally prepared read-only knowledge
-	// base handed to the core engine (core.Options.Base): every box in
-	// it must be a certified-empty region of THIS query's output space,
-	// and it must have been built for this plan's SAO.
-	// The catalog's maintenance layer builds such bases from the
-	// unchanged atoms of a maintained query (Plan.PartialOracle +
-	// core.BuildPreloadedBase) and hands them to delta passes, which
-	// then run Reloaded and only discover the delta's certificate.
-	// Mutually exclusive with SharedBase (the plan's own base).
-	Base *core.PreparedBase
 	// NoCache, DisableSubsume, TrackProvenance, MaxResolutions,
 	// MaxOutput and OnOutput are forwarded to the core engine; see core.Options. With Parallelism > 1, MaxResolutions and
 	// MaxOutput act as budgets shared across shards.
@@ -285,7 +275,6 @@ func Execute(q *Query, opts Options) (*Result, error) {
 // coreOptions translates execution options for the core engine.
 func (p *Plan) coreOptions(opts Options) core.Options {
 	return core.Options{
-		Base:            opts.Base,
 		Mode:            opts.Mode,
 		SAO:             p.sao,
 		NoCache:         opts.NoCache,
@@ -354,9 +343,6 @@ func (p *Plan) Execute(opts Options) (*Result, error) {
 		if parallelism > 1 {
 			shards = 2 * parallelism
 		}
-	}
-	if opts.SharedBase && opts.Base != nil {
-		return nil, fmt.Errorf("join: SharedBase and an explicit Base are mutually exclusive")
 	}
 	copts := p.coreOptions(opts)
 	if opts.SharedBase && opts.Mode == core.Preloaded && !opts.DisableSubsume {

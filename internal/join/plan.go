@@ -176,30 +176,3 @@ func (p *Plan) PreloadedBase() (*core.PreparedBase, error) {
 func (p *Plan) NewOracle() *Oracle {
 	return newOracle(p.q.Depths(), p.bindings, p.maxArity, p.AllGaps)
 }
-
-// PartialOracle instantiates an oracle restricted to the atoms for
-// which include returns true: its gap set is the union of just those
-// atoms' lifted gaps. The dimensionality and depths stay those of the
-// full query, so boxes from a partial oracle live in the same output
-// space as the plan's.
-//
-// This is the substrate of incremental maintenance: a knowledge base
-// built (core.BuildPreloadedBase) over the atoms NOT touched by a
-// relation delta is valid prior knowledge for every delta pass of that
-// relation — those atoms' gap certificates hold in the pass's query
-// verbatim — and is reusable across deltas for as long as the excluded
-// relation is the only one changing.
-func (p *Plan) PartialOracle(include func(atom int) bool) *Oracle {
-	var bindings []atomBinding
-	maxArity := 0
-	for ai, b := range p.bindings {
-		if !include(ai) {
-			continue
-		}
-		if len(b.relPos) > maxArity {
-			maxArity = len(b.relPos)
-		}
-		bindings = append(bindings, b)
-	}
-	return newOracle(p.q.Depths(), bindings, maxArity, nil)
-}
