@@ -35,11 +35,23 @@ func TestSegmentBackedRestartZeroBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	walOnly := fs.Clone()
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	oracle := d.Catalog
 	d.Close()
+
+	// The same image before the checkpoint recovers from the WAL alone:
+	// re-ingesting three relations rebuilds their four index families each.
+	replayed, err := Open("", Options{FS: walOnly, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds := replayed.Stats().IndexBuilds; builds != 12 {
+		t.Errorf("WAL-only restart performed %d index builds, want 12", builds)
+	}
+	replayed.Close()
 
 	re, err := Open("", Options{FS: fs.Clone(), CheckpointEvery: -1})
 	if err != nil {

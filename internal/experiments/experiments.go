@@ -6,8 +6,8 @@
 // scales with the stated shape).
 //
 // Each experiment is identified by the IDs of DESIGN.md's per-experiment
-// index; cmd/repro prints them and bench_test.go exposes each as a
-// testing.B benchmark. EXPERIMENTS.md records paper-vs-measured.
+// index; cmd/repro prints them and EXPERIMENTS.md records
+// paper-vs-measured.
 package experiments
 
 import (
