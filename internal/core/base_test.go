@@ -75,12 +75,6 @@ func TestPreparedBaseMatchesFreshRuns(t *testing.T) {
 			}
 		}
 
-		// Mode/shape misuse is an error, not a silent fallback.
-		bad := withBase
-		bad.DisableSubsume = true
-		if _, err := Run(o, bad); err == nil {
-			t.Error("subsumption mismatch accepted")
-		}
 		// Reloaded consults the base as prior knowledge: same output,
 		// and nothing left to load lazily when the base holds the full
 		// gap set — without the base's boxes being charged to this run.

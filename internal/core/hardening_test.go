@@ -132,40 +132,3 @@ func TestInconsistentOracleRejected(t *testing.T) {
 		t.Error("inconsistent oracle accepted")
 	}
 }
-
-func TestTrackProvenanceAcrossModes(t *testing.T) {
-	depths := depthsOf(3, 2)
-	bs := boxes("0,0,λ", "1,1,λ", "λ,0,0", "λ,1,1", "0,λ,1", "1,λ,0")
-	o := MustBoxOracle(depths, bs)
-	for _, m := range allModes() {
-		res, err := Run(o, Options{Mode: m, TrackProvenance: true})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if res.Stats.GapResolutions+res.Stats.OutputResolutions != res.Stats.Resolutions {
-			t.Errorf("%v: provenance split %d+%d != %d", m,
-				res.Stats.GapResolutions, res.Stats.OutputResolutions, res.Stats.Resolutions)
-		}
-	}
-}
-
-func TestDisableSubsumeStillCorrect(t *testing.T) {
-	depths := depthsOf(2, 3)
-	bs := boxes("λ,0", "00,λ", "λ,11", "10,1")
-	o := MustBoxOracle(depths, bs)
-	on, err := Run(o, Options{Mode: Preloaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Run(o, Options{Mode: Preloaded, DisableSubsume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(on.Tuples) != len(off.Tuples) {
-		t.Errorf("subsumption changed the answer: %d vs %d", len(on.Tuples), len(off.Tuples))
-	}
-	// Without compaction the knowledge base holds at least as many boxes.
-	if off.Stats.KnowledgeBase < on.Stats.KnowledgeBase {
-		t.Errorf("no-subsume kb %d < subsume kb %d", off.Stats.KnowledgeBase, on.Stats.KnowledgeBase)
-	}
-}

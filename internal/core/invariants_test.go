@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"tetrisjoin/internal/dyadic"
@@ -9,36 +10,55 @@ import (
 
 // TestLemmaC1AllResolutionsOrdered verifies Lemma C.1: every resolution
 // performed by TetrisSkeleton started from the universal box is an
-// ordered geometric resolution with respect to the SAO.
+// ordered geometric resolution with respect to the SAO — in both plain
+// modes, sequentially and sharded. The observer must see every
+// resolution the run counts; sharded workers call it concurrently.
 func TestLemmaC1AllResolutionsOrdered(t *testing.T) {
 	r := rand.New(rand.NewSource(401))
 	saos := [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}
+	var total int64
 	for trial := 0; trial < 25; trial++ {
 		depths := depthsOf(3, 3)
 		bs := randBoxSet(r, 3, 3, 12)
 		o := MustBoxOracle(depths, bs)
 		for _, sao := range saos {
-			violations := 0
-			checked := 0
-			opts := Options{
-				Mode: Reloaded,
-				SAO:  sao,
-				OnResolve: func(w1, w2, w dyadic.Box, dim int) {
-					checked++
-					if !IsOrderedResolution(w1, w2, dim, sao) {
-						violations++
+			for _, mode := range []Mode{Reloaded, Preloaded} {
+				for _, sharded := range []bool{false, true} {
+					var checked, violations atomic.Int64
+					opts := Options{
+						Mode: mode,
+						SAO:  sao,
+						onResolve: func(w1, w2, w dyadic.Box, dim int) {
+							checked.Add(1)
+							if !IsOrderedResolution(w1, w2, dim, sao) {
+								violations.Add(1)
+							}
+						},
 					}
-				},
-			}
-			if _, err := Run(o, opts); err != nil {
-				t.Fatal(err)
-			}
-			if violations > 0 {
-				t.Fatalf("trial %d SAO %v: %d of %d resolutions were not ordered",
-					trial, sao, violations, checked)
+					var res *Result
+					var err error
+					if sharded {
+						res, err = RunShards(func() Oracle { return o.Clone() }, opts, 4, 8)
+					} else {
+						res, err = Run(o, opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v := violations.Load(); v > 0 {
+						t.Fatalf("trial %d %v SAO %v sharded=%v: %d of %d resolutions were not ordered",
+							trial, mode, sao, sharded, v, checked.Load())
+					}
+					if c := checked.Load(); c != res.Stats.Resolutions {
+						t.Fatalf("trial %d %v SAO %v sharded=%v: observer saw %d resolutions, Stats.Resolutions = %d",
+							trial, mode, sao, sharded, c, res.Stats.Resolutions)
+					}
+					total += res.Stats.Resolutions
+				}
 			}
 		}
 	}
+	t.Logf("%d resolutions checked", total)
 }
 
 // TestResolutionSoundnessDuringRuns verifies, on every resolution of
@@ -52,7 +72,7 @@ func TestResolutionSoundnessDuringRuns(t *testing.T) {
 		o := MustBoxOracle(depths, bs)
 		opts := Options{
 			Mode: Preloaded,
-			OnResolve: func(w1, w2, w dyadic.Box, dim int) {
+			onResolve: func(w1, w2, w dyadic.Box, dim int) {
 				// Validate the resolvent against the general Resolve and
 				// check soundness on random points inside w.
 				got, err := Resolve(w1, w2)
@@ -155,3 +175,7 @@ func TestLemma45ResolutionDominatesSkeletonWork(t *testing.T) {
 			st.SkeletonCalls, work)
 	}
 }
+
+// bisect is a resolution observer that observes nothing: setting it makes a
+// run bisect every frame, as NoCache does, while keeping the resolvent cache.
+func bisect(w1, w2, resolvent dyadic.Box, dim int) {}

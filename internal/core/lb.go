@@ -62,7 +62,7 @@ func (l *lifted) fill(sk *skeleton) {
 		sk.add(l.lift.Box(b))
 	}
 	for _, t := range l.outputs {
-		sk.addOutput(l.lift.Point(t))
+		sk.add(l.lift.Point(t))
 	}
 }
 

@@ -212,51 +212,49 @@ func TestLineMatchesItsDefinition(t *testing.T) {
 				odd := dyadic.Universe(n)
 				odd[sao[n-1]] = dyadic.NewInterval(uint64(r.Intn(2)), 1)
 				roots = append(roots, odd)
-				for _, subsume := range []bool{true, false} {
-					build := Options{SAO: sao, DisableSubsume: !subsume}
-					fullBase, err := BuildPreloadedBase(full, build)
-					if err != nil {
-						t.Fatal(err)
-					}
-					halfBase, err := BuildPreloadedBase(half, build)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, c := range []struct {
-						name string
-						mode Mode
-						o    Oracle
-						base *PreparedBase
-					}{
-						{"preloaded", Preloaded, full, nil},
-						{"preloaded+base", Preloaded, full, fullBase},
-						{"reloaded", Reloaded, full, nil},
-						{"reloaded stingy", Reloaded, stingy, nil},
-						{"reloaded+base", Reloaded, full, halfBase},
-						{"reloaded+base stingy", Reloaded, stingy, halfBase},
-						{"preloaded-lb", PreloadedLB, full, nil},
-						{"reloaded-lb", ReloadedLB, full, nil},
-						{"reloaded-lb stingy", ReloadedLB, stingy, nil},
-					} {
-						opts := Options{Mode: c.mode, SAO: sao, DisableSubsume: !subsume}
-						cRoots := roots
-						if !c.mode.Plain() {
-							if n < 3 {
-								continue // Run hands these to the plain modes
-							}
-							cRoots = roots[:1] // the lifted universe, whatever is passed
+				build := Options{SAO: sao}
+				fullBase, err := BuildPreloadedBase(full, build)
+				if err != nil {
+					t.Fatal(err)
+				}
+				halfBase, err := BuildPreloadedBase(half, build)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					name string
+					mode Mode
+					o    Oracle
+					base *PreparedBase
+				}{
+					{"preloaded", Preloaded, full, nil},
+					{"preloaded+base", Preloaded, full, fullBase},
+					{"reloaded", Reloaded, full, nil},
+					{"reloaded stingy", Reloaded, stingy, nil},
+					{"reloaded+base", Reloaded, full, halfBase},
+					{"reloaded+base stingy", Reloaded, stingy, halfBase},
+					{"preloaded-lb", PreloadedLB, full, nil},
+					{"reloaded-lb", ReloadedLB, full, nil},
+					{"reloaded-lb stingy", ReloadedLB, stingy, nil},
+				} {
+					opts := Options{Mode: c.mode, SAO: sao}
+					cRoots := roots
+					if !c.mode.Plain() {
+						if n < 3 {
+							continue // Run hands these to the plain modes
 						}
-						for _, root := range cRoots {
-							label := fmt.Sprintf("n=%d sao=%v %s subsume=%v root=%v boxes=%v", n, sao, c.name, subsume, root, bs)
-							got := runPass(t, c.o, opts, sao, root, c.base, false)
-							want := runPass(t, c.o, opts, sao, root, c.base, true)
-							if got.err != nil {
-								t.Fatalf("%s: %v", label, got.err)
-							}
-							sameOutcome(t, label, got, want)
-							lines += len(got.lines)
-							relifts += got.stats.Rebuilds
+						cRoots = roots[:1] // the lifted universe, whatever is passed
+					}
+					for _, root := range cRoots {
+						label := fmt.Sprintf("n=%d sao=%v %s root=%v boxes=%v", n, sao, c.name, root, bs)
+						got := runPass(t, c.o, opts, sao, root, c.base, false)
+						want := runPass(t, c.o, opts, sao, root, c.base, true)
+						if got.err != nil {
+							t.Fatalf("%s: %v", label, got.err)
 						}
+						sameOutcome(t, label, got, want)
+						lines += len(got.lines)
+						relifts += got.stats.Rebuilds
 					}
 				}
 			}
@@ -303,7 +301,7 @@ func TestLineGapLoads(t *testing.T) {
 	if fmt.Sprint(got.kb) != "[⟨0⟩ ⟨000⟩ ⟨001⟩ ⟨1⟩]" {
 		t.Errorf("late gap: the line left the knowledge base %v, want the four gaps", got.kb)
 	}
-	binary, err := Run(late, Options{TrackProvenance: true})
+	binary, err := Run(late, Options{onResolve: bisect})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,22 +118,12 @@ type Options struct {
 	SAO []int
 	// NoCache disables line 19 of Algorithm 1 (caching of resolvents),
 	// restricting the algorithm to Tree Ordered Geometric Resolution
-	// (Section 5.1). Used to reproduce Theorems 5.1 and 5.2. Like
-	// TrackProvenance and OnResolve it is about the binary resolution
-	// steps themselves, so a run with any of the three bisects the last
-	// SAO dimension like the others instead of walking it as lines
+	// (Section 5.1). Used to reproduce Theorems 5.1 and 5.2. It is about
+	// the binary resolution steps themselves, so such a run bisects the
+	// last SAO dimension like the others instead of walking it as lines
 	// (Stats.Lines stays 0), and does not apply the plain modes' storage
 	// rule (see Stats.KnowledgeBase).
 	NoCache bool
-	// DisableSubsume turns off knowledge-base compaction (removal of
-	// boxes covered by a newly learned resolvent). Compaction does not
-	// change the covered region; disabling it aids debugging and keeps
-	// resolution counts directly comparable to the paper's accounting.
-	DisableSubsume bool
-	// TrackProvenance enables the gap-vs-output resolution accounting of
-	// Definitions C.3/C.4, populating Stats.GapResolutions and
-	// Stats.OutputResolutions at the cost of one map entry per resolvent.
-	TrackProvenance bool
 	// MaxResolutions aborts the run with an error after this many
 	// resolutions (0 = unlimited), in the middle of a line if that is
 	// where the count is reached. A safety valve for adversarial
@@ -178,11 +168,13 @@ type Options struct {
 	// found. Returning false stops the enumeration early. The slice is
 	// reused; callers must copy it to retain it.
 	OnOutput func(tuple []uint64) bool
-	// OnResolve, if non-nil, observes every geometric resolution: the two
+	// onResolve, if non-nil, observes every geometric resolution: the two
 	// witnesses, their resolvent, and the dimension resolved on (in the
-	// run's working space — the lifted space for LB modes). Intended for
-	// tracing and tests; it must not retain the boxes without copying.
-	OnResolve func(w1, w2, resolvent dyadic.Box, dim int)
+	// run's working space — the lifted space for LB modes). Only tests set
+	// it; like NoCache it makes the run bisect, so every resolution is a
+	// binary step the observer sees. Sharded runs call it from every
+	// worker concurrently. It must not retain the boxes without copying.
+	onResolve func(w1, w2, resolvent dyadic.Box, dim int)
 }
 
 // Stats reports the work performed by a Tetris run. Resolution counts are
@@ -191,13 +183,6 @@ type Options struct {
 type Stats struct {
 	// Resolutions is the total number of geometric resolutions performed.
 	Resolutions int64
-	// GapResolutions counts resolutions not involving any output box
-	// (Definition C.3). Populated only with Options.TrackProvenance.
-	GapResolutions int64
-	// OutputResolutions counts resolutions involving an output box
-	// directly or transitively (Definition C.4). Populated only with
-	// Options.TrackProvenance.
-	OutputResolutions int64
 	// SkeletonCalls counts recursive TetrisSkeleton invocations, and the
 	// positions probed along lines.
 	SkeletonCalls int64
@@ -208,8 +193,8 @@ type Stats struct {
 	// settled by one left-to-right walk instead of being bisected. A line
 	// over k covers charges Resolutions k-1 (the ordered resolutions that
 	// combine them), SkeletonCalls one per position probed and CoverHits
-	// one per stored cover used. Zero under NoCache, TrackProvenance and
-	// OnResolve, which count or observe binary steps and keep them.
+	// one per stored cover used. Zero under NoCache, which counts binary
+	// steps and keeps them.
 	Lines int64
 	// CoverHits counts successful knowledge-base containment lookups
 	// (line 1 of Algorithm 1).
@@ -237,8 +222,7 @@ type Stats struct {
 	// base at the end, not the number it derived: in the plain modes a
 	// resolvent, a line's witness or an output's cover is kept only when it
 	// is larger than the frame it was found for, since no later probe can
-	// hit one that is not (NoCache, TrackProvenance, OnResolve and the LB
-	// modes keep them all).
+	// hit one that is not (NoCache and the LB modes keep them all).
 	KnowledgeBase int
 	// Steals counts fragments the work-stealing executor split off
 	// running workers' regions (0 for sequential runs and for runs with
@@ -263,8 +247,6 @@ type Stats struct {
 // per-run balance diagnostic into a meaningless total.
 func (s *Stats) Merge(other Stats) {
 	s.Resolutions += other.Resolutions
-	s.GapResolutions += other.GapResolutions
-	s.OutputResolutions += other.OutputResolutions
 	s.SkeletonCalls += other.SkeletonCalls
 	s.Splits += other.Splits
 	s.Lines += other.Lines

@@ -138,19 +138,6 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 	sopts.MaxResolutions = 0
 	sopts.MaxOutput = 0
 	sopts.Context = ctx
-	if opts.OnResolve != nil {
-		// Serialize the tracing callback: shards resolve concurrently, and
-		// OnResolve observers (e.g. trace recorders) are written for the
-		// sequential engine. The interleaving across shards is
-		// scheduling-dependent; per-shard order is preserved.
-		var mu sync.Mutex
-		inner := opts.OnResolve
-		sopts.OnResolve = func(w1, w2, resolvent dyadic.Box, dim int) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(w1, w2, resolvent, dim)
-		}
-	}
 
 	sched := newStealScheduler(workers, seeds, stealDepth, sao, depths)
 	var wg sync.WaitGroup

@@ -293,24 +293,6 @@ func TestRunShardsExhaustedQuotaStopsSiblings(t *testing.T) {
 	}
 }
 
-func TestRunShardsSerializesOnResolve(t *testing.T) {
-	// OnResolve observers are written for the sequential engine; RunShards
-	// must serialize the callback. Run with -race: an unserialized append
-	// from 4 workers would trip the detector.
-	o := shardInstance(t)
-	var resolutions []int
-	res, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, OnResolve: func(_, _, _ dyadic.Box, dim int) {
-			resolutions = append(resolutions, dim)
-		}}, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(resolutions)) != res.Stats.Resolutions {
-		t.Errorf("observed %d resolutions, stats say %d", len(resolutions), res.Stats.Resolutions)
-	}
-}
-
 func TestLBModesHonorSharedBudgetOutputs(t *testing.T) {
 	// A lifted run must draw output slots from an explicitly shared Budget
 	// (the Budget doc says it replaces MaxOutput).

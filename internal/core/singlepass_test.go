@@ -14,9 +14,9 @@ import (
 // bisected, is restarted from root after every output and every gap load.
 // The engine no longer runs this loop; it is kept here as the reference the
 // single pass must reproduce — same tuples in the same order, same
-// certificate, and when the pass bisects every frame too (TrackProvenance)
-// the same resolutions and knowledge base — because loadGaps' choice of
-// witness is argued from what this loop would have hit first.
+// certificate, and when the pass bisects every frame too (a bisecting
+// observer) the same resolutions and knowledge base — because loadGaps'
+// choice of witness is argued from what this loop would have hit first.
 func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Result {
 	t.Helper()
 	n, depths := o.Dims(), o.Depths()
@@ -48,7 +48,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 		if len(gaps) == 0 {
 			res.Stats.Outputs++
 			res.Tuples = append(res.Tuples, point)
-			sk.addOutput(w)
+			sk.add(w)
 			continue
 		}
 		// Gaps are loaded by the engine's rule: one plain insert each, its
@@ -105,7 +105,7 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 				sk.add(lift.Box(b))
 			}
 			for _, tup := range res.Tuples {
-				sk.addOutput(lift.Point(tup))
+				sk.add(lift.Point(tup))
 			}
 			lastBuild = len(baseBoxes)
 		}
@@ -122,7 +122,7 @@ func restartReferenceLB(t *testing.T, o Oracle, opts Options) *Result {
 		if len(gaps) == 0 {
 			res.Stats.Outputs++
 			res.Tuples = append(res.Tuples, point)
-			sk.addOutput(lift.Point(point))
+			sk.add(lift.Point(point))
 			continue
 		}
 		for _, g := range gaps { // loaded by the engine's rule, as in restartReference
@@ -164,11 +164,9 @@ func sameWork(t *testing.T, label string, got, want *Result) {
 	if g.Lines != 0 {
 		t.Fatalf("%s: %d lines in a pass that must bisect", label, g.Lines)
 	}
-	if g.Resolutions != w.Resolutions || g.KnowledgeBase != w.KnowledgeBase ||
-		g.GapResolutions != w.GapResolutions || g.OutputResolutions != w.OutputResolutions {
-		t.Fatalf("%s: single pass resolutions/kb/gap/output resolutions %d/%d/%d/%d, restart loop %d/%d/%d/%d", label,
-			g.Resolutions, g.KnowledgeBase, g.GapResolutions, g.OutputResolutions,
-			w.Resolutions, w.KnowledgeBase, w.GapResolutions, w.OutputResolutions)
+	if g.Resolutions != w.Resolutions || g.KnowledgeBase != w.KnowledgeBase {
+		t.Fatalf("%s: single pass resolutions/kb %d/%d, restart loop %d/%d", label,
+			g.Resolutions, g.KnowledgeBase, w.Resolutions, w.KnowledgeBase)
 	}
 	if g.SkeletonCalls > w.SkeletonCalls || g.Splits > w.Splits || g.CoverHits > w.CoverHits {
 		t.Fatalf("%s: single pass calls/splits/cover hits %d/%d/%d, restart loop %d/%d/%d", label,
@@ -197,9 +195,9 @@ func sameAsKeepingEverything(t *testing.T, label string, got *Result, run func()
 // TestSinglePassMatchesRestartMode: the depth-first pass must report what
 // the restart-based outer loop reports, in both modes, from the universe
 // and from a fragment's root, under every SAO — and in both LB modes from
-// the lifted universe. Under TrackProvenance the pass bisects every frame
-// as the loop does, over the same SAO-ordered tree, and must then do the
-// loop's work bit for bit.
+// the lifted universe. Under a bisecting observer the pass bisects every
+// frame as the loop does, over the same SAO-ordered tree, and must then do
+// the loop's work bit for bit.
 func TestSinglePassMatchesRestartMode(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 30; trial++ {
@@ -219,42 +217,42 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 		roots = append(roots, odd)
 		for _, root := range roots {
 			for _, mode := range []Mode{Preloaded, Reloaded} {
-				for _, subsume := range []bool{true, false} {
-					opts := Options{Mode: mode, SAO: sao, DisableSubsume: !subsume}
-					var want *Result
-					for _, prov := range []bool{false, true} {
-						opts.TrackProvenance = prov
-						run := func() (*Result, error) { return RunBox(o, opts, root) }
-						got, err := run()
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameAsKeepingEverything(t, mode.String(), got, run)
-						want = restartReference(t, o, opts, root)
-						if prov {
-							sameWork(t, mode.String(), got, want)
-						} else {
-							sameCertificate(t, mode.String(), got, want)
-						}
-						if mode == Reloaded && got.Stats.OracleCalls != want.Stats.OracleCalls {
-							t.Fatalf("trial %d: Reloaded probed the oracle %d times, restart loop %d",
-								trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
-						}
-						if mode == Preloaded && got.Stats.OracleCalls != 0 {
-							t.Fatalf("trial %d: Preloaded probed the oracle %d times", trial, got.Stats.OracleCalls)
-						}
+				opts := Options{Mode: mode, SAO: sao}
+				var want *Result
+				for _, bisected := range []bool{false, true} {
+					if bisected {
+						opts.onResolve = bisect
 					}
-					// Without the resolvent cache the restart loop repeats
-					// resolutions the pass does once; the output is the same.
-					opts.TrackProvenance, opts.NoCache = false, true
-					got, err := RunBox(o, opts, root)
+					run := func() (*Result, error) { return RunBox(o, opts, root) }
+					got, err := run()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got.Tuples, want.Tuples) || got.Stats.Lines != 0 {
-						t.Fatalf("trial %d %v: cache-free single pass enumerated %v over %d lines, want %v over none",
-							trial, mode, got.Tuples, got.Stats.Lines, want.Tuples)
+					sameAsKeepingEverything(t, mode.String(), got, run)
+					want = restartReference(t, o, opts, root)
+					if bisected {
+						sameWork(t, mode.String(), got, want)
+					} else {
+						sameCertificate(t, mode.String(), got, want)
 					}
+					if mode == Reloaded && got.Stats.OracleCalls != want.Stats.OracleCalls {
+						t.Fatalf("trial %d: Reloaded probed the oracle %d times, restart loop %d",
+							trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
+					}
+					if mode == Preloaded && got.Stats.OracleCalls != 0 {
+						t.Fatalf("trial %d: Preloaded probed the oracle %d times", trial, got.Stats.OracleCalls)
+					}
+				}
+				// Without the resolvent cache the restart loop repeats
+				// resolutions the pass does once; the output is the same.
+				opts.onResolve, opts.NoCache = nil, true
+				got, err := RunBox(o, opts, root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Tuples, want.Tuples) || got.Stats.Lines != 0 {
+					t.Fatalf("trial %d %v: cache-free single pass enumerated %v over %d lines, want %v over none",
+						trial, mode, got.Tuples, got.Stats.Lines, want.Tuples)
 				}
 			}
 		}
@@ -274,29 +272,30 @@ func lbMatchesRestartMode(t *testing.T, r *rand.Rand) {
 		d := uint8(2 + r.Intn(2))
 		o := MustBoxOracle(depthsOf(n, d), randBoxSet(r, n, d, r.Intn(40)))
 		for _, mode := range []Mode{PreloadedLB, ReloadedLB} {
-			for _, subsume := range []bool{true, false} {
-				for _, prov := range []bool{false, true} {
-					opts := Options{Mode: mode, DisableSubsume: !subsume, TrackProvenance: prov}
-					run := func() (*Result, error) { return Run(o, opts) }
-					got, err := run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameAsKeepingEverything(t, mode.String(), got, run)
-					want := restartReferenceLB(t, o, opts)
-					if prov {
-						sameWork(t, mode.String(), got, want)
-					} else {
-						sameCertificate(t, mode.String(), got, want)
-					}
-					if mode == ReloadedLB && got.Stats.OracleCalls != want.Stats.OracleCalls {
-						t.Fatalf("trial %d: ReloadedLB probed the oracle %d times, restart loop %d", trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
-					}
-					if mode == PreloadedLB && got.Stats.OracleCalls != 0 {
-						t.Fatalf("trial %d: PreloadedLB probed the oracle %d times", trial, got.Stats.OracleCalls)
-					}
-					rebuilds += got.Stats.Rebuilds
+			for _, bisected := range []bool{false, true} {
+				opts := Options{Mode: mode}
+				if bisected {
+					opts.onResolve = bisect
 				}
+				run := func() (*Result, error) { return Run(o, opts) }
+				got, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAsKeepingEverything(t, mode.String(), got, run)
+				want := restartReferenceLB(t, o, opts)
+				if bisected {
+					sameWork(t, mode.String(), got, want)
+				} else {
+					sameCertificate(t, mode.String(), got, want)
+				}
+				if mode == ReloadedLB && got.Stats.OracleCalls != want.Stats.OracleCalls {
+					t.Fatalf("trial %d: ReloadedLB probed the oracle %d times, restart loop %d", trial, got.Stats.OracleCalls, want.Stats.OracleCalls)
+				}
+				if mode == PreloadedLB && got.Stats.OracleCalls != 0 {
+					t.Fatalf("trial %d: PreloadedLB probed the oracle %d times", trial, got.Stats.OracleCalls)
+				}
+				rebuilds += got.Stats.Rebuilds
 			}
 		}
 	}

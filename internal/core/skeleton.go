@@ -27,9 +27,9 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 //
 //   - a frame that splits reserves 2n intervals at its watermark for the
 //     split halves (a line: its witness and the unit box it moves along);
-//   - the resolvent is composed above the live region, so the callback
-//     and provenance reads of w1/w2 see intact data even when a witness
-//     aliases the frame's own scratch;
+//   - the resolvent is composed above the live region, so the callback's
+//     reads of w1/w2 see intact data even when a witness aliases the
+//     frame's own scratch;
 //   - on return the surviving witness is compacted down to the frame's
 //     watermark and the arena is truncated just past it, so the arena
 //     high-water mark is O(recursion depth · n) no matter how many
@@ -57,7 +57,6 @@ type skeleton struct {
 	depths  []uint8
 	n       int
 	noCache bool
-	subsume bool
 	// keepAll stores every resolvent, line witness and output cover, also
 	// those equal to their frame, which no later probe of a plain pass can
 	// hit (see keeps).
@@ -67,8 +66,8 @@ type skeleton struct {
 
 	// walk settles a frame that is thick only in the last SAO dimension
 	// (line). Nil when the run counts or observes binary steps — NoCache,
-	// TrackProvenance, OnResolve — and so splits such frames like any
-	// other; tests put the line's definition here.
+	// onResolve — and so splits such frames like any other; tests put the
+	// line's definition here.
 	walk func(b dyadic.Box, dim int) (bool, dyadic.Box, error)
 	// kbRoots and baseRoots are line's last-level tries, reused across lines.
 	kbRoots, baseRoots []uint32
@@ -88,11 +87,6 @@ type skeleton struct {
 	// enumeration is one depth-first pass.
 	// An error aborts the pass.
 	settleUnit func(b dyadic.Box) (dyadic.Box, error)
-
-	// fromOutput holds boxes that are output boxes or output resolvents
-	// (Definition C.4), as an exact-match box set. Nil unless provenance
-	// tracking is requested.
-	fromOutput *boxtree.Tree
 }
 
 // errStopped signals an early stop requested by the output callback or
@@ -111,18 +105,14 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 		depths:    depths,
 		n:         n,
 		noCache:   opts.NoCache,
-		subsume:   !opts.DisableSubsume,
 		budget:    effectiveBudget(opts),
 		ctx:       opts.Context,
 		stats:     stats,
-		onResolve: opts.OnResolve,
+		onResolve: opts.onResolve,
 	}
 	// Appendix C.1: the levels of the knowledge base follow the SAO.
 	s.kb.SetOrder(sao)
-	if opts.TrackProvenance {
-		s.fromOutput = boxtree.New(n)
-	}
-	binary := opts.NoCache || opts.TrackProvenance || opts.OnResolve != nil
+	binary := opts.NoCache || opts.onResolve != nil
 	if !binary {
 		s.walk = s.line
 	}
@@ -170,33 +160,10 @@ func putTree(t *boxtree.Tree) {
 	}
 }
 
-// reset empties the knowledge base: the boxes of a lifted space that is
-// being rebuilt. Every witness handed out before becomes invalid.
-func (s *skeleton) reset() {
-	s.kb.Reset()
-	if s.fromOutput != nil {
-		s.fromOutput.Reset()
-	}
-}
-
-// insertBox is the one knowledge-base insert. With subsumption the box is
-// stored unless a stored box contains it — known not to when uncovered is
-// set, which skips the probe — and sweeps out stored boxes it contains;
-// without, it is stored as is.
-func insertBox(t *boxtree.Tree, b dyadic.Box, subsume, uncovered bool) {
-	switch {
-	case !subsume:
-		t.Insert(b)
-	case uncovered:
-		t.InsertUncovered(b)
-	default:
-		t.InsertSubsuming(b)
-	}
-}
-
-// add inserts a box into the knowledge base.
+// add inserts a box into the knowledge base unless a stored box contains
+// it, sweeping out the stored boxes it contains.
 func (s *skeleton) add(b dyadic.Box) {
-	insertBox(s.kb, b, s.subsume, false)
+	s.kb.InsertSubsuming(b)
 	s.wrote = true
 }
 
@@ -206,16 +173,8 @@ func (s *skeleton) add(b dyadic.Box) {
 // resolvent or a settled unit's witness from one of b's halves — came back
 // up as a witness and ended the frame before it resolved.
 func (s *skeleton) addResolvent(w dyadic.Box) {
-	insertBox(s.kb, w, s.subsume, true)
+	s.kb.InsertUncovered(w)
 	s.wrote = true
-}
-
-// addOutput inserts an output's cover and marks its provenance.
-func (s *skeleton) addOutput(b dyadic.Box) {
-	if s.fromOutput != nil {
-		s.fromOutput.Insert(b)
-	}
-	s.add(b)
 }
 
 // keeps reports whether w, found for the frame b ⊆ w — its resolvent, a
@@ -343,7 +302,7 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	// Line 18: geometric resolution of the two half-witnesses. By Lemma
 	// C.1 this is always an ordered resolution on dim. The resolvent is
 	// composed above the live region so w1 and w2 stay intact for the
-	// callback and the provenance reads below.
+	// callback.
 	top := len(s.scratch)
 	s.scratch = append(s.scratch, b...)
 	w := dyadic.Box(s.scratch[top : top+s.n])
@@ -354,14 +313,6 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	}
 	if !s.budget.AddResolution() {
 		return false, nil, errResolutionBudget
-	}
-	if s.fromOutput != nil {
-		if s.fromOutput.Contains(w1) || s.fromOutput.Contains(w2) {
-			s.fromOutput.Insert(w)
-			s.stats.OutputResolutions++
-		} else {
-			s.stats.GapResolutions++
-		}
 	}
 	// Line 19: cache the resolvent (skipped in Tree Ordered mode) if it
 	// can be hit again.

@@ -96,10 +96,10 @@ func TestStealSinglePassDonation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Preloaded runs never probe the oracle mid-run, so slowOracle
-	// cannot stretch them; a sleeping OnResolve observer does.
+	// cannot stretch them; a sleeping resolution observer does.
 	slow := func(w1, w2, r dyadic.Box, dim int) { time.Sleep(20 * time.Microsecond) }
 	got, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, OnResolve: slow}, 4, 2)
+		Options{Mode: Preloaded, onResolve: slow}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,26 +240,30 @@ func TestRunShardsReusesProbeOracle(t *testing.T) {
 }
 
 // TestStealStormRace hammers the scheduler: every worker slot contended,
-// fragments donated and stolen continuously, OnResolve serialized — the
-// -race CI job runs this with the detector on.
+// fragments donated and stolen continuously, a resolution observer called
+// from every worker at once — the -race CI job runs this with the detector
+// on.
 func TestStealStormRace(t *testing.T) {
 	o := skewedInstance(t)
 	seq, err := Run(o, Options{Mode: Reloaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resolves atomic.Int64
 	for round := 0; round < 4; round++ {
+		var resolves atomic.Int64
 		got, err := RunShards(func() Oracle { return slowOracle{o.Clone()} },
 			Options{
 				Mode:      Reloaded,
-				OnResolve: func(w1, w2, r dyadic.Box, dim int) { resolves.Add(1) },
+				onResolve: func(w1, w2, r dyadic.Box, dim int) { resolves.Add(1) },
 			}, 8, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
 			t.Fatalf("round %d: storm run diverged from sequential enumeration", round)
+		}
+		if n := resolves.Load(); n != got.Stats.Resolutions {
+			t.Fatalf("round %d: observer saw %d resolutions, Stats.Resolutions = %d", round, n, got.Stats.Resolutions)
 		}
 	}
 }

@@ -371,7 +371,7 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 			// The cover is stored only if it can be hit again: a lifted
 			// class box, never a plain unit box.
 			if w = sp.cover(b, point); sk.keeps(w, b) {
-				sk.addOutput(w)
+				sk.add(w)
 			}
 			if stop {
 				return nil, errStopped
@@ -415,7 +415,9 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 				if err := sp.partition(); err != nil {
 					return nil, err
 				}
-				sk.reset()
+				// The old lifted space's boxes go; every witness handed
+				// out before becomes invalid.
+				sk.kb.Reset()
 				sp.fill(sk)
 			case errStopped:
 				work = nil

@@ -71,7 +71,7 @@ func runAll(t *testing.T, depths []uint8, bs []dyadic.Box) map[Mode]*Result {
 	o := MustBoxOracle(depths, bs)
 	out := map[Mode]*Result{}
 	for _, m := range allModes() {
-		res, err := Run(o, Options{Mode: m, TrackProvenance: true})
+		res, err := Run(o, Options{Mode: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -106,28 +106,41 @@ func TestExample44Trace(t *testing.T) {
 
 func TestExample44ResolutionSequence(t *testing.T) {
 	// With the SAO (X,Y) of Example 4.4, plain Tetris must discover the
-	// outputs in the narrated order: ⟨01,10⟩ first, then ⟨11,10⟩, and
-	// derive ⟨λ,λ⟩ at the end.
+	// outputs in the narrated order: ⟨01,10⟩ first, then ⟨11,10⟩. Both
+	// initializations perform exactly 8 resolutions, whether the last
+	// dimension is walked as lines or bisected; bisected, the last
+	// resolvent is ⟨λ,λ⟩.
 	depths := depthsOf(2, 2)
 	o := MustBoxOracle(depths, boxes("λ,0", "00,λ", "λ,11", "10,1"))
-	res, err := Run(o, Options{Mode: Reloaded, SAO: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 2 {
-		t.Fatalf("tuples = %v", res.Tuples)
-	}
-	if res.Tuples[0][0] != 1 || res.Tuples[0][1] != 2 {
-		t.Errorf("first output = %v, want (1,2)", res.Tuples[0])
-	}
-	if res.Tuples[1][0] != 3 || res.Tuples[1][1] != 2 {
-		t.Errorf("second output = %v, want (3,2)", res.Tuples[1])
-	}
-	// The narrated run performs 9 resolutions in total (counting both
-	// output and gap resolutions); ours may differ slightly because of
-	// knowledge-base compaction, but must stay Õ(|C|+Z)-small.
-	if res.Stats.Resolutions == 0 || res.Stats.Resolutions > 20 {
-		t.Errorf("Resolutions = %d, expected a small positive count", res.Stats.Resolutions)
+	want := [][]uint64{{1, 2}, {3, 2}}
+	for _, c := range []struct {
+		mode  Mode
+		lines int64
+	}{{Reloaded, 4}, {Preloaded, 3}} {
+		for _, bisected := range []bool{false, true} {
+			var observed int64
+			var last dyadic.Box
+			opts := Options{Mode: c.mode, SAO: []int{0, 1}}
+			wantLines := c.lines
+			if bisected {
+				opts.onResolve = func(_, _, w dyadic.Box, _ int) { observed, last = observed+1, w.Clone() }
+				wantLines = 0
+			}
+			res, err := Run(o, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v bisected=%v", c.mode, bisected)
+			if !reflect.DeepEqual(res.Tuples, want) {
+				t.Errorf("%s: outputs %v, want %v in that order", label, res.Tuples, want)
+			}
+			if s := res.Stats; s.Resolutions != 8 || s.Lines != wantLines {
+				t.Errorf("%s: %d resolutions over %d lines, want 8 over %d", label, s.Resolutions, s.Lines, wantLines)
+			}
+			if bisected && (observed != 8 || !last.Equal(dyadic.Universe(2))) {
+				t.Errorf("%s: observed %d resolutions, the last deriving %v; want 8, the last deriving ⟨λ,λ⟩", label, observed, last)
+			}
+		}
 	}
 }
 
@@ -279,16 +292,12 @@ func TestStatsConsistency(t *testing.T) {
 	depths := depthsOf(2, 3)
 	bs := boxes("λ,0", "00,λ", "λ,11", "10,1")
 	o := MustBoxOracle(depths, bs)
-	res, err := Run(o, Options{Mode: Reloaded, TrackProvenance: true})
+	res, err := Run(o, Options{Mode: Reloaded})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Outputs != int64(len(res.Tuples)) {
 		t.Errorf("Outputs=%d, len(Tuples)=%d", res.Stats.Outputs, len(res.Tuples))
-	}
-	if res.Stats.GapResolutions+res.Stats.OutputResolutions != res.Stats.Resolutions {
-		t.Errorf("provenance split %d+%d != total %d",
-			res.Stats.GapResolutions, res.Stats.OutputResolutions, res.Stats.Resolutions)
 	}
 	if res.Stats.BoxesLoaded == 0 || res.Stats.OracleCalls == 0 {
 		t.Error("expected oracle activity in Reloaded mode")

@@ -416,7 +416,7 @@ type engineCase struct {
 }
 
 // checkEngines runs the Tetris matrix for one SAO: sequential modes and
-// variants, the sharded executor against the sequential enumeration
+// the cache-free Reloaded run, the sharded executor against the sequential enumeration
 // order, counting and Boolean cover consistency, and (once per case)
 // the LB modes plus budget/cancellation/determinism probes.
 func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
@@ -457,18 +457,14 @@ func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
 		seqStats[mode] = res.Stats
 	}
 
-	// Sequential variants: cache-free (tree ordered) resolution and no
-	// knowledge-base compaction.
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"no-cache", func() core.Options { o := copts(core.Reloaded); o.NoCache = true; return o }()},
-		{"no-subsume", func() core.Options { o := copts(core.Reloaded); o.DisableSubsume = true; return o }()},
-	}
-	for _, v := range variants {
-		config := fmt.Sprintf("%v/%s %s", v.opts.Mode, v.name, ec.label)
-		res, err := core.Run(ec.mkOracle(), v.opts)
+	// One sequential variant: Reloaded without resolvent caching (Tree
+	// Ordered Geometric Resolution), which bisects every frame instead of
+	// walking lines.
+	{
+		config := fmt.Sprintf("%v/no-cache %s", core.Reloaded, ec.label)
+		opts := copts(core.Reloaded)
+		opts.NoCache = true
+		res, err := core.Run(ec.mkOracle(), opts)
 		if err != nil {
 			return &Discrepancy{Config: config, Detail: fmt.Sprintf("engine error: %v", err)}
 		}

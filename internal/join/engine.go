@@ -94,17 +94,14 @@ type Options struct {
 	// of one prepared plan cheap. Catalog-prepared executions set it;
 	// the one-shot path leaves it false so single executions keep the
 	// paper's sequential accounting exactly. Ignored outside Preloaded
-	// mode and under DisableSubsume (the base is built with
-	// subsumption).
+	// mode.
 	SharedBase bool
-	// NoCache, DisableSubsume, TrackProvenance, MaxResolutions,
-	// MaxOutput and OnOutput are forwarded to the core engine; see core.Options. With Parallelism > 1, MaxResolutions and
-	// MaxOutput act as budgets shared across shards.
-	NoCache         bool
-	DisableSubsume  bool
-	TrackProvenance bool
-	MaxResolutions  int64
-	MaxOutput       int
+	// NoCache, MaxResolutions, MaxOutput and OnOutput are forwarded to
+	// the core engine; see core.Options. With Parallelism > 1,
+	// MaxResolutions and MaxOutput act as budgets shared across shards.
+	NoCache        bool
+	MaxResolutions int64
+	MaxOutput      int
 	// OnOutput, if non-nil, streams output tuples as they become
 	// available; returning false stops the enumeration. It is never
 	// invoked concurrently: parallel runs serialize the callback through
@@ -275,17 +272,15 @@ func Execute(q *Query, opts Options) (*Result, error) {
 // coreOptions translates execution options for the core engine.
 func (p *Plan) coreOptions(opts Options) core.Options {
 	return core.Options{
-		Mode:            opts.Mode,
-		SAO:             p.sao,
-		NoCache:         opts.NoCache,
-		DisableSubsume:  opts.DisableSubsume,
-		TrackProvenance: opts.TrackProvenance,
-		MaxResolutions:  opts.MaxResolutions,
-		MaxOutput:       opts.MaxOutput,
-		Budget:          opts.Budget,
-		OnOutput:        opts.OnOutput,
-		Context:         opts.Context,
-		StealDepth:      opts.StealDepth,
+		Mode:           opts.Mode,
+		SAO:            p.sao,
+		NoCache:        opts.NoCache,
+		MaxResolutions: opts.MaxResolutions,
+		MaxOutput:      opts.MaxOutput,
+		Budget:         opts.Budget,
+		OnOutput:       opts.OnOutput,
+		Context:        opts.Context,
+		StealDepth:     opts.StealDepth,
 	}
 }
 
@@ -345,7 +340,7 @@ func (p *Plan) Execute(opts Options) (*Result, error) {
 		}
 	}
 	copts := p.coreOptions(opts)
-	if opts.SharedBase && opts.Mode == core.Preloaded && !opts.DisableSubsume {
+	if opts.SharedBase && opts.Mode == core.Preloaded {
 		base, err := p.PreloadedBase()
 		if err != nil {
 			return nil, err

@@ -256,7 +256,7 @@ func TestExecuteStreamsAndStats(t *testing.T) {
 		Atom{Relation: s, Vars: []string{"B", "C"}},
 		Atom{Relation: tt, Vars: []string{"A", "C"}},
 	)
-	res, err := Execute(q, Options{TrackProvenance: true})
+	res, err := Execute(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

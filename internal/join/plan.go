@@ -161,8 +161,7 @@ func (p *Plan) AllGaps() []dyadic.Box {
 
 // PreloadedBase returns the plan's shared Preloaded knowledge base,
 // built on first use from the memoized gap set and reused read-only by
-// every later Preloaded execution. It is always built with subsumption;
-// DisableSubsume runs must not use it (Plan.Execute skips it for them).
+// every later Preloaded execution.
 func (p *Plan) PreloadedBase() (*core.PreparedBase, error) {
 	p.baseOnce.Do(func() {
 		p.base, p.baseErr = core.BuildPreloadedBase(p.NewOracle(), core.Options{Mode: core.Preloaded, SAO: p.sao})
