@@ -61,7 +61,7 @@ func TestPreparedBaseMatchesFreshRuns(t *testing.T) {
 			}
 
 			mk := func() Oracle { return o.Clone() }
-			sharded, err := RunShards(mk, withBase, 2, 4)
+			sharded, err := RunShards(mk, withBase, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestReloadedPartialBase(t *testing.T) {
 
 		// Sharded execution accepts the same prior knowledge.
 		mk := func() Oracle { return o.Clone() }
-		sharded, err := RunShards(mk, opts, 2, 4)
+		sharded, err := RunShards(mk, opts, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

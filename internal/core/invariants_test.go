@@ -38,7 +38,7 @@ func TestLemmaC1AllResolutionsOrdered(t *testing.T) {
 					var res *Result
 					var err error
 					if sharded {
-						res, err = RunShards(func() Oracle { return o.Clone() }, opts, 4, 8)
+						res, err = RunShards(func() Oracle { return o.Clone() }, opts, 4)
 					} else {
 						res, err = Run(o, opts)
 					}

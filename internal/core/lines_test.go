@@ -206,8 +206,8 @@ func TestLineMatchesItsDefinition(t *testing.T) {
 				stingy := &stingyOracle{depths: depths, boxes: full.AllGaps()}
 				half := MustBoxOracle(depths, bs[:len(bs)/2])
 				roots := []dyadic.Box{dyadic.Universe(n)}
-				if shards := ShardRoots(depths, sao, 4); len(shards) > 1 {
-					roots = append(roots, shards[r.Intn(len(shards))])
+				if seeds, _ := stealSeeds(depths, sao, 4); len(seeds) > 1 {
+					roots = append(roots, seeds[r.Intn(len(seeds))].box)
 				}
 				odd := dyadic.Universe(n)
 				odd[sao[n-1]] = dyadic.NewInterval(uint64(r.Intn(2)), 1)
@@ -421,7 +421,7 @@ func TestBaseOrderMismatch(t *testing.T) {
 		if _, err := Run(o, Options{Mode: mode, Base: base}); err == nil || err.Error() != want {
 			t.Errorf("%v over a base of another order: %v, want %q", mode, err, want)
 		}
-		if _, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: mode, Base: base}, 2, 2); err == nil || err.Error() != want {
+		if _, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: mode, Base: base}, 2); err == nil || err.Error() != want {
 			t.Errorf("%v sharded over a base of another order: %v, want %q", mode, err, want)
 		}
 		if _, err := Run(o, Options{Mode: mode, Base: base, SAO: []int{2, 0, 1}}); err != nil {

@@ -154,16 +154,6 @@ type Options struct {
 	// returns the context's error. The sharded executor uses it to stop
 	// sibling shards after a failure or an early stop.
 	Context context.Context
-	// StealDepth bounds dynamic shard splitting in RunShards. An idle
-	// worker steals by having a busy worker donate the SAO-latest untouched
-	// node of its remaining region (a node of the first-thick-dimension
-	// splits the skeleton's recursion takes); fragments may be carved at
-	// most StealDepth binary splits below the universe. 0 applies the default
-	// bound; a negative value disables dynamic splitting entirely, so the
-	// run balances only across the static ShardRoots partition. The
-	// deterministic merge order — and therefore the output order — is
-	// identical at every setting. Sequential runs ignore it.
-	StealDepth int
 	// OnOutput, if non-nil, is invoked for every output tuple as it is
 	// found. Returning false stops the enumeration early. The slice is
 	// reused; callers must copy it to retain it.
@@ -225,8 +215,8 @@ type Stats struct {
 	// hit one that is not (NoCache and the LB modes keep them all).
 	KnowledgeBase int
 	// Steals counts fragments the work-stealing executor split off
-	// running workers' regions (0 for sequential runs and for runs with
-	// dynamic splitting disabled).
+	// running workers' regions (0 for sequential runs and for sharded
+	// runs with one worker, which nobody asks to donate).
 	Steals int64
 	// ParallelWorkers is the number of worker goroutines the sharded
 	// executor launched for the run (0 for sequential runs).

@@ -8,50 +8,19 @@ import (
 	"tetrisjoin/internal/dyadic"
 )
 
-// ShardRoots partitions the output space into at least `shards` disjoint
-// dyadic boxes whose union is the universe, by repeatedly splitting every
-// box at its first thick dimension in SAO order. Because these splits are
-// exactly the top levels of TetrisSkeleton's own recursion, the returned
-// roots are in depth-first (SAO-lexicographic) order: concatenating the
-// per-root outputs in slice order reproduces the sequential enumeration
-// order. The count is rounded up to the next power of two; fewer boxes
-// are returned only when the whole space has fewer points than requested.
-func ShardRoots(depths []uint8, sao []int, shards int) []dyadic.Box {
-	roots := []dyadic.Box{dyadic.Universe(len(depths))}
-	for len(roots) < shards {
-		next := make([]dyadic.Box, 0, 2*len(roots))
-		split := false
-		for _, b := range roots {
-			dim := b.FirstThick(sao, depths)
-			if dim == -1 {
-				next = append(next, b)
-				continue
-			}
-			b0, b1 := b.SplitAt(dim)
-			next = append(next, b0, b1)
-			split = true
-		}
-		roots = next
-		if !split {
-			break // every box is a unit box; the space is exhausted
-		}
-	}
-	return roots
-}
-
 // RunShards executes Tetris under the work-stealing parallel executor.
-// The universe is partitioned into disjoint dyadic seed fragments along
-// the SAO prefix (the ShardRoots partition); workers own deques of
+// The universe is partitioned into 2 × parallelism disjoint dyadic seed
+// fragments along the SAO prefix (stealSeeds); workers own deques of
 // fragments, and an idle worker steals either a whole pending fragment
 // from another deque or — when every deque is empty — by having a busy
 // worker donate the SAO-latest untouched node of its remaining region,
 // a node of the first-thick-dimension splits the skeleton's own recursion
-// takes (bounded by Options.StealDepth). Every fragment is therefore a
-// node of the sequential recursion tree, keyed by its depth-first path;
-// output decomposition over disjoint dyadic boxes is exact (Proposition
-// 3.6), so merging completed fragments in key order reproduces the
-// sequential run's tuple set AND tuple order byte for byte, however the
-// fragments were carved at runtime.
+// takes, at most defaultStealDepth splits deep. Every fragment is
+// therefore a node of the sequential recursion tree, keyed by its
+// depth-first path; output decomposition over disjoint dyadic boxes is
+// exact (Proposition 3.6), so merging completed fragments in key order
+// reproduces the sequential run's tuple set AND tuple order byte for
+// byte, however the fragments were carved at runtime.
 //
 // newOracle must return a fresh oracle per call; each worker goroutine
 // calls it once and keeps the oracle for every fragment it processes
@@ -66,15 +35,12 @@ func ShardRoots(depths []uint8, sao []int, shards int) []dyadic.Box {
 //
 // Only the plain modes shard (see Mode.Plain); callers must route the LB
 // modes through Run.
-func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (*Result, error) {
+func RunShards(newOracle func() Oracle, opts Options, parallelism int) (*Result, error) {
 	if !opts.Mode.Plain() {
 		return nil, errNotPlain("RunShards", opts.Mode)
 	}
 	if parallelism < 1 {
 		return nil, fmt.Errorf("core: RunShards needs parallelism >= 1, got %d", parallelism)
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("core: RunShards needs shards >= 1, got %d", shards)
 	}
 	probe := newOracle()
 	n, err := validateOracle(probe)
@@ -86,19 +52,12 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 		return nil, err
 	}
 	depths := probe.Depths()
-	seeds, splittable := stealSeeds(depths, sao, shards)
-	stealDepth := opts.StealDepth
-	switch {
-	case stealDepth < 0:
-		stealDepth = 0 // dynamic splitting disabled: static seeds only
-	case stealDepth == 0:
-		stealDepth = defaultStealDepth
-	}
+	seeds, splittable := stealSeeds(depths, sao, 2*parallelism)
 	// Workers beyond the seed count are useful only if seeds can still be
-	// split for them; otherwise (space exhausted into unit boxes, or
-	// dynamic splitting disabled) they would only ever idle.
+	// split for them; once the space is exhausted into unit boxes they
+	// would only ever idle.
 	workers := parallelism
-	if !splittable || stealDepth == 0 {
+	if !splittable {
 		workers = min(parallelism, len(seeds))
 	}
 
@@ -139,7 +98,7 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 	sopts.MaxOutput = 0
 	sopts.Context = ctx
 
-	sched := newStealScheduler(workers, seeds, stealDepth, sao, depths)
+	sched := newStealScheduler(workers, seeds, defaultStealDepth, sao, depths)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		// The probe oracle built for validation (and the shared base) is
@@ -156,11 +115,7 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism, shards int) (
 				if f == nil {
 					return
 				}
-				var sess *stealSession
-				if stealDepth > 0 {
-					sess = sched.session(w, f)
-				}
-				fres, ferr := runPlain(o, sopts, sao, []dyadic.Box{f.box}, base, sess)
+				fres, ferr := runPlain(o, sopts, sao, []dyadic.Box{f.box}, base, sched.session(w, f))
 				if ferr != nil {
 					cancel() // stop sibling fragments; the merge sorts out blame
 				}

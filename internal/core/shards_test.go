@@ -10,51 +10,48 @@ import (
 	"tetrisjoin/internal/dyadic"
 )
 
-func TestShardRootsPartition(t *testing.T) {
+func TestStealSeedsPartition(t *testing.T) {
 	depths := []uint8{2, 3}
 	sao := []int{1, 0}
 	for _, want := range []int{1, 2, 4, 8, 16} {
-		roots := ShardRoots(depths, sao, want)
-		if len(roots) != want {
-			t.Fatalf("shards=%d: got %d roots", want, len(roots))
+		seeds, splittable := stealSeeds(depths, sao, want)
+		if len(seeds) != want || splittable != (want < 32) {
+			t.Fatalf("count=%d: got %d seeds, splittable %v", want, len(seeds), splittable)
 		}
 		// Disjoint and covering: every point of the space lies in exactly
-		// one root.
+		// one seed.
 		for a := uint64(0); a < 4; a++ {
 			for b := uint64(0); b < 8; b++ {
 				hits := 0
-				for _, r := range roots {
-					if r.ContainsPoint([]uint64{a, b}, depths) {
+				for _, f := range seeds {
+					if f.box.ContainsPoint([]uint64{a, b}, depths) {
 						hits++
 					}
 				}
 				if hits != 1 {
-					t.Fatalf("shards=%d: point (%d,%d) in %d roots", want, a, b, hits)
+					t.Fatalf("count=%d: point (%d,%d) in %d seeds", want, a, b, hits)
 				}
 			}
 		}
 	}
-	// The split follows the SAO prefix: with sao[0]=1, two shards split
+	// The split follows the SAO prefix: with sao[0]=1, two seeds split
 	// dimension 1 first.
-	roots := ShardRoots(depths, sao, 2)
-	if !roots[0][1].Contains(dyadic.MustParseBox("λ,0")[1]) || roots[0][1].Len != 1 {
-		t.Errorf("2 shards did not split SAO-first dimension: %v", roots)
-	}
-	if roots[0][0].Len != 0 {
-		t.Errorf("2 shards split a non-SAO-first dimension: %v", roots)
+	seeds, _ := stealSeeds(depths, sao, 2)
+	if b := seeds[0].box; !b[1].Contains(dyadic.MustParseBox("λ,0")[1]) || b[1].Len != 1 || b[0].Len != 0 {
+		t.Errorf("2 seeds did not split the SAO-first dimension alone: %v", b)
 	}
 }
 
-func TestShardRootsExhaustedSpace(t *testing.T) {
-	// A 1×1-bit space has only 4 points; asking for 64 shards must stop
-	// at 4 unit boxes rather than loop.
-	roots := ShardRoots([]uint8{1, 1}, []int{0, 1}, 64)
-	if len(roots) != 4 {
-		t.Fatalf("got %d roots, want 4", len(roots))
+func TestStealSeedsExhaustedSpace(t *testing.T) {
+	// A 1×1-bit space has only 4 points; asking for 64 seeds must stop
+	// at 4 unit boxes rather than loop, and report them unsplittable.
+	seeds, splittable := stealSeeds([]uint8{1, 1}, []int{0, 1}, 64)
+	if len(seeds) != 4 || splittable {
+		t.Fatalf("got %d seeds, splittable %v; want 4, false", len(seeds), splittable)
 	}
-	for _, r := range roots {
-		if !r.IsUnit([]uint8{1, 1}) {
-			t.Fatalf("non-unit root %v in exhausted space", r)
+	for _, f := range seeds {
+		if !f.box.IsUnit([]uint8{1, 1}) {
+			t.Fatalf("non-unit seed %v in exhausted space", f.box)
 		}
 	}
 }
@@ -108,9 +105,9 @@ func shardInstance(t testing.TB) *BoxOracle {
 	return MustBoxOracle(depths, boxes)
 }
 
-// TestRunShardsMatchesSequential: for every mode, shard count and
-// parallelism, the sharded run reproduces the sequential run exactly —
-// same tuples in the same order, same output count.
+// TestRunShardsMatchesSequential: for every mode and parallelism, the
+// sharded run reproduces the sequential run exactly — same tuples in the
+// same order, same output count.
 func TestRunShardsMatchesSequential(t *testing.T) {
 	o := shardInstance(t)
 	for _, mode := range []Mode{Preloaded, Reloaded} {
@@ -121,21 +118,19 @@ func TestRunShardsMatchesSequential(t *testing.T) {
 		if len(seq.Tuples) == 0 {
 			t.Fatal("instance has empty output; test is vacuous")
 		}
-		for _, shards := range []int{1, 2, 4, 8} {
-			for par := 1; par <= 4; par++ {
-				got, err := RunShards(func() Oracle { return o.Clone() },
-					Options{Mode: mode}, par, shards)
-				if err != nil {
-					t.Fatalf("mode=%v shards=%d par=%d: %v", mode, shards, par, err)
-				}
-				if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
-					t.Fatalf("mode=%v shards=%d par=%d: tuples %v != sequential %v",
-						mode, shards, par, got.Tuples, seq.Tuples)
-				}
-				if got.Stats.Outputs != seq.Stats.Outputs {
-					t.Fatalf("mode=%v shards=%d par=%d: outputs %d != %d",
-						mode, shards, par, got.Stats.Outputs, seq.Stats.Outputs)
-				}
+		for _, par := range []int{1, 2, 3, 4, 8} {
+			got, err := RunShards(func() Oracle { return o.Clone() },
+				Options{Mode: mode}, par)
+			if err != nil {
+				t.Fatalf("mode=%v par=%d: %v", mode, par, err)
+			}
+			if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
+				t.Fatalf("mode=%v par=%d: tuples %v != sequential %v",
+					mode, par, got.Tuples, seq.Tuples)
+			}
+			if got.Stats.Outputs != seq.Stats.Outputs {
+				t.Fatalf("mode=%v par=%d: outputs %d != %d",
+					mode, par, got.Stats.Outputs, seq.Stats.Outputs)
 			}
 		}
 	}
@@ -153,7 +148,7 @@ func TestRunShardsSinglePass(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := RunShards(func() Oracle { return o.Clone() },
-			Options{Mode: mode, NoCache: true}, 3, 4)
+			Options{Mode: mode, NoCache: true}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +167,7 @@ func TestRunShardsMaxOutputBudget(t *testing.T) {
 	total := len(seq.Tuples)
 	for _, limit := range []int{1, 2, total - 1, total, total + 5} {
 		got, err := RunShards(func() Oracle { return o.Clone() },
-			Options{Mode: Preloaded, MaxOutput: limit}, 4, 4)
+			Options{Mode: Preloaded, MaxOutput: limit}, 4)
 		if err != nil {
 			t.Fatalf("limit=%d: %v", limit, err)
 		}
@@ -195,7 +190,7 @@ func TestRunShardsOnOutputSerializedAndOrdered(t *testing.T) {
 		Options{Mode: Preloaded, OnOutput: func(tup []uint64) bool {
 			got = append(got, append([]uint64(nil), tup...))
 			return true
-		}}, 4, 8)
+		}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +208,7 @@ func TestRunShardsOnOutputSerializedAndOrdered(t *testing.T) {
 		Options{Mode: Preloaded, OnOutput: func(tup []uint64) bool {
 			got = append(got, append([]uint64(nil), tup...))
 			return len(got) < k
-		}}, 4, 8)
+		}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +225,7 @@ func TestRunShardsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, Context: ctx}, 2, 4)
+		Options{Mode: Preloaded, Context: ctx}, 2)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -244,7 +239,7 @@ func TestRunShardsContextCancellation(t *testing.T) {
 		Options{Mode: Preloaded, Context: ctx, OnOutput: func([]uint64) bool {
 			cancel()
 			return false
-		}}, 2, 4)
+		}}, 2)
 	if err != nil {
 		t.Fatalf("early stop with cancelled context returned error %v", err)
 	}
@@ -256,7 +251,7 @@ func TestRunShardsContextCancellation(t *testing.T) {
 func TestRunShardsResolutionBudget(t *testing.T) {
 	o := shardInstance(t)
 	_, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, MaxResolutions: 2}, 2, 4)
+		Options{Mode: Preloaded, MaxResolutions: 2}, 2)
 	if err == nil {
 		t.Fatal("shared resolution budget not enforced")
 	}
@@ -264,23 +259,23 @@ func TestRunShardsResolutionBudget(t *testing.T) {
 	// even if the callback would have stopped the enumeration: nothing
 	// past a failed shard is delivered, so the callback cannot mask it.
 	_, err = RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, MaxResolutions: 2, OnOutput: func([]uint64) bool { return false }}, 2, 4)
+		Options{Mode: Preloaded, MaxResolutions: 2, OnOutput: func([]uint64) bool { return false }}, 2)
 	if err == nil {
 		t.Fatal("shard failure swallowed by OnOutput early stop")
 	}
 }
 
 func TestRunShardsExhaustedQuotaStopsSiblings(t *testing.T) {
-	// With MaxOutput=1 the outer loops of output-free shards must notice
+	// With MaxOutput=1 the outer loops of output-free fragments must notice
 	// the exhausted quota and stop instead of proving their whole region
 	// empty: total oracle calls stay far below the unlimited run's.
 	o := shardInstance(t)
-	full, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: Reloaded}, 1, 8)
+	full, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: Reloaded}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	limited, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Reloaded, MaxOutput: 1}, 1, 8)
+		Options{Mode: Reloaded, MaxOutput: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +319,7 @@ func TestLBModesHonorSharedBudgetOutputs(t *testing.T) {
 func TestRunShardsRejectsLBModes(t *testing.T) {
 	o := shardInstance(t)
 	for _, mode := range []Mode{PreloadedLB, ReloadedLB} {
-		if _, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: mode}, 2, 2); err == nil {
+		if _, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: mode}, 2); err == nil {
 			t.Errorf("mode %v accepted", mode)
 		}
 	}
@@ -339,7 +334,11 @@ func TestRunBoxRestrictsToRoot(t *testing.T) {
 	depths := o.Depths()
 	// Splitting the space by hand and concatenating per-root outputs must
 	// reproduce the sequential enumeration.
-	roots := ShardRoots(depths, []int{0, 1, 2}, 4)
+	seeds, _ := stealSeeds(depths, []int{0, 1, 2}, 4)
+	roots := make([]dyadic.Box, len(seeds))
+	for i, f := range seeds {
+		roots[i] = f.box
+	}
 	var merged [][]uint64
 	for _, root := range roots {
 		res, err := RunBox(o, Options{Mode: Preloaded}, root)
@@ -392,9 +391,8 @@ func TestRunShardsValidation(t *testing.T) {
 	o := shardInstance(t)
 	factory := func() Oracle { return o.Clone() }
 	for name, call := range map[string]func() error{
-		"zero-parallelism": func() error { _, err := RunShards(factory, Options{Mode: Preloaded}, 0, 2); return err },
-		"zero-shards":      func() error { _, err := RunShards(factory, Options{Mode: Preloaded}, 2, 0); return err },
-		"bad-sao":          func() error { _, err := RunShards(factory, Options{Mode: Preloaded, SAO: []int{0}}, 2, 2); return err },
+		"zero-parallelism": func() error { _, err := RunShards(factory, Options{Mode: Preloaded}, 0); return err },
+		"bad-sao":          func() error { _, err := RunShards(factory, Options{Mode: Preloaded, SAO: []int{0}}, 2); return err },
 	} {
 		if call() == nil {
 			t.Errorf("%s accepted", name)
@@ -403,14 +401,18 @@ func TestRunShardsValidation(t *testing.T) {
 }
 
 func TestRunShardsManyShardsStress(t *testing.T) {
-	// More shards than points: every shard is a unit box or empty.
+	// More seeds asked for than the 512 points: every seed is a unit box,
+	// and a worker per seed.
 	o := shardInstance(t)
 	seq, _ := Run(o, Options{Mode: Reloaded})
-	got, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: Reloaded}, 4, 1024)
+	got, err := RunShards(func() Oracle { return o.Clone() }, Options{Mode: Reloaded}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Tuples) != fmt.Sprint(seq.Tuples) {
-		t.Fatalf("1024-shard run diverged: %v vs %v", got.Tuples, seq.Tuples)
+		t.Fatalf("512-worker run diverged: %v vs %v", got.Tuples, seq.Tuples)
+	}
+	if got.Stats.ParallelWorkers != 512 || got.Stats.Steals != 0 {
+		t.Fatalf("%d workers, %d steals over 512 unit seeds; want 512, 0", got.Stats.ParallelWorkers, got.Stats.Steals)
 	}
 }

@@ -207,8 +207,8 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 		o := MustBoxOracle(depths, randBoxSet(r, n, d, r.Intn(24)))
 		sao := r.Perm(n)
 		roots := []dyadic.Box{dyadic.Universe(n)}
-		if shards := ShardRoots(depths, sao, 4); len(shards) > 1 {
-			roots = append(roots, shards[r.Intn(len(shards))])
+		if seeds, _ := stealSeeds(depths, sao, 4); len(seeds) > 1 {
+			roots = append(roots, seeds[r.Intn(len(seeds))].box)
 		}
 		// A root that is not a node of the recursion tree: thick in the
 		// first SAO dimension, pinned in the last.

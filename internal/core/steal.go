@@ -26,25 +26,49 @@ func StealsTotal() int64 { return stealsTotal.Load() }
 // a shard fragment, across all in-flight RunShards calls.
 func BusyWorkers() int64 { return busyWorkers.Load() }
 
-// defaultStealDepth is the dynamic-splitting depth bound applied when
-// Options.StealDepth is 0: fragments may be carved at most this many
-// binary splits below the universe. Deep enough that donation never
-// starves on realistic spaces (a depth-24 subbox is 1/2^24 of the
-// space), shallow enough that a nearly-finished region is not shredded
-// into unit-box fragments whose per-fragment setup outweighs the work.
+// defaultStealDepth is the executor's dynamic-splitting depth bound:
+// fragments may be carved at most this many binary splits below the
+// universe. Deep enough that donation never starves on realistic spaces
+// (a depth-24 subbox is 1/2^24 of the space), shallow enough that a
+// nearly-finished region is not shredded into unit-box fragments whose
+// per-fragment setup outweighs the work. Below 64, so every fragment's
+// path fits a dfsPath.
 const defaultStealDepth = 24
+
+// dfsPath names a node of the sequential recursion tree by its path from
+// the universe: depth binary splits, left-aligned in bits (the first split
+// is bit 63), each 0 for the SAO-earlier half and 1 for the SAO-later one.
+// less is depth-first order: compare the bits, and on a tie put the
+// shorter path first — the lexicographic order of the step sequences,
+// prefixes first. A path past 64 splits saturates: it lies below every
+// donation bound, is never donated, and carries no key, only its depth.
+type dfsPath struct {
+	bits  uint64
+	depth uint8
+}
+
+// child is the path to p's SAO-earlier (side 0) or SAO-later (side 1)
+// half.
+func (p dfsPath) child(side uint64) dfsPath {
+	if p.depth >= 64 {
+		return p
+	}
+	return dfsPath{p.bits | side<<(63-p.depth), p.depth + 1}
+}
+
+func (p dfsPath) less(q dfsPath) bool {
+	return p.bits < q.bits || p.bits == q.bits && p.depth < q.depth
+}
 
 // fragment is one unit of executor work: a dyadic box that is a node of
 // the sequential recursion tree, keyed by its depth-first path from the
-// universe ('0' = SAO-earlier half, '1' = SAO-later half of each
-// split). A splitting worker always keeps the '0' side, so a fragment's
-// key remains the minimum over its whole subtree and plain string
-// comparison of keys (prefixes sort first) is exactly the
-// SAO-lexicographic order of the fragments' output ranges: merging
-// completed fragments in key order reproduces the sequential
+// universe. A splitting worker always keeps the SAO-earlier side, so a
+// fragment's key remains the minimum over its whole subtree and key order
+// is exactly the SAO-lexicographic order of the fragments' output ranges:
+// merging completed fragments in key order reproduces the sequential
 // enumeration byte for byte.
 type fragment struct {
-	key  string
+	key  dfsPath
 	box  dyadic.Box
 	res  *Result
 	err  error
@@ -61,7 +85,7 @@ type fragment struct {
 type stealScheduler struct {
 	sao      []int
 	depths   []uint8
-	maxDepth int // donated fragments may sit at most this deep; 0 disables donation
+	maxDepth uint8 // donated fragments may sit at most this deep
 
 	demand atomic.Int32 // waiters - pending, mirrored from under mu
 
@@ -79,7 +103,7 @@ type stealScheduler struct {
 // newStealScheduler seeds the scheduler with the initial fragments,
 // distributed as contiguous key-order blocks so worker 0 starts on the
 // SAO-earliest region (the one the merger needs first).
-func newStealScheduler(workers int, seeds []*fragment, maxDepth int, sao []int, depths []uint8) *stealScheduler {
+func newStealScheduler(workers int, seeds []*fragment, maxDepth uint8, sao []int, depths []uint8) *stealScheduler {
 	s := &stealScheduler{
 		sao:       sao,
 		depths:    depths,
@@ -110,10 +134,10 @@ func (s *stealScheduler) syncDemand() {
 // takes from the back) and into the merge registry. Callers hold mu.
 func (s *stealScheduler) insertLocked(w int, f *fragment) {
 	q := s.deques[w]
-	i := sort.Search(len(q), func(i int) bool { return q[i].key > f.key })
+	i := sort.Search(len(q), func(i int) bool { return f.key.less(q[i].key) })
 	s.deques[w] = append(q[:i:i], append([]*fragment{f}, q[i:]...)...)
 	r := s.registry
-	i = sort.Search(len(r), func(i int) bool { return r[i].key > f.key })
+	i = sort.Search(len(r), func(i int) bool { return f.key.less(r[i].key) })
 	s.registry = append(r[:i:i], append([]*fragment{f}, r[i:]...)...)
 	s.pending++
 	s.steals++
@@ -227,7 +251,7 @@ func (s *stealScheduler) maxWorkerResolutions() int64 {
 type stealSession struct {
 	s         *stealScheduler
 	w         int
-	key       string
+	key       dfsPath
 	exhausted bool
 }
 
@@ -247,7 +271,7 @@ func (ss *stealSession) wanted() bool {
 // enter, keyed by its DFS path from the universe like a fragment.
 type entry struct {
 	box  dyadic.Box
-	path string
+	path dfsPath
 }
 
 // after is what is left of e once the pass has settled the point last in
@@ -261,11 +285,11 @@ func (e entry) after(last []uint64, sao []int, depths []uint8) []entry {
 	for dim := box.FirstThick(sao, depths); dim != -1; dim = box.FirstThick(sao, depths) {
 		r0, r1 := box.SplitAt(dim)
 		if r1.ContainsPoint(last, depths) {
-			box, path = r1, path+"1"
+			box, path = r1, path.child(1)
 			continue
 		}
-		rest = append(rest, entry{r1, path + "1"})
-		box, path = r0, path+"0"
+		rest = append(rest, entry{r1, path.child(1)})
+		box, path = r0, path.child(0)
 	}
 	slices.Reverse(rest)
 	return rest
@@ -292,15 +316,15 @@ func (ss *stealSession) offer(work []entry) []entry {
 	if len(work) == 1 {
 		e := work[0]
 		dim := e.box.FirstThick(s.sao, s.depths)
-		if dim == -1 || len(e.path) >= s.maxDepth {
+		if dim == -1 || e.path.depth >= s.maxDepth {
 			ss.exhausted = true
 			return work
 		}
 		r0, r1 := e.box.SplitAt(dim)
-		work = []entry{{r0, e.path + "0"}, {r1, e.path + "1"}}
+		work = []entry{{r0, e.path.child(0)}, {r1, e.path.child(1)}}
 	}
 	e := work[len(work)-1]
-	if len(e.path) > s.maxDepth {
+	if e.path.depth > s.maxDepth {
 		ss.exhausted = true
 		return work
 	}
@@ -309,14 +333,18 @@ func (ss *stealSession) offer(work []entry) []entry {
 	return work[:len(work)-1]
 }
 
-// stealSeeds builds the initial fragment set: exactly the ShardRoots
-// partition, with each root's DFS path recorded as its merge key. The
-// second result reports whether any seed can still be split (false only
-// when the whole space was exhausted into unit boxes, in which case
+// stealSeeds builds the initial fragment set: at least `count` disjoint
+// dyadic boxes whose union is the universe, made by splitting every box at
+// its first thick dimension in SAO order — the top levels of the
+// skeleton's own recursion — with each box's DFS path as its merge key.
+// The seeds come out in key order, and the count is rounded up to a
+// power of two; fewer come out only when the whole space has fewer points.
+// The second result reports whether any seed can still be split (false
+// only when the whole space was exhausted into unit boxes, in which case
 // dynamic splitting has nothing to do and extra workers are useless).
-func stealSeeds(depths []uint8, sao []int, shards int) ([]*fragment, bool) {
+func stealSeeds(depths []uint8, sao []int, count int) ([]*fragment, bool) {
 	seeds := []*fragment{{box: dyadic.Universe(len(depths)), done: make(chan struct{})}}
-	for len(seeds) < shards {
+	for len(seeds) < count {
 		next := make([]*fragment, 0, 2*len(seeds))
 		split := false
 		for _, f := range seeds {
@@ -327,8 +355,8 @@ func stealSeeds(depths []uint8, sao []int, shards int) ([]*fragment, bool) {
 			}
 			b0, b1 := f.box.SplitAt(dim)
 			next = append(next,
-				&fragment{key: f.key + "0", box: b0, done: make(chan struct{})},
-				&fragment{key: f.key + "1", box: b1, done: make(chan struct{})})
+				&fragment{key: f.key.child(0), box: b0, done: make(chan struct{})},
+				&fragment{key: f.key.child(1), box: b1, done: make(chan struct{})})
 			split = true
 		}
 		seeds = next

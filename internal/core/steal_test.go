@@ -46,8 +46,8 @@ func (s slowOracle) GapsContaining(p []uint64) []dyadic.Box {
 }
 
 // TestStealSkewedMatchesSequential: on the skewed instance, dynamic
-// splitting must kick in (idle workers outnumber the two seed
-// fragments) and the output must remain byte-identical to the
+// splitting must kick in (the workers whose seeds are trivially covered
+// go idle early) and the output must remain byte-identical to the
 // sequential enumeration.
 func TestStealSkewedMatchesSequential(t *testing.T) {
 	o := skewedInstance(t)
@@ -60,7 +60,7 @@ func TestStealSkewedMatchesSequential(t *testing.T) {
 	}
 	before := StealsTotal()
 	got, err := RunShards(func() Oracle { return slowOracle{o.Clone()} },
-		Options{Mode: Reloaded}, 4, 2)
+		Options{Mode: Reloaded}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestStealSkewedMatchesSequential(t *testing.T) {
 		t.Fatalf("Outputs %d != sequential %d", got.Stats.Outputs, seq.Stats.Outputs)
 	}
 	if got.Stats.Steals == 0 {
-		t.Fatal("4 workers over 2 skewed seeds performed no dynamic splits")
+		t.Fatal("4 workers over 8 skewed seeds performed no dynamic splits")
 	}
 	if got.Stats.ParallelWorkers != 4 {
 		t.Fatalf("ParallelWorkers = %d, want 4", got.Stats.ParallelWorkers)
@@ -99,7 +99,7 @@ func TestStealSinglePassDonation(t *testing.T) {
 	// cannot stretch them; a sleeping resolution observer does.
 	slow := func(w1, w2, r dyadic.Box, dim int) { time.Sleep(20 * time.Microsecond) }
 	got, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Preloaded, onResolve: slow}, 4, 2)
+		Options{Mode: Preloaded, onResolve: slow}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +119,22 @@ func TestStealSinglePassDonation(t *testing.T) {
 // gap load, with the witness it was about to hand up discarded and the
 // loaded boxes left in the knowledge base for the entries after it. The
 // first instance has its outputs only in the last quarter of dimension 0 —
-// columns a < 192 are one lazily loaded gap box ⟨a,λ⟩ each — and the run
-// starts from a single seed, so the first donation can only happen at a
-// gap load. In the second every column is a comb, outputs at the even
-// values of dimension 1 and unit gap boxes at the odd ones, so every unit
-// is settled inside a line and a donation abandons one midway: the pass
-// goes on from the dyadic segments after the unit it settled
-// (TestLineDonatesAtEveryUnit makes every unit a donation).
+// columns a < 192 are one lazily loaded gap box ⟨a,λ⟩ each, and every
+// later column settles eight gap loads to its one output — so a pass
+// mostly unwinds at a gap load. In the second the first quarter of the
+// columns are combs, outputs at the even values of dimension 1 and unit
+// gap boxes at the odd ones, and the rest is two gap boxes that leave the
+// workers of the later seeds idle at once. So every unit is settled
+// inside a line and a donation abandons one midway: the pass goes on from
+// the dyadic segments after the unit it settled (TestLineDonatesAtEveryUnit
+// makes every unit a donation, from a single seed, without a clock).
 func TestStealReloadedGapLoadDonation(t *testing.T) {
 	const d = 8
-	var columns, combs []dyadic.Box
+	var columns []dyadic.Box
+	combs := []dyadic.Box{{dyadic.NewInterval(1, 2), dyadic.Lambda}, {dyadic.NewInterval(1, 1), dyadic.Lambda}}
 	for a := uint64(0); a < 1<<d; a++ {
 		col := dyadic.Unit(a, d)
-		for v := uint64(1); a < 16 && v < 32; v += 2 {
+		for v := uint64(1); a < 4 && v < 32; v += 2 {
 			combs = append(combs, dyadic.Box{dyadic.Unit(a, 4), dyadic.Unit(v, 5)})
 		}
 		if a < 192 {
@@ -148,7 +151,7 @@ func TestStealReloadedGapLoadDonation(t *testing.T) {
 		outputs int
 	}{
 		{"columns", MustBoxOracle([]uint8{d, d}, columns), 64},
-		{"combs", MustBoxOracle([]uint8{4, 5}, combs), 16 * 16},
+		{"combs", MustBoxOracle([]uint8{4, 5}, combs), 4 * 16},
 	} {
 		seq, err := Run(c.o, Options{Mode: Reloaded})
 		if err != nil {
@@ -159,7 +162,7 @@ func TestStealReloadedGapLoadDonation(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			got, err := RunShards(func() Oracle { return slowOracle{c.o.Clone()} },
-				Options{Mode: Reloaded}, workers, 1)
+				Options{Mode: Reloaded}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,52 +175,38 @@ func TestStealReloadedGapLoadDonation(t *testing.T) {
 					got.Stats.BoxesLoaded, got.Stats.OracleCalls, seq.Stats.BoxesLoaded, seq.Stats.OracleCalls)
 			}
 			if workers > 1 && got.Stats.Steals == 0 {
-				t.Fatalf("%s workers=%d: no donation from the single seed", c.name, workers)
+				t.Fatalf("%s workers=%d: no donation", c.name, workers)
 			}
 		}
 	}
 }
 
-// TestStealDisabled: StealDepth < 0 must pin the run to the static seed
-// partition — no dynamic splits, workers capped at the seed count — and
-// still enumerate identically.
-func TestStealDisabled(t *testing.T) {
-	o := skewedInstance(t)
-	seq, err := Run(o, Options{Mode: Reloaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunShards(func() Oracle { return o.Clone() },
-		Options{Mode: Reloaded, StealDepth: -1}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Tuples, seq.Tuples) {
-		t.Fatal("static run diverged from sequential enumeration")
-	}
-	if got.Stats.Steals != 0 {
-		t.Fatalf("StealDepth=-1 performed %d dynamic splits", got.Stats.Steals)
-	}
-	if got.Stats.ParallelWorkers != 2 {
-		t.Fatalf("static run launched %d workers for 2 seeds, want 2", got.Stats.ParallelWorkers)
-	}
-}
-
-// TestStealDepthBound: a StealDepth no deeper than the seed partition
-// leaves no room to split, so the run degrades to static scheduling
-// (but keeps its full worker pool, unlike StealDepth < 0).
+// TestStealDepthBound: a scheduler whose bound is no deeper than its
+// seeds leaves no room to split: under a demand that never goes away it
+// donates nothing, and the seeds alone enumerate the output. One split
+// more, and every seed donates.
 func TestStealDepthBound(t *testing.T) {
 	o := skewedInstance(t)
-	got, err := RunShards(func() Oracle { return slowOracle{o.Clone()} },
-		Options{Mode: Reloaded, StealDepth: 1}, 4, 2) // seeds sit at depth 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Steals != 0 {
-		t.Fatalf("StealDepth=1 over depth-1 seeds performed %d splits", got.Stats.Steals)
-	}
-	if len(got.Tuples) != 768 {
-		t.Fatalf("got %d tuples, want 768", len(got.Tuples))
+	depths, sao := o.Depths(), []int{0, 1}
+	for _, bound := range []uint8{1, 2} {
+		seeds, _ := stealSeeds(depths, sao, 2) // seeds sit at depth 1
+		sched := newStealScheduler(1, seeds, bound, sao, depths)
+		sched.waiters = 1 << 20
+		sched.syncDemand()
+		tuples := 0
+		for f := sched.nextToMerge(); f != nil; f = sched.nextToMerge() {
+			res, err := runPlain(o, Options{Mode: Reloaded}, sao, []dyadic.Box{f.box}, nil, sched.session(0, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples += len(res.Tuples)
+		}
+		if tuples != 768 {
+			t.Fatalf("bound %d: got %d tuples, want 768", bound, tuples)
+		}
+		if bound == 1 && sched.steals != 0 || bound == 2 && sched.steals < 2 {
+			t.Fatalf("bound %d over depth-1 seeds performed %d splits", bound, sched.steals)
+		}
 	}
 }
 
@@ -231,7 +220,7 @@ func TestRunShardsReusesProbeOracle(t *testing.T) {
 		calls.Add(1)
 		return o.Clone()
 	}
-	if _, err := RunShards(mk, Options{Mode: Reloaded}, 3, 4); err != nil {
+	if _, err := RunShards(mk, Options{Mode: Reloaded}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -255,7 +244,7 @@ func TestStealStormRace(t *testing.T) {
 			Options{
 				Mode:      Reloaded,
 				onResolve: func(w1, w2, r dyadic.Box, dim int) { resolves.Add(1) },
-			}, 8, 2)
+			}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,25 +258,50 @@ func TestStealStormRace(t *testing.T) {
 }
 
 // TestStealFragmentKeysOrderable documents the merge-order invariant on
-// the raw mechanism: donated keys extend the donor's path with a '1',
-// so plain string order equals depth-first order, prefixes first.
+// the raw mechanism: a dfsPath sorts exactly as its steps do as a
+// sequence, prefixes first, so key order is depth-first order; seeds come
+// out in it, and a donation inside a seed keys between it and the next.
 func TestStealFragmentKeysOrderable(t *testing.T) {
+	var steps []string
+	var paths []dfsPath
+	var walk func(s string, p dfsPath)
+	walk = func(s string, p dfsPath) {
+		steps, paths = append(steps, s), append(paths, p)
+		if len(s) < 6 {
+			walk(s+"0", p.child(0))
+			walk(s+"1", p.child(1))
+		}
+	}
+	walk("", dfsPath{})
+	for i := range paths {
+		for j := range paths {
+			if paths[i].less(paths[j]) != (steps[i] < steps[j]) {
+				t.Fatalf("path %q less %q = %v", steps[i], steps[j], paths[i].less(paths[j]))
+			}
+		}
+	}
+	deep := dfsPath{}
+	for range 70 {
+		deep = deep.child(1)
+	}
+	if deep.depth != 64 || deep.bits != ^uint64(0) {
+		t.Fatalf("a 70-split path is %+v, want saturated at depth 64", deep)
+	}
+
 	seeds, splittable := stealSeeds([]uint8{3, 3}, []int{0, 1}, 4)
 	if len(seeds) != 4 || !splittable {
 		t.Fatalf("seeds=%d splittable=%v, want 4 true", len(seeds), splittable)
 	}
 	for i, f := range seeds {
-		if len(f.key) != 2 {
-			t.Fatalf("seed %d key %q, want depth-2 path", i, f.key)
+		if f.key.depth != 2 {
+			t.Fatalf("seed %d key %+v, want a depth-2 path", i, f.key)
 		}
-		if i > 0 && seeds[i-1].key >= f.key {
-			t.Fatalf("seed keys out of DFS order: %q >= %q", seeds[i-1].key, f.key)
+		if i > 0 && !seeds[i-1].key.less(f.key) {
+			t.Fatalf("seed keys out of DFS order: %+v, %+v", seeds[i-1].key, f.key)
 		}
 	}
-	// A donation inside seed "01" keys between "01" and "10".
-	donated := seeds[1].key + "1"
-	if !(seeds[1].key < donated && donated < seeds[2].key) {
-		t.Fatalf("donated key %q does not slot between %q and %q",
-			donated, seeds[1].key, seeds[2].key)
+	// A donation inside seed 01 keys between 01 and 10.
+	if donated := seeds[1].key.child(1); !seeds[1].key.less(donated) || !donated.less(seeds[2].key) {
+		t.Fatalf("donated key %+v does not slot between %+v and %+v", donated, seeds[1].key, seeds[2].key)
 	}
 }

@@ -598,7 +598,7 @@ func TestRunValidation(t *testing.T) {
 	// message.
 	for _, m := range []Mode{PreloadedLB, ReloadedLB, Mode(42)} {
 		_, boxErr := RunBox(o, Options{Mode: m}, dyadic.Universe(2))
-		_, shardErr := RunShards(func() Oracle { return o }, Options{Mode: m}, 2, 2)
+		_, shardErr := RunShards(func() Oracle { return o }, Options{Mode: m}, 2)
 		if boxErr == nil || shardErr == nil {
 			t.Errorf("%v: RunBox error %v, RunShards error %v; want both refused", m, boxErr, shardErr)
 			continue

@@ -18,7 +18,7 @@ import (
 // first divergent tuple.
 type Discrepancy struct {
 	// Config identifies the failing engine configuration, e.g.
-	// "tetris-preloaded sao=[B A] shards=4 workers=2".
+	// "tetris-preloaded sao=[B A] workers=2".
 	Config string
 	// Detail is a human-readable description of the disagreement.
 	Detail string
@@ -43,15 +43,9 @@ func (d *Discrepancy) String() string {
 // engine configuration and cross-checks the results; the zero
 // configuration checks nothing, use NewChecker for the default matrix.
 type Checker struct {
-	// Shards and Workers are the sharded-executor settings the matrix
-	// crosses with every mode and SAO.
-	Shards  []int
+	// Workers are the work-stealing executor's worker counts the matrix
+	// crosses with every plain mode and SAO.
 	Workers []int
-	// StealDepths are the dynamic-splitting bounds crossed into the
-	// sharded matrix (core.Options.StealDepth values: negative disables
-	// stealing, 0 is the default bound). Single-worker runs try only the
-	// first entry — with nobody to steal, the settings are equivalent.
-	StealDepths []int
 	// MaxSAOs caps the number of splitting attribute orders tried per
 	// case (all n! permutations are tried when they fit the cap).
 	MaxSAOs int
@@ -69,15 +63,12 @@ type Checker struct {
 	PlannerOnly bool
 }
 
-// NewChecker returns the default configuration: shards {2,4} × workers
-// {1,2,4} × steal depths {disabled, default, aggressive}, at most 7
-// SAOs per case.
+// NewChecker returns the default configuration: workers {1,2,4}, at most
+// 7 SAOs per case.
 func NewChecker() *Checker {
 	return &Checker{
-		Shards:      []int{2, 4},
-		Workers:     []int{1, 2, 4},
-		StealDepths: []int{-1, 0, 63},
-		MaxSAOs:     7,
+		Workers: []int{1, 2, 4},
+		MaxSAOs: 7,
 	}
 }
 
@@ -475,45 +466,33 @@ func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
 
 	// Sharded executor: tuple-for-tuple equal to the sequential
 	// enumeration order (the determinism contract), for every
-	// mode × shard count × worker count × steal depth.
-	stealDepths := ck.StealDepths
-	if len(stealDepths) == 0 {
-		stealDepths = []int{0}
-	}
+	// mode × worker count.
 	for _, mode := range []core.Mode{core.Reloaded, core.Preloaded} {
-		for _, shards := range ck.Shards {
-			for _, workers := range ck.Workers {
-				for _, depth := range stealDepths {
-					if workers == 1 && depth != stealDepths[0] {
-						continue // nobody to steal: all depths are equivalent
-					}
-					config := fmt.Sprintf("%v %s shards=%d workers=%d steal=%d", mode, ec.label, shards, workers, depth)
-					opts := copts(mode)
-					opts.StealDepth = depth
-					res, err := core.RunShards(ec.mkOracle, opts, workers, shards)
-					if err != nil {
-						return &Discrepancy{Config: config, Detail: fmt.Sprintf("engine error: %v", err)}
-					}
-					// Positional comparison against the sequential run — the
-					// sharded executor's determinism contract is exact order
-					// equality, not just set equality, however the fragments
-					// were carved at runtime.
-					if d := baseline.FirstDivergence(res.Tuples, seqOrder[mode]); d != nil {
-						return &Discrepancy{Config: config,
-							Detail: fmt.Sprintf("sharded tuple order differs from sequential enumeration (%d tuples, sequential %d)", len(res.Tuples), len(seqOrder[mode])),
-							Got:    len(res.Tuples), Want: len(seqOrder[mode]), Diff: d}
-					}
-					if res.Stats.Outputs != seqStats[mode].Outputs {
-						return &Discrepancy{Config: config,
-							Detail: fmt.Sprintf("merged Outputs %d != sequential %d", res.Stats.Outputs, seqStats[mode].Outputs),
-							Got:    int(res.Stats.Outputs), Want: int(seqStats[mode].Outputs)}
-					}
-					if depth < 0 && res.Stats.Steals != 0 {
-						return &Discrepancy{Config: config,
-							Detail: fmt.Sprintf("StealDepth=%d still performed %d dynamic splits", depth, res.Stats.Steals),
-							Got:    int(res.Stats.Steals), Want: 0}
-					}
-				}
+		for _, workers := range ck.Workers {
+			config := fmt.Sprintf("%v %s workers=%d", mode, ec.label, workers)
+			res, err := core.RunShards(ec.mkOracle, copts(mode), workers)
+			if err != nil {
+				return &Discrepancy{Config: config, Detail: fmt.Sprintf("engine error: %v", err)}
+			}
+			// Positional comparison against the sequential run — the
+			// sharded executor's determinism contract is exact order
+			// equality, not just set equality, however the fragments were
+			// carved at runtime.
+			if d := baseline.FirstDivergence(res.Tuples, seqOrder[mode]); d != nil {
+				return &Discrepancy{Config: config,
+					Detail: fmt.Sprintf("sharded tuple order differs from sequential enumeration (%d tuples, sequential %d)", len(res.Tuples), len(seqOrder[mode])),
+					Got:    len(res.Tuples), Want: len(seqOrder[mode]), Diff: d}
+			}
+			if res.Stats.Outputs != seqStats[mode].Outputs {
+				return &Discrepancy{Config: config,
+					Detail: fmt.Sprintf("merged Outputs %d != sequential %d", res.Stats.Outputs, seqStats[mode].Outputs),
+					Got:    int(res.Stats.Outputs), Want: int(seqStats[mode].Outputs)}
+			}
+			// A lone worker is never asked to donate: nobody waits.
+			if workers == 1 && res.Stats.Steals != 0 {
+				return &Discrepancy{Config: config,
+					Detail: fmt.Sprintf("one worker performed %d dynamic splits", res.Stats.Steals),
+					Got:    int(res.Stats.Steals), Want: 0}
 			}
 		}
 	}
@@ -618,7 +597,7 @@ func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
 			return &Discrepancy{Config: fmt.Sprintf("cancel/sequential %s", ec.label),
 				Detail: fmt.Sprintf("cancelled run returned %v, want context.Canceled", err)}
 		}
-		if _, err := core.RunShards(ec.mkOracle, opts, 2, 2); err != context.Canceled {
+		if _, err := core.RunShards(ec.mkOracle, opts, 2); err != context.Canceled {
 			return &Discrepancy{Config: fmt.Sprintf("cancel/sharded %s", ec.label),
 				Detail: fmt.Sprintf("cancelled run returned %v, want context.Canceled", err)}
 		}

@@ -52,33 +52,19 @@ type Options struct {
 	// observed count instead of the cost-model estimate when one is
 	// present — the calibration loop behind the catalog's re-planning.
 	Feedback map[string]float64
-	// Parallelism is the number of worker goroutines executing shards of
-	// the query. 0 means runtime.GOMAXPROCS(0) — except when MaxOutput,
-	// MaxResolutions or OnOutput is set, where 0 means sequential so that
-	// limits keep machine-independent semantics and streaming keeps O(1)
-	// tuple memory and prompt early stops. 1 selects the sequential
-	// engine. The LB modes always run sequentially. Parallel execution is
-	// deterministic: Result.Tuples come in shard-major, SAO-lexicographic
-	// order, which is exactly the sequential enumeration order — only
-	// runs with an explicit Parallelism > 1 AND MaxOutput (or stopped
-	// early via OnOutput) may differ from a sequential run in which
-	// tuples (never in what order) they report.
+	// Parallelism is the number of worker goroutines of the
+	// work-stealing executor (core.RunShards) running the query. 0 means
+	// runtime.GOMAXPROCS(0) — except when MaxOutput, MaxResolutions or
+	// OnOutput is set, where 0 means sequential so that limits keep
+	// machine-independent semantics and streaming keeps O(1) tuple memory
+	// and prompt early stops. 1 selects the sequential engine. The LB
+	// modes always run sequentially. Parallel execution is deterministic:
+	// Result.Tuples come in fragment-key, SAO-lexicographic order, which
+	// is exactly the sequential enumeration order — only runs with an
+	// explicit Parallelism > 1 AND MaxOutput (or stopped early via
+	// OnOutput) may differ from a sequential run in which tuples (never
+	// in what order) they report.
 	Parallelism int
-	// Shards is the number of disjoint dyadic subboxes the output space
-	// is split into along the SAO prefix (rounded up to a power of two),
-	// forming the work-stealing executor's seed fragments. 0 picks a
-	// default based on Parallelism. More shards improve initial load
-	// balance but repeat per-shard knowledge-base setup; dynamic
-	// splitting (StealDepth) rebalances at runtime regardless.
-	Shards int
-	// StealDepth bounds the parallel executor's dynamic shard splitting:
-	// an idle worker steals the SAO-later half of a busy worker's
-	// remaining region, carved at most StealDepth binary splits below
-	// the universe. 0 applies the core engine's default bound; negative
-	// disables dynamic splitting (static seed shards only). Output order
-	// is byte-identical to a sequential run at every setting. Forwarded
-	// to core.Options.StealDepth; sequential runs ignore it.
-	StealDepth int
 	// Context, if non-nil, cancels execution cooperatively; the run
 	// returns the context's error.
 	Context context.Context
@@ -280,7 +266,6 @@ func (p *Plan) coreOptions(opts Options) core.Options {
 		Budget:         opts.Budget,
 		OnOutput:       opts.OnOutput,
 		Context:        opts.Context,
-		StealDepth:     opts.StealDepth,
 	}
 }
 
@@ -288,13 +273,13 @@ func (p *Plan) coreOptions(opts Options) core.Options {
 // and SAO are reused across calls, and concurrent Execute calls on one
 // plan are safe.
 //
-// With Parallelism != 1 (default runtime.GOMAXPROCS) the output space is
-// split into disjoint dyadic shards along the SAO prefix and solved by a
-// worker pool, one independent Tetris instance per shard over per-worker
-// oracles; tuples and statistics merge deterministically in shard order,
-// reproducing the sequential enumeration order exactly. The LB modes
-// always run sequentially (the Balance lift re-maps the whole space, so
-// subbox sharding does not apply).
+// With Parallelism > 1 (default runtime.GOMAXPROCS) a plain mode runs on
+// the work-stealing executor (core.RunShards): disjoint dyadic fragments
+// of the output space, each solved over a per-worker oracle; tuples and
+// statistics merge deterministically in fragment order, reproducing the
+// sequential enumeration order exactly. The LB modes always run
+// sequentially (the Balance lift re-maps the whole space, so subbox
+// fragments do not apply).
 func (p *Plan) Execute(opts Options) (*Result, error) {
 	// Planning-time fields are fixed at NewPlan: an explicit SAO that
 	// contradicts the plan's is a misuse, not a silent no-op (Strategy
@@ -327,18 +312,6 @@ func (p *Plan) Execute(opts Options) (*Result, error) {
 	if parallelism < 1 {
 		return nil, fmt.Errorf("join: Parallelism must be >= 0, got %d", opts.Parallelism)
 	}
-	shards := opts.Shards
-	if shards < 0 {
-		return nil, fmt.Errorf("join: Shards must be >= 0, got %d", opts.Shards)
-	}
-	if shards == 0 {
-		// Two shards per worker smooths load imbalance without repeating
-		// much per-shard setup; one worker keeps the sequential path.
-		shards = 1
-		if parallelism > 1 {
-			shards = 2 * parallelism
-		}
-	}
 	copts := p.coreOptions(opts)
 	if opts.SharedBase && opts.Mode == core.Preloaded {
 		base, err := p.PreloadedBase()
@@ -349,11 +322,11 @@ func (p *Plan) Execute(opts Options) (*Result, error) {
 	}
 	var coreRes *core.Result
 	var err error
-	if !opts.Mode.Plain() || (parallelism == 1 && shards == 1) {
-		coreRes, err = core.Run(p.NewOracle(), copts)
-	} else {
+	if opts.Mode.Plain() && parallelism > 1 {
 		coreRes, err = core.RunShards(func() core.Oracle { return p.NewOracle() },
-			copts, parallelism, shards)
+			copts, parallelism)
+	} else {
+		coreRes, err = core.Run(p.NewOracle(), copts)
 	}
 	if err != nil {
 		return nil, err

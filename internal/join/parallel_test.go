@@ -14,7 +14,7 @@ import (
 
 // families returns one representative query per workload family in
 // internal/workload (small instances: the differential matrix below runs
-// each under many shard/worker combinations, including under -race).
+// each under several worker counts, including under -race).
 func families() map[string]*join.Query {
 	return map[string]*join.Query{
 		"path":           workload.PathQuery(3, 60, 6, 7),
@@ -31,11 +31,11 @@ func families() map[string]*join.Query {
 	}
 }
 
-// TestParallelMatchesSequential is the cross-shard differential test: for
-// every workload family, every mode, shard counts 1/2/4/8 and worker
-// counts 1..4, the parallel result must equal the sequential one — the
-// same tuple multiset in the same (shard-major, SAO-lexicographic =
-// sequential) order, with matching merged Stats.Outputs.
+// TestParallelMatchesSequential is the cross-fragment differential test:
+// for every workload family, every mode and worker counts 1..4 and 8, the
+// parallel result must equal the sequential one — the same tuple multiset
+// in the same (fragment-key, SAO-lexicographic = sequential) order, with
+// matching merged Stats.Outputs.
 func TestParallelMatchesSequential(t *testing.T) {
 	for name, q := range families() {
 		for _, mode := range []core.Mode{core.Reloaded, core.Preloaded} {
@@ -47,20 +47,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 2, 4, 8} {
-				for workers := 1; workers <= 4; workers++ {
-					par, err := plan.Execute(join.Options{Mode: mode, Parallelism: workers, Shards: shards})
-					if err != nil {
-						t.Fatalf("%s/%v shards=%d workers=%d: %v", name, mode, shards, workers, err)
-					}
-					if len(par.Tuples) != len(seq.Tuples) || (len(seq.Tuples) > 0 && !reflect.DeepEqual(par.Tuples, seq.Tuples)) {
-						t.Fatalf("%s/%v shards=%d workers=%d: %d tuples != sequential %d (or order differs)",
-							name, mode, shards, workers, len(par.Tuples), len(seq.Tuples))
-					}
-					if par.Stats.Outputs != seq.Stats.Outputs {
-						t.Fatalf("%s/%v shards=%d workers=%d: Outputs %d != %d",
-							name, mode, shards, workers, par.Stats.Outputs, seq.Stats.Outputs)
-					}
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				par, err := plan.Execute(join.Options{Mode: mode, Parallelism: workers})
+				if err != nil {
+					t.Fatalf("%s/%v workers=%d: %v", name, mode, workers, err)
+				}
+				if len(par.Tuples) != len(seq.Tuples) || (len(seq.Tuples) > 0 && !reflect.DeepEqual(par.Tuples, seq.Tuples)) {
+					t.Fatalf("%s/%v workers=%d: %d tuples != sequential %d (or order differs)",
+						name, mode, workers, len(par.Tuples), len(seq.Tuples))
+				}
+				if par.Stats.Outputs != seq.Stats.Outputs {
+					t.Fatalf("%s/%v workers=%d: Outputs %d != %d",
+						name, mode, workers, par.Stats.Outputs, seq.Stats.Outputs)
 				}
 			}
 		}
@@ -68,15 +66,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelDeterministicOrder documents and enforces the ordering
-// contract: parallel Result.Tuples come in shard-major order with the
-// SAO-lexicographic order inside each shard, which is exactly the
+// contract: parallel Result.Tuples come in fragment-key order with the
+// SAO-lexicographic order inside each fragment, which is exactly the
 // sequential enumeration order — so repeated parallel runs are
 // bit-identical regardless of scheduling.
 func TestParallelDeterministicOrder(t *testing.T) {
 	q := workload.PathQuery(3, 80, 6, 3)
 	var first [][]uint64
 	for trial := 0; trial < 5; trial++ {
-		res, err := join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 4, Shards: 8})
+		res, err := join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +111,7 @@ func TestParallelOnOutputContract(t *testing.T) {
 	var mu sync.Mutex
 	inFlight := 0
 	var got [][]uint64
-	res, err := join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 4, Shards: 8,
+	res, err := join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 4,
 		OnOutput: func(tup []uint64) bool {
 			mu.Lock()
 			inFlight++
@@ -137,7 +135,7 @@ func TestParallelOnOutputContract(t *testing.T) {
 
 	const k = 3
 	got = nil
-	res, err = join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 4, Shards: 8,
+	res, err = join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 4,
 		OnOutput: func(tup []uint64) bool {
 			got = append(got, append([]uint64(nil), tup...))
 			return len(got) < k
@@ -161,7 +159,7 @@ func TestParallelMaxOutput(t *testing.T) {
 	}
 	total := len(seq.Tuples)
 	for _, limit := range []int{1, total / 2, total + 10} {
-		res, err := join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 3, Shards: 4, MaxOutput: limit})
+		res, err := join.Execute(q, join.Options{Mode: core.Preloaded, Parallelism: 3, MaxOutput: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +272,7 @@ func TestPlanConcurrentExecute(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := plan.Execute(join.Options{Mode: core.Preloaded, Parallelism: 1 + i%3, Shards: 1 << (i % 4)})
+			res, err := plan.Execute(join.Options{Mode: core.Preloaded, Parallelism: 1 + i%4})
 			if err == nil && !reflect.DeepEqual(res.Tuples, seq.Tuples) {
 				err = fmt.Errorf("concurrent execute %d diverged", i)
 			}

@@ -47,7 +47,7 @@ var smokeSessions = [][]string{
 }
 
 // hostileSession reaches the validation paths: bad schemas, arities,
-// depths and SAOs, the LB modes, limits and counts, and a relation
+// depths and SAOs, the refused LB modes, limits and counts, and a relation
 // reloaded under a different schema beneath live statements.
 var hostileSession = []string{
 	`{"op":"load","name":"X","attrs":["a","a"],"depths":[8]}`,

@@ -255,6 +255,37 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
+// refusesLB drives req, an op with the mode left as %s, in both LB modes
+// and requires the refusal that names cmd/tetris, with nothing prepared:
+// a stats request after it reports no plan looked up or cached.
+func refusesLB(t *testing.T, req string) {
+	t.Helper()
+	for _, mode := range []string{"reloaded-lb", "preloaded-lb"} {
+		srv := New(catalog.New(), Config{})
+		lines := drive(t, srv, loadTriangle, fmt.Sprintf(req, mode), `{"op":"stats"}`)
+		srv.Close()
+		want := fmt.Sprintf("mode %q is not served; run the LB modes with cmd/tetris", mode)
+		if ok, _ := lines[1]["ok"].(bool); ok || lines[1]["error"] != want {
+			t.Errorf("%s: %v, want the error %q", mode, lines[1], want)
+		}
+		if st, _ := lines[2]["stats"].(map[string]any); st["plan_misses"] != 0.0 || st["plans_cached"] != 0.0 {
+			t.Errorf("%s: a refused request prepared a plan: %v", mode, st)
+		}
+	}
+}
+
+func TestSessionPrepareRefusesLB(t *testing.T) {
+	refusesLB(t, `{"op":"prepare","id":"tri","query":"R(A,B), R(B,C), R(A,C)","mode":"%s"}`)
+}
+
+func TestSessionMaintainRefusesLB(t *testing.T) {
+	refusesLB(t, `{"op":"maintain","id":"tri","query":"R(A,B), R(B,C), R(A,C)","mode":"%s"}`)
+}
+
+func TestSessionQueryRefusesLB(t *testing.T) {
+	refusesLB(t, `{"op":"query","query":"R(A,B), R(B,C), R(A,C)","mode":"%s"}`)
+}
+
 // TestCloseUnblocksIdleSessions: Serve must return from Close even while
 // a client connection sits idle mid-session (the blocking read must be
 // broken, not waited out).

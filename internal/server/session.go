@@ -39,8 +39,9 @@ type Request struct {
 	ID string `json:"id,omitempty"`
 	// Query is the query text for query/prepare, e.g. "R(A,B), S(B,C)".
 	Query string `json:"query,omitempty"`
-	// Mode selects the Tetris variant: reloaded (default), preloaded,
-	// reloaded-lb, preloaded-lb.
+	// Mode selects the Tetris variant: reloaded (default) or preloaded.
+	// The Balance-lifted reloaded-lb and preloaded-lb are refused (see
+	// servedMode).
 	Mode string `json:"mode,omitempty"`
 	// SAO optionally fixes the splitting attribute order.
 	SAO []string `json:"sao,omitempty"`
@@ -278,6 +279,17 @@ func appendTupleLine(dst []byte, tup []uint64) []byte {
 // fail formats an error response.
 func fail(err error) Response { return Response{Err: err.Error()} }
 
+// servedMode parses a request's mode. The daemon serves the plain modes
+// only; the Balance-lifted ones are a paper experiment that cmd/tetris
+// runs.
+func servedMode(name string) (core.Mode, error) {
+	mode, err := core.ParseMode(name)
+	if err == nil && !mode.Plain() {
+		err = fmt.Errorf("mode %q is not served; run the LB modes with cmd/tetris", mode.Name())
+	}
+	return mode, err
+}
+
 // testHookPreExec, when non-nil, runs inside every admitted execution;
 // tests use it to inject panics and prove containment releases the
 // admission slot.
@@ -383,7 +395,7 @@ func (sess *session) prepare(req Request) Response {
 	if req.ID == "" || req.Query == "" {
 		return fail(fmt.Errorf("prepare needs id and query"))
 	}
-	mode, err := core.ParseMode(req.Mode)
+	mode, err := servedMode(req.Mode)
 	if err != nil {
 		return fail(err)
 	}
@@ -418,7 +430,7 @@ func (sess *session) maintain(req Request) Response {
 	if req.ID == "" || req.Query == "" {
 		return fail(fmt.Errorf("maintain needs id and query"))
 	}
-	mode, err := core.ParseMode(req.Mode)
+	mode, err := servedMode(req.Mode)
 	if err != nil {
 		return fail(err)
 	}
@@ -537,7 +549,7 @@ func (sess *session) queryStatement(req Request) (p *catalog.Prepared, builds in
 	if p, ok := sess.qcache[key]; ok {
 		return p, 0, nil
 	}
-	mode, err := core.ParseMode(req.Mode)
+	mode, err := servedMode(req.Mode)
 	if err != nil {
 		return nil, 0, err
 	}
