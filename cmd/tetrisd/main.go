@@ -34,13 +34,13 @@
 // process exits.
 //
 // With -metrics-addr the process serves /metrics in Prometheus text
-// format: engine counters (resolutions, index builds, plan cache,
-// replans), WAL position, admission queue depth and wait time, and
-// per-query-shape latency histograms with p50/p95/p99 gauges. The
-// server sheds executions with an "overloaded" error when the admission
-// wait queue (-max-queue) is full, and disconnects peers that stop
-// draining their output (-output-buffer lines of slack, -write-stall
-// patience) with an explicit "slow consumer" error.
+// format: engine counters (resolutions, index builds, plan cache), WAL
+// position, admission queue depth and wait time, and per-query-shape
+// latency histograms with p50/p95/p99 gauges. The server sheds
+// executions with an "overloaded" error when the admission wait queue
+// (-max-queue) is full, and disconnects peers that stop draining their
+// output (-output-buffer lines of slack, -write-stall patience) with an
+// explicit "slow consumer" error.
 //
 // Responses are one JSON object per line; executions stream their
 // output as {"tuple":[…]} lines before the final response. See

@@ -88,15 +88,6 @@ type Catalog struct {
 
 	hits, misses atomic.Int64
 
-	// Planner feedback: observed resolution counts recorded by divergent
-	// executions, keyed by query shape then SAO (prepared.go). A recorded
-	// entry changes the decision fingerprint of its shape, so the next
-	// preparation misses the plan cache and re-plans with the observation
-	// in the candidate pool.
-	feedbackMu sync.Mutex
-	feedback   map[string]map[string]float64
-	replans    atomic.Int64
-
 	// Background delta-chain compaction state (compact.go).
 	compactions   atomic.Int64 // completed registry compactions
 	compactBuilds atomic.Int64 // of builds: full rebuilds done by the compactor
@@ -469,13 +460,6 @@ type Stats struct {
 	// DeltaIndexBuilds − CompactionBuilds is therefore the synchronous
 	// full-build count a steady write stream must keep flat.
 	Compactions, CompactionBuilds int64
-	// Replans counts planner re-plan triggers: executions whose observed
-	// resolution count diverged from the plan's estimate far enough to
-	// record feedback (each recording invalidates the shape's cached
-	// plan). FeedbackEntries is the number of (shape, SAO) observations
-	// currently held.
-	Replans         int64
-	FeedbackEntries int
 }
 
 // Stats returns a snapshot of the catalog's counters.
@@ -492,56 +476,5 @@ func (c *Catalog) Stats() Stats {
 		PlanMisses:       c.misses.Load(),
 		Compactions:      c.compactions.Load(),
 		CompactionBuilds: c.compactBuilds.Load(),
-		Replans:          c.replans.Load(),
-		FeedbackEntries:  c.feedbackEntries(),
 	}
-}
-
-// feedbackFor returns the recorded observations for a query shape
-// (nil when none), copied so planning never races recording.
-func (c *Catalog) feedbackFor(shape string) map[string]float64 {
-	c.feedbackMu.Lock()
-	defer c.feedbackMu.Unlock()
-	m := c.feedback[shape]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// recordFeedback stores a divergent observation for (shape, SAO).
-// Observations only ratchet upward: a repeat execution observing less
-// work than already recorded changes nothing, so a shape re-plans once
-// per genuinely new level of divergence instead of thrashing the plan
-// cache on run-to-run noise.
-func (c *Catalog) recordFeedback(shape, saoKey string, observed float64) {
-	c.feedbackMu.Lock()
-	defer c.feedbackMu.Unlock()
-	if c.feedback == nil {
-		c.feedback = map[string]map[string]float64{}
-	}
-	m := c.feedback[shape]
-	if m == nil {
-		m = map[string]float64{}
-		c.feedback[shape] = m
-	}
-	if prev, ok := m[saoKey]; ok && prev >= observed {
-		return
-	}
-	m[saoKey] = observed
-	c.replans.Add(1)
-}
-
-func (c *Catalog) feedbackEntries() int {
-	c.feedbackMu.Lock()
-	defer c.feedbackMu.Unlock()
-	n := 0
-	for _, m := range c.feedback {
-		n += len(m)
-	}
-	return n
 }

@@ -22,12 +22,9 @@ type Prepared struct {
 	builds   int64 // indexes constructed during this preparation
 	cacheHit bool
 
-	// Feedback routing: the owning catalog and the query-shape key
-	// executions report divergent resolution counts under. label is the
-	// version-free shape executions are observed under (telemetry must
-	// aggregate across versions; feedback must not).
+	// The owning catalog and the version-free shape executions are
+	// observed under (telemetry aggregates across versions).
 	cat   *Catalog
-	shape string
 	label string
 }
 
@@ -65,42 +62,7 @@ func (p *Prepared) Execute(opts join.Options) (*join.Result, error) {
 	if p.cat != nil {
 		p.cat.observeExec(p.label, "exec", start)
 	}
-	p.observe(opts, res.Stats)
 	return res, nil
-}
-
-// replanDivergence and replanSlack gate the feedback loop: an execution
-// whose observed resolution count exceeds the plan's estimate by more
-// than the factor (plus an absolute slack that keeps tiny queries
-// quiet) records the observation, invalidating the cached plan. The
-// planner's Σ-of-prefix-AGM estimate upper-bounds the resolution count
-// of a well-chosen order up to polylog factors, so a 4× overshoot
-// signals an order the cost model got wrong, not estimator noise.
-const (
-	replanDivergence = 4.0
-	replanSlack      = 128.0
-)
-
-// observe feeds an execution's work measurement back to the catalog's
-// planner-feedback registry when it diverges from the plan's estimate.
-// Limited runs (output/resolution caps, shared budgets, streaming
-// stops) are skipped: their truncated counts measure the limit, not
-// the order.
-func (p *Prepared) observe(opts join.Options, stats core.Stats) {
-	if p.cat == nil {
-		return
-	}
-	if opts.MaxOutput > 0 || opts.MaxResolutions > 0 || opts.Budget != nil || opts.OnOutput != nil {
-		return
-	}
-	d := p.plan.Decision()
-	if d == nil || !d.Planned {
-		return
-	}
-	obs := float64(stats.Resolutions)
-	if obs > d.EstimatedResolutions*replanDivergence+replanSlack {
-		p.cat.recordFeedback(p.shape, join.FeedbackKey(p.plan.SAOVars()), obs)
-	}
 }
 
 // Count runs the counting variant over the prepared plan.
@@ -127,9 +89,7 @@ func (p *Prepared) Covers(opts join.Options) (*core.CoverReport, error) {
 // version changes the key and the stale plan simply stops being found.
 // Atoms carrying explicit indexes pin them by instance identity: a plan
 // built over caller-supplied index structures must never be served to a
-// preparation that asked for different ones. Planner feedback is keyed
-// by this shape: observations apply to every strategy/mode the shape
-// runs under.
+// preparation that asked for different ones.
 func shapeKey(q *join.Query) string {
 	var sb strings.Builder
 	for i, a := range q.Atoms() {
@@ -163,19 +123,18 @@ func ShapeLabel(q *join.Query) string {
 }
 
 // planKey builds the cache identity of a preparation: the shape, the
-// resolved SAO, the mode and — for planner-made decisions — the
-// decision fingerprint, which covers the relation statistics, the
-// chosen index families and any feedback that shaped the choice. The
-// fingerprint is what makes re-planning effective: recording a
-// divergent observation changes the next decision's fingerprint, so the
-// stale auto-plan can never be served again even though shape, SAO and
-// mode may all be unchanged.
+// resolved SAO, the mode and — for planner-made decisions — a planned
+// marker and the chosen index family per atom. The shape pins every
+// relation's (ID, version), and one version is one tuple set with one
+// set of statistics, so the planner decides the same way every time the
+// shape comes back; the marker keeps a planned decision apart from an
+// unplanned one pinned to the same order.
 func planKey(shape string, d *join.Decision, mode core.Mode) string {
 	var sb strings.Builder
 	sb.WriteString(shape)
 	fmt.Fprintf(&sb, "|sao=%s|mode=%v", strings.Join(d.SAOVars, ","), mode)
 	if d.Planned {
-		fmt.Fprintf(&sb, "|plan=%016x", d.Fingerprint)
+		fmt.Fprintf(&sb, "|planned=%v", d.Families)
 	}
 	return sb.String()
 }
@@ -198,26 +157,16 @@ func (c *Catalog) Prepare(query string, opts join.Options) (*Prepared, error) {
 // their own on-demand index registries. Callers must treat relations as
 // immutable once planned.
 func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, error) {
-	shape := shapeKey(q)
-
-	// Merge recorded observations for this shape into the planning
-	// feedback; caller-supplied entries win on conflict.
-	if fb := c.feedbackFor(shape); fb != nil {
-		for k, v := range opts.Feedback {
-			fb[k] = v
-		}
-		opts.Feedback = fb
-	}
 	d, err := join.Decide(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	key := planKey(shape, d, opts.Mode)
+	key := planKey(shapeKey(q), d, opts.Mode)
 
 	label := ShapeLabel(q)
 	if plan, ok := c.plans.Get(key); ok {
 		c.hits.Add(1)
-		return &Prepared{plan: plan, mode: opts.Mode, cacheHit: true, cat: c, shape: shape, label: label}, nil
+		return &Prepared{plan: plan, mode: opts.Mode, cacheHit: true, cat: c, label: label}, nil
 	}
 	c.misses.Add(1)
 
@@ -230,7 +179,7 @@ func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, err
 		return nil, err
 	}
 	c.plans.Put(key, plan)
-	return &Prepared{plan: plan, mode: opts.Mode, builds: plan.IndexBuilds(), cat: c, shape: shape, label: label}, nil
+	return &Prepared{plan: plan, mode: opts.Mode, builds: plan.IndexBuilds(), cat: c, label: label}, nil
 }
 
 // Execute prepares (with caching) and runs a textual query in one call:
@@ -272,7 +221,6 @@ func (p *Prepared) executeCharged(opts join.Options) (*join.Result, error) {
 	if p.cat != nil {
 		p.cat.observeExec(p.label, "exec", start)
 	}
-	p.observe(opts, res.Stats)
 	res.Stats.IndexBuilds = p.builds
 	return res, nil
 }

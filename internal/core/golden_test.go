@@ -47,8 +47,9 @@ type execution struct {
 }
 
 // goldenExecutions runs the rows of TestGoldenEngineCounts, each shape on a
-// fresh catalog, and returns them by label.
-func goldenExecutions(t *testing.T) (map[string]execution, []string) {
+// fresh catalog, and returns them by label. The lifted rows of a shape run
+// one after the other on its catalog, in the order lbModes gives.
+func goldenExecutions(t *testing.T, lbModes ...core.Mode) (map[string]execution, []string) {
 	runs := map[string]execution{}
 	var labels []string
 	record := func(label string, res *join.Result, err error) {
@@ -59,10 +60,11 @@ func goldenExecutions(t *testing.T) (map[string]execution, []string) {
 		runs[label] = execution{res.Tuples, res.Stats}
 		labels = append(labels, label)
 	}
-	// Both LB modes, in this order: the catalog's plan cache and planner
-	// feedback make an ad-hoc execution depend on the ones before it.
+	// Both LB modes on the catalog the shape's other rows ran on: an
+	// ad-hoc execution plans from the relation versions alone, so what
+	// ran before it, and in which order, must not move its counts.
 	lifted := func(label string, c *catalog.Catalog, query string) {
-		for _, mode := range []core.Mode{core.PreloadedLB, core.ReloadedLB} {
+		for _, mode := range lbModes {
 			res, err := c.Execute(query, join.Options{Mode: mode, Parallelism: 1})
 			record(label+" "+mode.Name(), res, err)
 		}
@@ -140,9 +142,9 @@ func goldenExecutions(t *testing.T) (map[string]execution, []string) {
 // larger than their frame: every row is also run with every box stored,
 // and must do the same work but for that column.
 func TestGoldenEngineCounts(t *testing.T) {
-	runs, labels := goldenExecutions(t)
+	runs, labels := goldenExecutions(t, core.PreloadedLB, core.ReloadedLB)
 	var kept map[string]execution
-	core.KeepingEverything(func() { kept, _ = goldenExecutions(t) })
+	core.KeepingEverything(func() { kept, _ = goldenExecutions(t, core.PreloadedLB, core.ReloadedLB) })
 	if runs["random triangle 1"].stats.KnowledgeBase == kept["random triangle 1"].stats.KnowledgeBase {
 		t.Fatal("random triangle 1 kept as many boxes storing everything: the comparison is vacuous")
 	}
@@ -152,6 +154,15 @@ func TestGoldenEngineCounts(t *testing.T) {
 		if !reflect.DeepEqual(got.tuples, all.tuples) || got.stats != all.stats {
 			t.Errorf("%s: storing only boxes larger than their frame changed the run: %d tuples, %+v; storing every box %d tuples, %+v",
 				label, len(got.tuples), got.stats, len(all.tuples), all.stats)
+		}
+	}
+	// ReloadedLB first: every row, lifted or not, must do the same work.
+	reversed, _ := goldenExecutions(t, core.ReloadedLB, core.PreloadedLB)
+	for _, label := range labels {
+		got, rev := runs[label], reversed[label]
+		if !reflect.DeepEqual(got.tuples, rev.tuples) || got.stats != rev.stats {
+			t.Errorf("%s: running ReloadedLB first changed the run: %d tuples, %+v; in the pinned order %d tuples, %+v",
+				label, len(rev.tuples), rev.stats, len(got.tuples), got.stats)
 		}
 	}
 

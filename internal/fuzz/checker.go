@@ -219,8 +219,8 @@ func (ck *Checker) checkQuery(c Case) (*Discrepancy, error) {
 		return d, nil
 	}
 
-	// The statistics-driven planner: deterministic decisions, planned
-	// and feedback-perturbed executions agreeing with the reference.
+	// The statistics-driven planner: deterministic decisions and planned
+	// executions agreeing with the reference.
 	if d := ck.checkPlanner(c); d != nil {
 		return d, nil
 	}

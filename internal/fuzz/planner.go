@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"reflect"
 
 	"tetrisjoin/internal/baseline"
 	"tetrisjoin/internal/core"
@@ -14,8 +15,7 @@ import (
 // order and index family, so its one binding contract is semantic
 // transparency — a planned execution must produce exactly the reference
 // output, a fixed-SAO execution must too (the planner cannot leak into
-// explicitly ordered runs), decisions must be deterministic, and
-// feedback may only re-order work, never change results.
+// explicitly ordered runs), and decisions must be deterministic.
 func (ck *Checker) checkPlanner(c Case) *Discrepancy {
 	q, err := c.BuildQuery()
 	if err != nil {
@@ -26,7 +26,8 @@ func (ck *Checker) checkPlanner(c Case) *Discrepancy {
 		return &Discrepancy{Config: "planner", Detail: fmt.Sprintf("reference: %v", err)}
 	}
 
-	// Decision determinism: equal inputs, byte-equal outcome.
+	// Decision determinism: equal inputs, equal order, families,
+	// estimate and scored candidates.
 	d1, err := join.Decide(q, join.Options{Strategy: join.SAOPlanned})
 	if err != nil {
 		return &Discrepancy{Config: "planner/decide", Detail: fmt.Sprintf("engine error: %v", err)}
@@ -35,10 +36,9 @@ func (ck *Checker) checkPlanner(c Case) *Discrepancy {
 	if err != nil {
 		return &Discrepancy{Config: "planner/decide", Detail: fmt.Sprintf("engine error: %v", err)}
 	}
-	if fmt.Sprint(d1.SAOVars) != fmt.Sprint(d2.SAOVars) || d1.Fingerprint != d2.Fingerprint ||
-		fmt.Sprint(d1.Families) != fmt.Sprint(d2.Families) {
+	if !reflect.DeepEqual(d1, d2) {
 		return &Discrepancy{Config: "planner/decide",
-			Detail: fmt.Sprintf("nondeterministic decision: %v/%x vs %v/%x", d1.SAOVars, d1.Fingerprint, d2.SAOVars, d2.Fingerprint)}
+			Detail: fmt.Sprintf("nondeterministic decision: %+v vs %+v", *d1, *d2)}
 	}
 	if d := validDecision(q, d1); d != nil {
 		return d
@@ -76,34 +76,6 @@ func (ck *Checker) checkPlanner(c Case) *Discrepancy {
 		}
 	}
 
-	// Feedback perturbation: poisoning the winner re-plans onto another
-	// order — the decision must change fingerprint, stay valid, and the
-	// execution must still produce the reference output exactly.
-	if d1.Planned {
-		fb := join.Options{Strategy: join.SAOPlanned,
-			Feedback: map[string]float64{join.FeedbackKey(d1.SAOVars): 1e9}}
-		d3, err := join.Decide(q, fb)
-		if err != nil {
-			return &Discrepancy{Config: "planner/feedback", Detail: fmt.Sprintf("engine error: %v", err)}
-		}
-		if d := validDecision(q, d3); d != nil {
-			return d
-		}
-		if d3.Fingerprint == d1.Fingerprint {
-			return &Discrepancy{Config: "planner/feedback",
-				Detail: fmt.Sprintf("feedback left the decision fingerprint unchanged (%x)", d1.Fingerprint)}
-		}
-		fb.Mode = core.Reloaded
-		fb.Parallelism = 1
-		res, err := join.Execute(q, fb)
-		if err != nil {
-			return &Discrepancy{Config: "planner/feedback", Detail: fmt.Sprintf("engine error: %v", err)}
-		}
-		if d := diffTuples("planner/feedback", res.Tuples, ref); d != nil {
-			return d
-		}
-	}
-
 	// Strategy coherence: on cyclic queries SAOAuto delegates to the
 	// planner, so the two strategies must resolve identically.
 	if _, acyclic := q.Hypergraph().GYO(); !acyclic {
@@ -111,9 +83,9 @@ func (ck *Checker) checkPlanner(c Case) *Discrepancy {
 		if err != nil {
 			return &Discrepancy{Config: "planner/auto", Detail: fmt.Sprintf("engine error: %v", err)}
 		}
-		if fmt.Sprint(da.SAOVars) != fmt.Sprint(d1.SAOVars) || da.Fingerprint != d1.Fingerprint {
+		if fmt.Sprint(da.SAOVars) != fmt.Sprint(d1.SAOVars) || fmt.Sprint(da.Families) != fmt.Sprint(d1.Families) {
 			return &Discrepancy{Config: "planner/auto",
-				Detail: fmt.Sprintf("SAOAuto resolved %v/%x on a cyclic query, SAOPlanned %v/%x", da.SAOVars, da.Fingerprint, d1.SAOVars, d1.Fingerprint)}
+				Detail: fmt.Sprintf("SAOAuto resolved %v/%v on a cyclic query, SAOPlanned %v/%v", da.SAOVars, da.Families, d1.SAOVars, d1.Families)}
 		}
 	}
 	return nil
@@ -121,7 +93,7 @@ func (ck *Checker) checkPlanner(c Case) *Discrepancy {
 
 // validDecision checks a decision's structural invariants: the order is
 // a permutation of the query's variables and a planned decision carries
-// one index family per atom plus a nonzero fingerprint.
+// one index family per atom.
 func validDecision(q *join.Query, d *join.Decision) *Discrepancy {
 	seen := map[string]bool{}
 	for _, v := range d.SAOVars {
@@ -141,9 +113,6 @@ func validDecision(q *join.Query, d *join.Decision) *Discrepancy {
 	if len(d.Families) != len(q.Atoms()) {
 		return &Discrepancy{Config: "planner/decide",
 			Detail: fmt.Sprintf("planned decision has %d index families for %d atoms", len(d.Families), len(q.Atoms()))}
-	}
-	if d.Fingerprint == 0 {
-		return &Discrepancy{Config: "planner/decide", Detail: "planned decision has zero fingerprint"}
 	}
 	return nil
 }

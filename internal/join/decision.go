@@ -2,7 +2,6 @@ package join
 
 import (
 	"fmt"
-	"strings"
 
 	"tetrisjoin/internal/index"
 	"tetrisjoin/internal/planner"
@@ -10,11 +9,9 @@ import (
 
 // Decision is the resolved planning outcome for a query: the splitting
 // attribute order, the per-atom index families, and — when the
-// statistics-driven planner produced it — the cost estimate, scored
-// candidates and a fingerprint of the planning inputs. Plans record the
-// decision they were prepared under (Plan.Decision), and the catalog
-// folds Fingerprint into its plan-cache key so a re-planned query shape
-// can never be served a stale cached plan.
+// statistics-driven planner produced it — the cost estimate and scored
+// candidates. Plans record the decision they were prepared under
+// (Plan.Decision).
 type Decision struct {
 	// SAOVars is the chosen splitting attribute order by variable name.
 	SAOVars []string
@@ -30,14 +27,8 @@ type Decision struct {
 	// SAO-consistent B-tree default for every atom.
 	Families []index.Family
 	// EstimatedResolutions is the planner's cost-model estimate for the
-	// chosen order (Σ of prefix-join size estimates): the number the
-	// catalog's feedback loop compares observed resolution counts
-	// against. 0 when not Planned.
+	// chosen order (Σ of prefix-join size estimates). 0 when not Planned.
 	EstimatedResolutions float64
-	// Fingerprint identifies the planning inputs and outputs (relation
-	// snapshots via stats fingerprints, chosen order, families,
-	// feedback). 0 when not Planned.
-	Fingerprint uint64
 	// Candidates are the orders the planner scored, winner first. Empty
 	// when not Planned.
 	Candidates []PlannedCandidate
@@ -49,11 +40,9 @@ type Decision struct {
 type PlannedCandidate struct {
 	// SAOVars is the candidate order by variable name.
 	SAOVars []string
-	// Score is the cost-model estimate, or the measured resolution count
-	// when Observed.
-	Score    float64
-	Source   string
-	Observed bool
+	// Score is the cost-model estimate.
+	Score  float64
+	Source string
 	// Rejection explains why the candidate lost; empty for the winner.
 	Rejection string
 }
@@ -67,9 +56,7 @@ func (d *Decision) SAO() []int { return d.sao }
 // the strategy dispatches: SAONatural takes first-occurrence order,
 // SAOAuto keeps the paper's reverse-GYO order on α-acyclic queries and
 // invokes the statistics-driven planner on cyclic ones, and SAOPlanned
-// invokes the planner unconditionally. opts.Feedback (observed
-// resolution counts keyed by comma-joined SAO variable names) calibrates
-// the planner's scores.
+// invokes the planner unconditionally.
 func Decide(q *Query, opts Options) (*Decision, error) {
 	if opts.Decision != nil {
 		return opts.Decision, nil
@@ -102,9 +89,9 @@ func Decide(q *Query, opts Options) (*Decision, error) {
 			}
 			return unplannedDecision(q, sao), nil
 		}
-		return plannedDecision(q, opts)
+		return plannedDecision(q), nil
 	case SAOPlanned:
-		return plannedDecision(q, opts)
+		return plannedDecision(q), nil
 	default:
 		return nil, fmt.Errorf("join: unknown SAO strategy %d", opts.Strategy)
 	}
@@ -119,7 +106,7 @@ func unplannedDecision(q *Query, sao []int) *Decision {
 // plannedDecision runs the statistics-driven planner over the query. A
 // planner failure degrades to the classical elimination-order default
 // rather than failing the query.
-func plannedDecision(q *Query, opts Options) (*Decision, error) {
+func plannedDecision(q *Query) *Decision {
 	atoms := make([]planner.Atom, len(q.atoms))
 	for ai, a := range q.atoms {
 		vars := make([]int, len(a.Vars))
@@ -128,11 +115,9 @@ func plannedDecision(q *Query, opts Options) (*Decision, error) {
 		}
 		atoms[ai] = planner.Atom{Rel: a.Relation, Vars: vars}
 	}
-	pd, err := planner.Choose(len(q.vars), atoms, planner.Options{
-		Observed: positionFeedback(q, opts.Feedback),
-	})
+	pd, err := planner.Choose(len(q.vars), atoms)
 	if err != nil {
-		return classicalDecision(q), nil
+		return classicalDecision(q)
 	}
 	d := &Decision{
 		SAOVars:              varsOf(q, pd.SAO),
@@ -140,18 +125,16 @@ func plannedDecision(q *Query, opts Options) (*Decision, error) {
 		Planned:              true,
 		Families:             pd.Families,
 		EstimatedResolutions: pd.EstimatedResolutions,
-		Fingerprint:          pd.Fingerprint,
 	}
 	for _, c := range pd.Candidates {
 		d.Candidates = append(d.Candidates, PlannedCandidate{
 			SAOVars:   varsOf(q, c.SAO),
 			Score:     c.Score,
 			Source:    c.Source,
-			Observed:  c.Observed,
 			Rejection: c.Rejection,
 		})
 	}
-	return d, nil
+	return d
 }
 
 // classicalDecision is the engine's pre-planner cyclic default: the
@@ -171,28 +154,6 @@ func classicalDecision(q *Query) *Decision {
 	}
 	return unplannedDecision(q, sao)
 }
-
-// positionFeedback converts feedback keyed by comma-joined variable
-// names ("B,A,C") into the planner's position-keyed form, dropping
-// entries that do not name a permutation of this query's variables.
-func positionFeedback(q *Query, feedback map[string]float64) map[string]float64 {
-	if len(feedback) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(feedback))
-	for key, obs := range feedback {
-		sao, err := validateSAOVars(q, strings.Split(key, ","))
-		if err != nil {
-			continue
-		}
-		out[planner.SAOKey(sao)] = obs
-	}
-	return out
-}
-
-// FeedbackKey renders an SAO (by variable name) as the comma-joined
-// form Options.Feedback and the catalog's observation registry key by.
-func FeedbackKey(saoVars []string) string { return strings.Join(saoVars, ",") }
 
 // validateSAOVars checks that the named order is a permutation of the
 // query's variables and converts it to positions.

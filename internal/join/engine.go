@@ -46,12 +46,6 @@ type Options struct {
 	// no planner run. The catalog resolves decisions once per prepare
 	// and hands them down through this field.
 	Decision *Decision
-	// Feedback carries observed resolution counts from earlier
-	// executions of this query shape, keyed by comma-joined SAO variable
-	// names (FeedbackKey). The planner scores a candidate order by its
-	// observed count instead of the cost-model estimate when one is
-	// present — the calibration loop behind the catalog's re-planning.
-	Feedback map[string]float64
 	// Parallelism is the number of worker goroutines of the
 	// work-stealing executor (core.RunShards) running the query. 0 means
 	// runtime.GOMAXPROCS(0) — except when MaxOutput, MaxResolutions or

@@ -116,16 +116,12 @@ func (ex *Explanation) String() string {
 	if ex.Planned {
 		fmt.Fprintf(&sb, "planner:   est. resolutions %.3g\n", ex.EstimatedResolutions)
 		for _, c := range ex.Candidates {
-			obs := ""
-			if c.Observed {
-				obs = " (observed)"
-			}
 			why := "chosen"
 			if c.Rejection != "" {
 				why = "rejected: " + c.Rejection
 			}
-			fmt.Fprintf(&sb, "  %-12s %-20s %.3g%s — %s\n",
-				c.Source, strings.Join(c.SAOVars, ","), c.Score, obs, why)
+			fmt.Fprintf(&sb, "  %-12s %-20s %.3g — %s\n",
+				c.Source, strings.Join(c.SAOVars, ","), c.Score, why)
 		}
 	}
 	return sb.String()

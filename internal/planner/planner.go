@@ -26,7 +26,6 @@ package planner
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,35 +43,20 @@ type Atom struct {
 	Vars []int
 }
 
-// Options tunes a planning run.
-type Options struct {
-	// ExhaustiveVars caps the subset-lattice DP: queries with more
-	// variables fall back to scoring the named candidate orders only.
-	// 0 means the default (12).
-	ExhaustiveVars int
-	// Observed carries execution feedback: measured resolution counts
-	// keyed by SAOKey of orders previously run for this query shape.
-	// A candidate with an observed value is scored by it instead of the
-	// estimate — the calibration that lets the catalog re-plan a shape
-	// whose estimate diverged from reality.
-	Observed map[string]float64
-}
-
-const defaultExhaustiveVars = 12
+// exhaustiveVars caps the subset-lattice DP: queries with more
+// variables score the named candidate orders only.
+const exhaustiveVars = 12
 
 // Candidate is one scored order, kept for explain output.
 type Candidate struct {
 	// SAO is the order as query-variable positions.
 	SAO []int
-	// Score is the estimated resolution proxy (Σ of prefix estimates),
-	// or the observed resolution count when Observed is true.
+	// Score is the estimated resolution proxy (Σ of prefix estimates).
 	Score float64
 	// Source names how the candidate was generated: "optimal" (subset
 	// DP), "elimination" (the engine's classical default), "natural",
-	// "reversed", "minfill", or "feedback".
+	// "reversed" or "minfill".
 	Source string
-	// Observed reports that Score is a measured value from feedback.
-	Observed bool
 	// Rejection explains why the candidate lost, empty for the winner.
 	Rejection string
 }
@@ -87,48 +71,22 @@ type Decision struct {
 	// caller's business; the planner always fills every slot.
 	Families []index.Family
 	// Score is the winner's score; EstimatedResolutions is the same
-	// number under its cost-model meaning (Σ of prefix-join estimates —
-	// the quantity the catalog compares observed resolutions against).
+	// number under its cost-model meaning (Σ of prefix-join estimates).
 	Score                float64
 	EstimatedResolutions float64
 	// Candidates are the scored orders, winner first, then ascending by
 	// score.
 	Candidates []Candidate
-	// Fingerprint identifies the planning inputs and outputs: relation
-	// snapshots (via their stats fingerprints), the chosen order and
-	// families, and any feedback that shaped the choice. The catalog
-	// folds it into the plan-cache key so a re-planned shape can never
-	// be served a stale auto-plan.
-	Fingerprint uint64
 }
 
 // SAOKey renders an order as a canonical string ("2,0,1"): the identity
-// feedback entries and fingerprints use.
+// candidates are deduplicated by and the last tie-break compares.
 func SAOKey(sao []int) string {
 	parts := make([]string, len(sao))
 	for i, v := range sao {
 		parts[i] = strconv.Itoa(v)
 	}
 	return strings.Join(parts, ",")
-}
-
-// ParseSAOKey is the inverse of SAOKey.
-func ParseSAOKey(key string, n int) ([]int, bool) {
-	parts := strings.Split(key, ",")
-	if len(parts) != n {
-		return nil, false
-	}
-	sao := make([]int, n)
-	seen := make([]bool, n)
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v >= n || seen[v] {
-			return nil, false
-		}
-		seen[v] = true
-		sao[i] = v
-	}
-	return sao, true
 }
 
 // Choose plans the query described by nvars variables and the given
@@ -138,7 +96,7 @@ func ParseSAOKey(key string, n int) ([]int, bool) {
 // instances (all candidates tied) the engine's classical
 // elimination-based order wins, so planning never perturbs workloads
 // the default already handles optimally.
-func Choose(nvars int, atoms []Atom, opts Options) (*Decision, error) {
+func Choose(nvars int, atoms []Atom) (*Decision, error) {
 	if nvars < 1 || nvars > 64 {
 		return nil, fmt.Errorf("planner: %d variables out of range", nvars)
 	}
@@ -156,11 +114,6 @@ func Choose(nvars int, atoms []Atom, opts Options) (*Decision, error) {
 	}
 	est := newEstimator(nvars, atoms)
 
-	cap := opts.ExhaustiveVars
-	if cap == 0 {
-		cap = defaultExhaustiveVars
-	}
-
 	// Named candidates. The elimination-based order is the engine's
 	// classical SAOAuto choice; keeping it in the pool (and preferring
 	// it on ties) makes planning a strict refinement of the default.
@@ -172,31 +125,22 @@ func Choose(nvars int, atoms []Atom, opts Options) (*Decision, error) {
 	if mf, _ := h.MinFillOrder(); len(mf) == nvars {
 		cands = append(cands, Candidate{SAO: reverseOf(mf), Source: "minfill"})
 	}
-	if nvars <= cap {
+	if nvars <= exhaustiveVars {
 		if opt := est.optimalOrder(); opt != nil {
 			cands = append(cands, Candidate{SAO: opt, Source: "optimal"})
 		}
 	}
-	for _, key := range sortedKeys(opts.Observed) {
-		if sao, ok := ParseSAOKey(key, nvars); ok {
-			cands = append(cands, Candidate{SAO: sao, Source: "feedback"})
-		}
-	}
 
-	// Score, dedupe by order (first source wins), apply feedback.
-	byKey := map[string]int{}
+	// Score and dedupe by order (first source wins).
+	seen := map[string]bool{}
 	var uniq []Candidate
 	for _, c := range cands {
 		key := SAOKey(c.SAO)
-		if _, dup := byKey[key]; dup {
+		if seen[key] {
 			continue
 		}
+		seen[key] = true
 		c.Score = est.orderScore(c.SAO)
-		if obs, ok := opts.Observed[key]; ok {
-			c.Score = obs
-			c.Observed = true
-		}
-		byKey[key] = len(uniq)
 		uniq = append(uniq, c)
 	}
 
@@ -231,7 +175,6 @@ func Choose(nvars int, atoms []Atom, opts Options) (*Decision, error) {
 	for i, a := range atoms {
 		d.Families[i] = familyFor(a.Rel)
 	}
-	d.Fingerprint = fingerprint(atoms, d, opts.Observed)
 	return d, nil
 }
 
@@ -346,42 +289,4 @@ func familyFor(rel *relation.Relation) index.Family {
 		return index.DyadicFamily
 	}
 	return index.BTreeFamily
-}
-
-// fingerprint hashes the planning inputs and outputs into the decision
-// identity the plan cache keys on.
-func fingerprint(atoms []Atom, d *Decision, observed map[string]float64) uint64 {
-	h := fnv.New64a()
-	put := func(v uint64) {
-		var buf [8]byte
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, a := range atoms {
-		put(a.Rel.ID())
-		put(a.Rel.Version())
-		put(a.Rel.Stats().Fingerprint())
-	}
-	h.Write([]byte(SAOKey(d.SAO)))
-	for _, f := range d.Families {
-		put(uint64(f))
-	}
-	for _, key := range sortedKeys(observed) {
-		h.Write([]byte(key))
-		put(uint64(int64(observed[key])))
-	}
-	return h.Sum64()
-}
-
-// sortedKeys returns a map's keys in sorted order (determinism for
-// fingerprints and candidate generation).
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

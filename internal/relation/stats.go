@@ -98,9 +98,7 @@ func (s *Stats) ClusterRatio(l int) float64 {
 }
 
 // Fingerprint hashes the statistics content. Two snapshots with equal
-// fingerprints are statistically indistinguishable to the planner; the
-// catalog folds it into the plan-cache key so a plan chosen from stale
-// statistics can never be served for a snapshot with fresh ones.
+// fingerprints are statistically indistinguishable to the planner.
 func (s *Stats) Fingerprint() uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {

@@ -70,8 +70,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		cat(func(cs catalog.Stats) float64 { return float64(cs.PlanHits) }))
 	reg.CounterFunc("tetris_plan_misses_total", "Preparations that had to plan and build.",
 		cat(func(cs catalog.Stats) float64 { return float64(cs.PlanMisses) }))
-	reg.CounterFunc("tetris_replans_total", "Planner-feedback triggers: executions divergent enough to invalidate their cached plan.",
-		cat(func(cs catalog.Stats) float64 { return float64(cs.Replans) }))
 
 	m.resolutions = reg.Counter("tetris_resolutions_total",
 		"Geometric resolutions spent by successful requests.")

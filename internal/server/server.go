@@ -366,12 +366,6 @@ type serverStats struct {
 	PlansCached int   `json:"plans_cached"`
 	PlanHits    int64 `json:"plan_hits"`
 	PlanMisses  int64 `json:"plan_misses"`
-	// Replans counts planner feedback triggers: executions whose observed
-	// resolution count diverged from the plan's estimate enough to record
-	// an observation and invalidate the cached plan. FeedbackEntries is
-	// the number of (shape, SAO) observations currently held.
-	Replans         int64 `json:"replans,omitempty"`
-	FeedbackEntries int   `json:"feedback_entries,omitempty"`
 
 	// Durability counters; present only on a durable server.
 	WALLastLSN  uint64 `json:"wal_last_lsn,omitempty"`
@@ -399,8 +393,6 @@ func (s *Server) stats() serverStats {
 		PlansCached:      cs.PlansCached,
 		PlanHits:         cs.PlanHits,
 		PlanMisses:       cs.PlanMisses,
-		Replans:          cs.Replans,
-		FeedbackEntries:  cs.FeedbackEntries,
 		WALLastLSN:       ws.LastLSN,
 		WALSize:          ws.WALSize,
 		Checkpoints:      ws.Checkpoints,

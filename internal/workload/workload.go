@@ -654,10 +654,9 @@ func ZipfFourCycle(n int, d uint8, skew float64, seed int64) *join.Query {
 // resolutions from order-consistent wildcard gap boxes; splitting last
 // rediscovers S's diagonal gaps value by value — Ω(m·d) — which at
 // large depth d overshoots the estimate by more than any constant
-// divergence factor. This is the calibration family for the catalog's
-// plan-feedback loop: the one regime where observed work legitimately
-// contradicts the estimate, so a divergent execution must trigger a
-// re-plan.
+// factor. It is the one regime where the cost model cannot rank the
+// orders, so the planner's structural tie-break alone decides: the
+// planner panel and TestPlannerBeatsNaturalOnSkew pin what it picks.
 func PinnedChain(m uint64, d uint8) *join.Query {
 	if m > 1<<d {
 		panic("workload: m exceeds domain")
