@@ -9,6 +9,7 @@ import (
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
 	"tetrisjoin/internal/klee"
+	"tetrisjoin/internal/lb"
 )
 
 // BCPOptions configures a raw box cover problem run; it mirrors
@@ -20,11 +21,15 @@ type BCPResult = core.Result
 
 // SolveBCP lists all points of the depth-indexed space not covered by any
 // of the boxes — the box cover problem of Definition 3.4 — using the
-// Tetris variant selected in opts.
+// Tetris variant selected in opts. Like Join, it supplies the Balance lift
+// to the LB modes.
 func SolveBCP(depths []uint8, boxes []Box, opts BCPOptions) (*BCPResult, error) {
 	o, err := core.NewBoxOracle(depths, boxes)
 	if err != nil {
 		return nil, err
+	}
+	if !opts.Mode.Plain() {
+		opts.Space = lb.New
 	}
 	return core.Run(o, opts)
 }
@@ -46,8 +51,11 @@ func CoversSpace(depths []uint8, boxes []Box) (covered bool, uncovered []uint64,
 // uncovered sub-spaces at once, so joins with astronomically many results
 // are counted cheaply. Like Join it is one-shot (a throwaway catalog);
 // services should count through a long-lived Catalog's prepared
-// statements instead.
+// statements instead. Like Join it takes all four modes.
 func JoinSize(q *Query, opts Options) (*big.Int, error) {
+	if !opts.Mode.Plain() {
+		opts.Space = lb.New
+	}
 	count, _, err := catalog.New().CountQuery(q, opts)
 	return count, err
 }

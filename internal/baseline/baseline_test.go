@@ -7,6 +7,7 @@ import (
 
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
 	"tetrisjoin/internal/relation"
 )
 
@@ -120,7 +121,11 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 				check("yannakakis", y, err)
 			}
 			for _, mode := range []core.Mode{core.Reloaded, core.Preloaded, core.PreloadedLB, core.ReloadedLB} {
-				res, err := join.Execute(q, join.Options{Mode: mode})
+				opts := join.Options{Mode: mode}
+				if !mode.Plain() {
+					opts.Space = lb.New
+				}
+				res, err := join.Execute(q, opts)
 				if err != nil {
 					t.Fatalf("trial %d %s/%v: %v", trial, name, mode, err)
 				}

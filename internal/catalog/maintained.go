@@ -89,8 +89,13 @@ const maintPatchFactor = 4
 // engine's sequential order. The initial materialization — the most
 // expensive step of the lifecycle — honors opts.Context and opts.Budget
 // like every later refresh. The statement is anonymous: owned by the
-// caller, neither registered nor journaled (MaintainAs does both).
+// caller, neither registered nor journaled (MaintainAs does both). Only
+// the plain modes are maintained: the LB ones are the paper's experiment,
+// run one-shot.
 func (c *Catalog) Maintain(query string, opts join.Options) (*Maintained, error) {
+	if !opts.Mode.Plain() {
+		return nil, fmt.Errorf("catalog: maintained statements run the plain modes, not %v", opts.Mode)
+	}
 	gen := c.Generation()
 	p, err := c.Prepare(query, opts)
 	if err != nil {

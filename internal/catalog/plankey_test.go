@@ -2,10 +2,14 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
+	"tetrisjoin/internal/relation"
 	"tetrisjoin/internal/workload"
 )
 
@@ -85,10 +89,56 @@ func TestLiftedRunLeavesPlainPlanAlone(t *testing.T) {
 		t.Fatalf("fresh catalog chose %s, want [A B C]", fresh)
 	}
 	c := starCatalog()
-	if _, err := c.Execute(star, join.Options{Mode: core.ReloadedLB, Parallelism: 1}); err != nil {
+	if _, err := c.Execute(star, join.Options{Mode: core.ReloadedLB, Space: lb.New, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := prepared(c); got != fresh {
 		t.Fatalf("after a ReloadedLB run the plain preparation chose %s, a fresh catalog %s", got, fresh)
+	}
+}
+
+// TestLBStatementKeepsItsSpace: an LB statement is refused at Prepare
+// without its working space, runs every execution in the one it was
+// prepared with, and is never maintained.
+func TestLBStatementKeepsItsSpace(t *testing.T) {
+	const query = "R(A,B), R(B,C), R(A,C)"
+	r := relation.MustNewUniform("R", []string{"X", "Y"}, 3)
+	for _, e := range [][2]uint64{{1, 2}, {2, 3}, {1, 3}, {3, 1}, {2, 1}, {3, 2}} {
+		r.MustInsert(e[0], e[1])
+	}
+	c := New()
+	if _, err := c.Ingest(r); err != nil {
+		t.Fatal(err)
+	}
+	sorted := func(res *join.Result) [][]uint64 {
+		ts := slices.Clone(res.Tuples)
+		slices.SortFunc(ts, slices.Compare)
+		return ts
+	}
+	plain, err := c.Execute(query, join.Options{Mode: core.Reloaded, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sorted(plain)
+	for _, mode := range []core.Mode{core.PreloadedLB, core.ReloadedLB} {
+		if _, err := c.Prepare(query, join.Options{Mode: mode}); err == nil ||
+			!strings.Contains(err.Error(), mode.String()+" needs Options.Space") {
+			t.Errorf("%v: Prepare without a Space: err %v", mode, err)
+		}
+		p, err := c.Prepare(query, join.Options{Mode: mode, Space: lb.New})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Execute(join.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%v: an execution without the Space: %v", mode, err)
+		}
+		if got := sorted(res); len(got) != 6 || !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("%v: %v, want %v", mode, got, want)
+		}
+		if _, err := c.Maintain(query, join.Options{Mode: mode, Space: lb.New}); err == nil ||
+			!strings.Contains(err.Error(), "maintained statements run the plain modes") {
+			t.Errorf("%v: Maintain: err %v", mode, err)
+		}
 	}
 }

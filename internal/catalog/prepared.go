@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tetrisjoin/internal/core"
+	"tetrisjoin/internal/dyadic"
 	"tetrisjoin/internal/join"
 )
 
@@ -16,8 +17,9 @@ import (
 // knowledge base, so they perform zero index builds — which their
 // Stats.IndexBuilds == 0 proves per run.
 type Prepared struct {
-	plan *join.Plan
-	mode core.Mode
+	plan  *join.Plan
+	mode  core.Mode
+	space func(core.Mode, []uint8, []dyadic.Box) (core.Space, error) // an LB mode's working space
 
 	builds   int64 // indexes constructed during this preparation
 	cacheHit bool
@@ -43,16 +45,17 @@ func (p *Prepared) CacheHit() bool { return p.cacheHit }
 // Mode returns the mode the statement runs in. The mode is part of the
 // statement's identity — it is in the plan-cache key — so Execute
 // always uses it; prepare another statement to run a different mode.
+// An LB mode's working space (Options.Space) is fixed with it.
 func (p *Prepared) Mode() core.Mode { return p.mode }
 
 // Execute runs the prepared plan. Execution-time options (parallelism,
 // limits, budget, callbacks) come from opts; the mode is fixed at
-// preparation (opts.Mode is ignored — see Mode) and Preloaded
-// executions reuse the plan's shared knowledge base. The reported
+// preparation (opts.Mode and opts.Space are ignored — see Mode) and
+// Preloaded executions reuse the plan's shared knowledge base. The reported
 // Stats.IndexBuilds is always 0: prepared executions never construct
 // indexes.
 func (p *Prepared) Execute(opts join.Options) (*join.Result, error) {
-	opts.Mode = p.mode
+	opts.Mode, opts.Space = p.mode, p.space
 	opts.SharedBase = true
 	start := time.Now()
 	res, err := p.plan.Execute(opts)
@@ -155,8 +158,12 @@ func (c *Catalog) Prepare(query string, opts join.Options) (*Prepared, error) {
 // relations are pinned by identity: they may be catalog-registered
 // versions (the Parse path) or externally built instances, which get
 // their own on-demand index registries. Callers must treat relations as
-// immutable once planned.
+// immutable once planned. An LB mode needs opts.Space (internal/lb's
+// New), which the statement keeps for its executions.
 func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, error) {
+	if !opts.Mode.Plain() && opts.Space == nil {
+		return nil, fmt.Errorf("catalog: %v needs Options.Space, the Balance lift (internal/lb)", opts.Mode)
+	}
 	d, err := join.Decide(q, opts)
 	if err != nil {
 		return nil, err
@@ -166,7 +173,7 @@ func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, err
 	label := ShapeLabel(q)
 	if plan, ok := c.plans.Get(key); ok {
 		c.hits.Add(1)
-		return &Prepared{plan: plan, mode: opts.Mode, cacheHit: true, cat: c, label: label}, nil
+		return &Prepared{plan: plan, mode: opts.Mode, space: opts.Space, cacheHit: true, cat: c, label: label}, nil
 	}
 	c.misses.Add(1)
 
@@ -179,7 +186,7 @@ func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, err
 		return nil, err
 	}
 	c.plans.Put(key, plan)
-	return &Prepared{plan: plan, mode: opts.Mode, builds: plan.IndexBuilds(), cat: c, label: label}, nil
+	return &Prepared{plan: plan, mode: opts.Mode, space: opts.Space, builds: plan.IndexBuilds(), cat: c, label: label}, nil
 }
 
 // Execute prepares (with caching) and runs a textual query in one call:
@@ -211,7 +218,7 @@ func (c *Catalog) ExecuteQuery(q *join.Query, opts join.Options) (*join.Result, 
 // standalone engine's work accounting bit for bit; cache hits take the
 // amortized path.
 func (p *Prepared) executeCharged(opts join.Options) (*join.Result, error) {
-	opts.Mode = p.mode
+	opts.Mode, opts.Space = p.mode, p.space
 	opts.SharedBase = p.cacheHit
 	start := time.Now()
 	res, err := p.plan.Execute(opts)

@@ -39,16 +39,12 @@ func BuildPreloadedBase(o Oracle, opts Options) (*PreparedBase, error) {
 	}
 	tree := boxtree.New(n)
 	tree.SetOrder(sao)
-	loaded, err := loadGapSet(o, nil, boxtree.New(n), func(b dyadic.Box) { tree.InsertSubsuming(b) })
+	loaded, err := loadGapSet(o, nil, func(b dyadic.Box) { tree.InsertSubsuming(b) })
 	if err != nil {
 		return nil, err
 	}
 	return &PreparedBase{tree: tree, loaded: loaded, n: n}, nil
 }
-
-// Loaded returns the number of distinct gap boxes the base was built
-// from (what a fresh Preloaded run would report as BoxesLoaded).
-func (b *PreparedBase) Loaded() int64 { return b.loaded }
 
 // Len returns the number of boxes the base currently holds (after
 // subsumption).

@@ -9,6 +9,7 @@ import (
 	"tetrisjoin/internal/catalog"
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
 	"tetrisjoin/internal/relation"
 	"tetrisjoin/internal/workload"
 )
@@ -65,7 +66,7 @@ func goldenExecutions(t *testing.T, lbModes ...core.Mode) (map[string]execution,
 	// ran before it, and in which order, must not move its counts.
 	lifted := func(label string, c *catalog.Catalog, query string) {
 		for _, mode := range lbModes {
-			res, err := c.Execute(query, join.Options{Mode: mode, Parallelism: 1})
+			res, err := c.Execute(query, join.Options{Mode: mode, Space: lb.New, Parallelism: 1})
 			record(label+" "+mode.Name(), res, err)
 		}
 	}
@@ -120,7 +121,7 @@ func goldenExecutions(t *testing.T, lbModes ...core.Mode) (map[string]execution,
 	// Example F.1, the instance the LB modes exist for (plain Tetris needs
 	// ~|C|² resolutions on it, the lift ~|C|^{3/2}).
 	f1 := workload.ExampleF1(8)
-	res, err := core.Run(core.MustBoxOracle(f1.Depths, f1.Boxes), core.Options{Mode: core.ReloadedLB})
+	res, err := core.Run(core.MustBoxOracle(f1.Depths, f1.Boxes), core.Options{Mode: core.ReloadedLB, Space: lb.New})
 	if err != nil {
 		t.Fatal(err)
 	}

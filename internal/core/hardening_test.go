@@ -24,10 +24,14 @@ func (f funcOracle) AllGaps() []dyadic.Box                      { return f(nil) 
 var malformed = dyadic.Box{dyadic.Interval{Bits: 5, Len: 3}, dyadic.Lambda, dyadic.Lambda}
 
 func TestMalformedOracleBoxesRejected(t *testing.T) {
+	malformedOracleBoxesRejected(t, plainRuns)
+}
+
+func malformedOracleBoxesRejected(t *testing.T, runs []Options) {
 	o := funcOracle(func([]uint64) []dyadic.Box { return []dyadic.Box{malformed} })
-	for _, m := range allModes() {
-		if _, err := Run(o, Options{Mode: m}); err == nil || !strings.Contains(err.Error(), "invalid gap box") {
-			t.Errorf("%v accepted a malformed gap box: %v", m, err)
+	for _, opts := range runs {
+		if _, err := Run(o, opts); err == nil || !strings.Contains(err.Error(), "invalid gap box") {
+			t.Errorf("%v accepted a malformed gap box: %v", opts.Mode, err)
 		}
 	}
 }
@@ -35,8 +39,13 @@ func TestMalformedOracleBoxesRejected(t *testing.T) {
 // TestLazyLoadFailuresNameTheCause: everything that can go wrong while a
 // unit box is settled — a hostile oracle, a spent budget, a cancelled
 // context — ends the run with an error that names it, in the plain and in
-// the lifted space alike: the checks are the same code.
+// the lifted space alike: the checks are the same code (the lifted arm
+// runs from lb_test.go).
 func TestLazyLoadFailuresNameTheCause(t *testing.T) {
+	lazyLoadFailuresNameTheCause(t, []Options{{Mode: Reloaded}})
+}
+
+func lazyLoadFailuresNameTheCause(t *testing.T, runs []Options) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	origin := dyadic.MustParseBox("00,00,00")
@@ -63,8 +72,9 @@ func TestLazyLoadFailuresNameTheCause(t *testing.T) {
 		{"resolution budget", hard, Options{MaxResolutions: 1}, "resolution budget exhausted"},
 		{"cancelled context", hard, Options{Context: cancelled}, context.Canceled.Error()},
 	} {
-		for _, m := range []Mode{Reloaded, ReloadedLB} {
-			c.opts.Mode = m
+		for _, run := range runs {
+			m := run.Mode
+			c.opts.Mode, c.opts.Space = m, run.Space
 			res, err := Run(c.o, c.opts)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s under %v: result %v, error %v; want an error naming %q", c.name, m, res, err, c.want)
@@ -89,11 +99,16 @@ func (s scribblingOracle) GapsContaining(point []uint64) []dyadic.Box {
 // not the tuples (which used to come out as the cleared point), not the
 // work.
 func TestOracleScribblingOnThePoint(t *testing.T) {
+	oracleScribblingOnThePoint(t, []Options{{Mode: Reloaded}})
+}
+
+func oracleScribblingOnThePoint(t *testing.T, runs []Options) {
 	o := MustBoxOracle(depthsOf(3, 2), boxes("0,0,λ", "1,1,λ", "λ,0,0", "λ,1,1", "0,λ,1"))
-	for _, m := range []Mode{Reloaded, ReloadedLB} {
+	for _, run := range runs {
+		m := run.Mode
 		var streamed [][]uint64
 		for _, stream := range []bool{false, true} {
-			opts := Options{Mode: m}
+			opts := run
 			if stream {
 				opts.OnOutput = func(tup []uint64) bool { streamed = append(streamed, slices.Clone(tup)); return true }
 			}

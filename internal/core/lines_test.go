@@ -192,8 +192,12 @@ func permutations(n int) [][]int {
 // after every settled unit that wrote to kb, must answer every position of
 // every line as a whole probe of the unit box does — over every SAO, in
 // every mode, with and without a shared base, from the universe, a shard
-// and an odd root.
-func TestLineMatchesItsDefinition(t *testing.T) {
+// and an odd root. The LB rows run from lb_test.go.
+func TestLineMatchesItsDefinition(t *testing.T) { lineMatchesItsDefinition(t, nil) }
+
+// lineMatchesItsDefinition runs the plain rows, or given the LB modes' Space
+// the LB rows, over the same instances.
+func lineMatchesItsDefinition(t *testing.T, space spaceFunc) {
 	r := rand.New(rand.NewSource(2301))
 	lines, relifts := 0, int64(0)
 	for n := 1; n <= 4; n++ {
@@ -237,12 +241,16 @@ func TestLineMatchesItsDefinition(t *testing.T) {
 					{"reloaded-lb", ReloadedLB, full, nil},
 					{"reloaded-lb stingy", ReloadedLB, stingy, nil},
 				} {
+					if c.mode.Plain() != (space == nil) {
+						continue
+					}
 					opts := Options{Mode: c.mode, SAO: sao}
 					cRoots := roots
 					if !c.mode.Plain() {
 						if n < 3 {
 							continue // Run hands these to the plain modes
 						}
+						opts.Space = space
 						cRoots = roots[:1] // the lifted universe, whatever is passed
 					}
 					for _, root := range cRoots {
@@ -260,7 +268,7 @@ func TestLineMatchesItsDefinition(t *testing.T) {
 			}
 		}
 	}
-	if lines < 1000 || relifts == 0 {
+	if lines < 1000 || space != nil && relifts == 0 {
 		t.Fatalf("%d lines and %d re-lifts walked: the comparison is vacuous", lines, relifts)
 	}
 }

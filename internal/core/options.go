@@ -28,12 +28,13 @@ const (
 	// lifted to 2n-2 dimensions through the Balance map before running,
 	// achieving Õ(|B|^{n/2} + Z) (Theorem F.7). Like Preloaded it never
 	// probes the oracle: every lifted gap box is in the knowledge base, so
-	// an uncovered lifted unit point decodes to an output.
+	// an uncovered lifted unit point decodes to an output. A run needs
+	// Options.Space.
 	PreloadedLB
 	// ReloadedLB is Tetris-Reloaded-LB: the lazy variant of the above,
 	// achieving Õ(|C|^{n/2} + Z) (Theorem F.9). Partitions are rebuilt
 	// whenever the number of loaded boxes doubles (the paper's periodic
-	// re-adjustment).
+	// re-adjustment). Like PreloadedLB it needs Options.Space.
 	ReloadedLB
 )
 
@@ -90,8 +91,8 @@ func (m Mode) String() string {
 // class meets would report t again.
 func (m Mode) Plain() bool { return m == Preloaded || m == Reloaded }
 
-// unlifted is the plain mode with m's knowledge-base initialization.
-func (m Mode) unlifted() Mode {
+// Unlifted is the plain mode with m's knowledge-base initialization.
+func (m Mode) Unlifted() Mode {
 	switch m {
 	case PreloadedLB:
 		return Preloaded
@@ -106,6 +107,39 @@ func errNotPlain(entry string, m Mode) error {
 	return fmt.Errorf("core: %s supports only the plain Preloaded/Reloaded modes, not %v", entry, m)
 }
 
+// checkSpace holds Options.Space to the LB modes: an LB run needs it, a
+// plain run refuses it.
+func (o Options) checkSpace() error {
+	switch {
+	case o.Mode.Plain() && o.Space != nil:
+		return fmt.Errorf("core: %v works in the oracle's own space; Options.Space is for the LB modes", o.Mode)
+	case !o.Mode.Plain() && o.Space == nil:
+		return fmt.Errorf("core: %v needs Options.Space, the Balance lift (internal/lb)", o.Mode)
+	}
+	return nil
+}
+
+// Space is the working space an LB run settles its unit boxes in (a plain
+// run has none); the oracle, the gap-box checks and the reported tuples
+// stay in base space. internal/lb's Balance lift implements it.
+type Space interface {
+	Depths() []uint8
+	// Decode writes the base tuple of the unit box b into point.
+	Decode(b dyadic.Box, point []uint64)
+	// Image is the working-space box of the base gap box g.
+	Image(g dyadic.Box) dyadic.Box
+	// Cover is the box settling the output t: every point decoding to t.
+	// t is the pass's buffer.
+	Cover(t []uint64) dyadic.Box
+	// Load records a gap just loaded (the oracle's scratch) and reports
+	// whether a Rebuild is due.
+	Load(g dyadic.Box) bool
+	// Rebuild re-derives the space from the gaps loaded so far and refills
+	// the emptied knowledge base through add: their images and the covers
+	// of the outputs reported so far.
+	Rebuild(add func(dyadic.Box)) error
+}
+
 // Options configures a Tetris run.
 type Options struct {
 	// Mode selects the knowledge-base initialization (default Reloaded).
@@ -113,8 +147,9 @@ type Options struct {
 	// SAO is the splitting attribute order: a permutation of dimension
 	// indices. The skeleton splits target boxes along the first thick
 	// dimension in this order. Nil means the natural order 0..n-1.
-	// Ignored by the LB modes, which impose the Balance order of
-	// Appendix F.5.
+	// The LB modes ignore it when they lift (n >= 3), imposing the
+	// Balance order of Appendix F.5; below three dimensions they run
+	// their plain variant, in this order.
 	SAO []int
 	// NoCache disables line 19 of Algorithm 1 (caching of resolvents),
 	// restricting the algorithm to Tree Ordered Geometric Resolution
@@ -148,6 +183,10 @@ type Options struct {
 	// problem — and the run still loads lazily from the oracle on top of
 	// it. The LB modes ignore it.
 	Base *PreparedBase
+	// Space builds the working space of an LB run from the base depths
+	// and, under PreloadedLB, the validated gap set, which it keeps. The
+	// LB modes need it, the plain ones refuse it; internal/lb's New is it.
+	Space func(mode Mode, depths []uint8, gaps []dyadic.Box) (Space, error)
 	// Context, when non-nil, cancels the run cooperatively: it is checked
 	// at every settled unit box (output report or gap load) and every 1024
 	// skeleton calls (frames probed and line positions alike), and the run

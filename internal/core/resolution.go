@@ -2,7 +2,8 @@
 // via Geometric Resolutions: Worst-case and Beyond" (PODS 2015): the
 // recursive TetrisSkeleton (Algorithm 1), the outer Tetris loop
 // (Algorithm 2) in its Preloaded and Reloaded instantiations, and the
-// load-balanced variants of Section 4.5 (Algorithms 3 and 5).
+// load-balanced variants of Section 4.5 (Algorithms 3 and 5), whose
+// Balance lift (internal/lb) a run takes through Options.Space.
 //
 // The package operates on the abstract box cover problem (BCP,
 // Definition 3.4): given oracle access to a set B of dyadic gap boxes,

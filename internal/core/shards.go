@@ -39,6 +39,9 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism int) (*Result,
 	if !opts.Mode.Plain() {
 		return nil, errNotPlain("RunShards", opts.Mode)
 	}
+	if err := opts.checkSpace(); err != nil {
+		return nil, err
+	}
 	if parallelism < 1 {
 		return nil, fmt.Errorf("core: RunShards needs parallelism >= 1, got %d", parallelism)
 	}

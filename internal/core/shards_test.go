@@ -288,34 +288,6 @@ func TestRunShardsExhaustedQuotaStopsSiblings(t *testing.T) {
 	}
 }
 
-func TestLBModesHonorSharedBudgetOutputs(t *testing.T) {
-	// A lifted run must draw output slots from an explicitly shared Budget
-	// (the Budget doc says it replaces MaxOutput).
-	o := shardInstance(t)
-	full, err := Run(o, Options{Mode: ReloadedLB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Tuples) < 2 {
-		t.Fatal("instance too small for the test")
-	}
-	res, err := Run(o, Options{Mode: ReloadedLB, Budget: NewBudget(0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 1 {
-		t.Errorf("shared budget ignored: got %d tuples, want 1", len(res.Tuples))
-	}
-	// And MaxOutput keeps working through the implicit budget.
-	res, err = Run(o, Options{Mode: ReloadedLB, MaxOutput: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 2 {
-		t.Errorf("MaxOutput ignored: got %d tuples, want 2", len(res.Tuples))
-	}
-}
-
 func TestRunShardsRejectsLBModes(t *testing.T) {
 	o := shardInstance(t)
 	for _, mode := range []Mode{PreloadedLB, ReloadedLB} {

@@ -28,7 +28,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
 	sk.walk, sk.keepAll = nil, true // a restart walks back into finished frames
 	if opts.Mode == Preloaded {
-		fresh, err := loadGapSet(o, []dyadic.Box{root}, boxtree.New(n), sk.add)
+		fresh, err := loadGapSet(o, []dyadic.Box{root}, sk.add)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,10 +195,14 @@ func sameAsKeepingEverything(t *testing.T, label string, got *Result, run func()
 // TestSinglePassMatchesRestartMode: the depth-first pass must report what
 // the restart-based outer loop reports, in both modes, from the universe
 // and from a fragment's root, under every SAO — and in both LB modes from
-// the lifted universe. Under a bisecting observer the pass bisects every
-// frame as the loop does, over the same SAO-ordered tree, and must then do
-// the loop's work bit for bit.
-func TestSinglePassMatchesRestartMode(t *testing.T) {
+// the lifted universe (the LB half runs from lb_test.go). Under a bisecting
+// observer the pass bisects every frame as the loop does, over the same
+// SAO-ordered tree, and must then do the loop's work bit for bit.
+func TestSinglePassMatchesRestartMode(t *testing.T) { singlePassMatchesRestartMode(t, nil) }
+
+// singlePassMatchesRestartMode runs the plain half, or given the LB modes'
+// Space the LB half, over the instances drawn after the plain half's.
+func singlePassMatchesRestartMode(t *testing.T, space spaceFunc) {
 	r := rand.New(rand.NewSource(501))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.Intn(2)
@@ -215,6 +219,9 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 		odd := dyadic.Universe(n)
 		odd[sao[n-1]] = dyadic.NewInterval(uint64(r.Intn(2)), 1)
 		roots = append(roots, odd)
+		if space != nil {
+			continue // the LB half draws its instances after these
+		}
 		for _, root := range roots {
 			for _, mode := range []Mode{Preloaded, Reloaded} {
 				opts := Options{Mode: mode, SAO: sao}
@@ -257,7 +264,9 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 			}
 		}
 	}
-	lbMatchesRestartMode(t, r)
+	if space != nil {
+		lbMatchesRestartMode(t, r, space)
+	}
 }
 
 // lbMatchesRestartMode is the LB half of TestSinglePassMatchesRestartMode:
@@ -265,7 +274,7 @@ func TestSinglePassMatchesRestartMode(t *testing.T) {
 // where the restart loop checked at the top of every iteration, so
 // Rebuilds and everything downstream of a rebuild must agree too;
 // PreloadedLB no longer probes.
-func lbMatchesRestartMode(t *testing.T, r *rand.Rand) {
+func lbMatchesRestartMode(t *testing.T, r *rand.Rand, space spaceFunc) {
 	var rebuilds int64
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + r.Intn(2)
@@ -273,7 +282,7 @@ func lbMatchesRestartMode(t *testing.T, r *rand.Rand) {
 		o := MustBoxOracle(depthsOf(n, d), randBoxSet(r, n, d, r.Intn(40)))
 		for _, mode := range []Mode{PreloadedLB, ReloadedLB} {
 			for _, bisected := range []bool{false, true} {
-				opts := Options{Mode: mode}
+				opts := Options{Mode: mode, Space: space}
 				if bisected {
 					opts.onResolve = bisect
 				}
@@ -354,29 +363,6 @@ func TestSinglePassMaxOutputAndStreaming(t *testing.T) {
 		}
 		if seen != 5 {
 			t.Errorf("%v streaming stop: saw %d", mode, seen)
-		}
-	}
-}
-
-// TestLiftedRetainsOutputsOnlyForRebuilds: a rebuild re-covers the tuples
-// reported so far, so ReloadedLB keeps them even when the caller streams;
-// PreloadedLB never rebuilds and must keep none (it used to hold all Z).
-func TestLiftedRetainsOutputsOnlyForRebuilds(t *testing.T) {
-	o := MustBoxOracle(depthsOf(3, 2), nil) // 64 outputs
-	for mode, want := range map[Mode]int{PreloadedLB: 0, ReloadedLB: 64} {
-		sp, err := newLifted(o, mode, &Stats{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Run(o, Options{Mode: mode, OnOutput: func(tup []uint64) bool {
-			sp.cover(nil, tup) // what the pass does with an output
-			return true
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sp.outputs) != want {
-			t.Errorf("%v: the adapter retained %d of 64 streamed outputs, want %d", mode, len(sp.outputs), want)
 		}
 	}
 }

@@ -16,8 +16,8 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 // skeleton is the state of Algorithm 1: the knowledge base A, the
 // splitting attribute order, and instrumentation. A single skeleton is
 // reused across the re-entries of tetris.go's pass (after a work donation
-// or a re-lift), so the knowledge base persists exactly as the paper's
-// global A does.
+// or a Space rebuild), so the knowledge base persists exactly as the
+// paper's global A does.
 //
 // # Scratch discipline
 //
@@ -83,19 +83,19 @@ type skeleton struct {
 	// (footnote 13): the driver makes an uncovered unit box covered on the
 	// spot — an output, or gap boxes loaded around it — and returns a
 	// witness containing it that outlives the callback (the unit box, the
-	// lifted class of its tuple, or a knowledge-base box), so the
-	// enumeration is one depth-first pass.
+	// class box an LB run's Space covers its tuple with, or a
+	// knowledge-base box), so the enumeration is one depth-first pass.
 	// An error aborts the pass.
 	settleUnit func(b dyadic.Box) (dyadic.Box, error)
 }
 
 // errStopped signals an early stop requested by the output callback or
 // the output quota; errDonate an unwind to the work-stealing checkpoint;
-// errRelift an unwind to rebuild the lifted space of a ReloadedLB run.
+// errRelift an unwind to rebuild an LB run's Space.
 var (
 	errStopped = errors.New("core: enumeration stopped by caller")
 	errDonate  = errors.New("core: unwinding to donate work")
-	errRelift  = errors.New("core: unwinding to rebalance the lifted space")
+	errRelift  = errors.New("core: unwinding to rebuild the working space")
 )
 
 func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *skeleton {
@@ -118,8 +118,9 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 	}
 	// The storage rule. A plain pass reaches every frame once, along one
 	// path, and never probes inside a frame it has finished, so only a box
-	// strictly larger than its frame can be hit again. The lifted modes keep
-	// everything: a ReloadedLB re-lift walks back down from the universe.
+	// strictly larger than its frame can be hit again. The LB modes keep
+	// everything: after a Space rebuild the pass walks back down from the
+	// universe.
 	s.keepAll = binary || !opts.Mode.Plain() || keepEverything
 	return s
 }
@@ -128,11 +129,11 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 // a pass beside the same pass storing everything.
 var keepEverything bool
 
-// treePool recycles knowledge-base trees between runs, plain and lifted
-// (getTree matches on dimensionality): regrowing the slabs on every
+// treePool recycles knowledge-base trees between runs, whatever their
+// space (getTree matches on dimensionality): regrowing the slabs on every
 // execution was a tenth of a prepared statement's time and nearly all of
-// its garbage. Only runPlain puts trees back (CoversTarget hands its
-// caller a witness that aliases the tree).
+// its garbage. Only runPlain and loadGapSet put trees back (CoversTarget
+// hands its caller a witness that aliases the tree).
 var treePool sync.Pool
 
 // maxPooledSlab is the slab capacity, in nodes or intervals, above which

@@ -12,7 +12,7 @@ import (
 // output tuples of the box cover problem together with work statistics.
 // The Mode in opts selects between the Preloaded, Reloaded and
 // load-balanced variants; see the Mode documentation for the runtime
-// guarantees of each.
+// guarantees of each. The load-balanced ones need opts.Space.
 func Run(o Oracle, opts Options) (*Result, error) {
 	n, err := validateOracle(o)
 	if err != nil {
@@ -20,6 +20,9 @@ func Run(o Oracle, opts Options) (*Result, error) {
 	}
 	if !opts.Mode.known() {
 		return nil, fmt.Errorf("core: unknown mode %v", opts.Mode)
+	}
+	if err := opts.checkSpace(); err != nil {
+		return nil, err
 	}
 	if !opts.Mode.Plain() {
 		if n >= 3 {
@@ -29,7 +32,7 @@ func Run(o Oracle, opts Options) (*Result, error) {
 		// variants already meet the Õ(|C|^{n/2}) target (for n <= 2,
 		// n-1 <= n/2+1/2 and the 2-dimensional bound Õ(|C|+Z) of Lemma
 		// E.9 applies). Like every LB run, the fallback takes no base.
-		opts.Mode, opts.Base = opts.Mode.unlifted(), nil
+		opts.Mode, opts.Base = opts.Mode.Unlifted(), nil
 	}
 	sao, err := checkSAO(opts.SAO, n)
 	if err != nil {
@@ -124,12 +127,14 @@ func validateOracle(o Oracle) (int, error) {
 // loadGapSet is the one implementation of the Preloaded initial load,
 // shared by the sequential engine (add = skeleton insert) and RunShards
 // (add = shared-base insert): it feeds the oracle's full gap box set
-// through add, validating each box and counting distinct boxes via the
-// loaded exact-match tree. Non-nil roots skip boxes disjoint from all of
+// through add, validating each box and counting distinct boxes via a
+// pooled exact-match tree. Non-nil roots skip boxes disjoint from all of
 // them — they can never witness coverage of a subbox of a root nor take
 // part in a resolution a run restricted to the roots performs.
-func loadGapSet(o Oracle, roots []dyadic.Box, loaded *boxtree.Tree, add func(dyadic.Box)) (int64, error) {
+func loadGapSet(o Oracle, roots []dyadic.Box, add func(dyadic.Box)) (int64, error) {
 	depths := o.Depths()
+	loaded := getTree(len(depths))
+	defer putTree(loaded)
 	var fresh int64
 	for _, b := range o.AllGaps() {
 		if err := b.Check(depths); err != nil {
@@ -180,10 +185,11 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // (see loadGaps for which; DESIGN.md, "One driver", for why the run is the
 // restart loop's, resolution for resolution).
 //
-// The LB modes are the same pass in the Balance-lifted space (lb.go): sao
-// and roots are then the lifted identity order and universe, whatever the
-// caller passed, and base and steal must be nil. The oracle keeps speaking
-// base space; the adapter carries points down and boxes up.
+// The LB modes are the same pass in the working space opts.Space builds
+// (the Balance lift, internal/lb): sao and roots are then that space's
+// identity order and universe, whatever the caller passed, and base and
+// steal must be nil. The oracle keeps speaking base space; the Space
+// carries points down and boxes up.
 //
 // base, when non-nil, is a prebuilt read-only knowledge base holding the
 // full preloaded gap set: RunShards builds it once and shares it across
@@ -219,15 +225,24 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 	budget := opts.Budget
 
 	// sp is the space the pass works in, wn and wdepths its shape: the
-	// oracle's own (nil), or the Balance lift of it.
-	var sp *lifted
+	// oracle's own (nil), or the one opts.Space builds.
+	var sp Space
+	var gaps []dyadic.Box
 	wn, wdepths := n, depths
 	if !opts.Mode.Plain() {
+		if opts.Mode == PreloadedLB {
+			fresh, err := loadGapSet(o, nil, func(b dyadic.Box) { gaps = append(gaps, b) })
+			if err != nil {
+				return nil, nil, err
+			}
+			res.Stats.BoxesLoaded += fresh
+		}
 		var err error
-		if sp, err = newLifted(o, opts.Mode, &res.Stats); err != nil {
+		if sp, err = opts.Space(opts.Mode, depths, gaps); err != nil {
 			return nil, nil, err
 		}
-		wn, wdepths = sp.lift.Dims(), sp.lift.Depths()
+		wdepths = sp.Depths()
+		wn = len(wdepths)
 		sao, _ = checkSAO(nil, wn)
 		roots = []dyadic.Box{dyadic.Universe(wn)}
 	}
@@ -235,15 +250,15 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 	sk.base = base
 	switch {
 	case sp != nil:
-		sp.fill(sk)
+		for _, g := range gaps {
+			sk.add(sp.Image(g))
+		}
 	case opts.Mode == Preloaded && base == nil:
 		filter := roots
 		if len(roots) == 1 && roots[0].IsUniverse() {
 			filter = nil // every box intersects the universe; skip the test
 		}
-		loaded := getTree(n)
-		fresh, err := loadGapSet(o, filter, loaded, sk.add)
-		putTree(loaded)
+		fresh, err := loadGapSet(o, filter, sk.add)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -251,7 +266,7 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 	}
 	// Only the reloaded modes probe: preloaded, every gap box is in the
 	// knowledge base, so an uncovered unit box is an output.
-	lazy := opts.Mode.unlifted() == Reloaded
+	lazy := opts.Mode.Unlifted() == Reloaded
 
 	point := make([]uint64, n)    // base tuple, reused per settled unit; OnOutput must copy
 	probe := make([]uint64, n)    // the oracle's copy of point, which it may overwrite
@@ -274,19 +289,23 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 	// gap: the insert's answer alone tells a new box from a repeat, and no
 	// sweep is needed (a probe returns the length-lexicographically least
 	// cover, never a box inside a stored gap).
+	// A space due for a rebuild ends the descent with errRelift instead.
 	loadGaps := func(b dyadic.Box, gaps []dyadic.Box) (dyadic.Box, error) {
 		if boxtree.CheckPreconditions {
 			if sb, ok := sk.kb.ContainsSuperset(b); ok {
 				panic(fmt.Sprintf("core: settling unit box %v, but %v is stored", b, sb))
 			}
 		}
-		fresh := false
+		fresh, due := false, false
 		bestJ, bestLen := wn, uint8(0)
 		for _, g := range gaps {
 			if err := g.Check(depths); err != nil {
 				return nil, fmt.Errorf("core: oracle returned invalid gap box %v: %w", g, err)
 			}
-			img := sp.image(g)
+			img := g
+			if sp != nil {
+				img = sp.Image(g)
+			}
 			if !img.Contains(b) {
 				return nil, fmt.Errorf("core: oracle contract violation: gap box %v does not contain probe point %v", g, point)
 			}
@@ -304,8 +323,8 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 			if sk.kb.Insert(img) {
 				res.Stats.BoxesLoaded++
 				fresh, sk.wrote = true, true
-				if sp != nil { // the oracle's slice is scratch: keep a copy to re-lift
-					sp.boxes = append(sp.boxes, g.Clone())
+				if sp != nil {
+					due = sp.Load(g)
 				}
 			}
 		}
@@ -324,6 +343,9 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 		if !ok {
 			return nil, fmt.Errorf("core: internal error: loaded gap boxes do not cover frame %v", frame)
 		}
+		if due {
+			return nil, errRelift
+		}
 		return w, nil
 	}
 
@@ -336,7 +358,11 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 		if budget.outputsExhausted() {
 			return nil, errStopped
 		}
-		sp.point(b, point, wdepths)
+		if sp == nil {
+			b.ValuesInto(point, wdepths)
+		} else {
+			sp.Decode(b, point)
+		}
 		last = point
 		var w dyadic.Box
 		var gaps []dyadic.Box
@@ -349,9 +375,6 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 			var err error
 			if w, err = loadGaps(b, gaps); err != nil {
 				return nil, err
-			}
-			if sp.due() {
-				return nil, errRelift
 			}
 		} else {
 			// point is an output tuple: report it and amend A with the
@@ -368,9 +391,13 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 			} else {
 				res.Tuples = append(res.Tuples, slices.Clone(point))
 			}
-			// The cover is stored only if it can be hit again: a lifted
-			// class box, never a plain unit box.
-			if w = sp.cover(b, point); sk.keeps(w, b) {
+			// The cover is stored only if it can be hit again: a class box
+			// of the working space, never a plain unit box.
+			w = b
+			if sp != nil {
+				w = sp.Cover(point)
+			}
+			if sk.keeps(w, b) {
 				sk.add(w)
 			}
 			if stop {
@@ -385,9 +412,9 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 	// The one re-entry loop, over a work list of untouched boxes, seeded
 	// with the roots: a pass that unwound to donate work goes on from the
 	// right siblings of the unit it had settled last; one that unwound to
-	// re-lift walks back down from the lifted universe over the refilled
-	// knowledge base (its learned resolvents belong to the discarded lifted
-	// space).
+	// rebuild its working space walks back down from that space's universe
+	// over the refilled knowledge base (its learned resolvents belong to the
+	// discarded space).
 	return sk, func() (*Result, error) {
 		// Nothing outlives the run inside the knowledge base: tuples are
 		// copied out and every witness is consumed within the pass.
@@ -412,13 +439,12 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 				work = append(work[0].after(last, sk.sao, sk.depths), work[1:]...)
 			case errRelift:
 				res.Stats.Rebuilds++
-				if err := sp.partition(); err != nil {
+				// The old space's boxes go; every witness handed out
+				// before becomes invalid.
+				sk.kb.Reset()
+				if err := sp.Rebuild(sk.add); err != nil {
 					return nil, err
 				}
-				// The old lifted space's boxes go; every witness handed
-				// out before becomes invalid.
-				sk.kb.Reset()
-				sp.fill(sk)
 			case errStopped:
 				work = nil
 			default:

@@ -66,30 +66,38 @@ func sortTuples(ts [][]uint64) {
 
 func allModes() []Mode { return []Mode{Reloaded, Preloaded, PreloadedLB, ReloadedLB} }
 
-func runAll(t *testing.T, depths []uint8, bs []dyadic.Box) map[Mode]*Result {
+// plainRuns are the base options of the plain modes. A test body that takes
+// its runs as base options is shared with the LB arm in lb_test.go, which
+// passes the LB modes with Options.Space set.
+var plainRuns = []Options{{Mode: Reloaded}, {Mode: Preloaded}}
+
+func runAll(t *testing.T, runs []Options, depths []uint8, bs []dyadic.Box) map[Mode]*Result {
 	t.Helper()
 	o := MustBoxOracle(depths, bs)
 	out := map[Mode]*Result{}
-	for _, m := range allModes() {
-		res, err := Run(o, Options{Mode: m})
+	for _, opts := range runs {
+		res, err := Run(o, opts)
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%v: %v", opts.Mode, err)
 		}
-		out[m] = res
+		out[opts.Mode] = res
 	}
 	return out
 }
 
-func TestExample44Trace(t *testing.T) {
+func TestExample44Trace(t *testing.T) { example44Trace(t, plainRuns) }
+
+func example44Trace(t *testing.T, runs []Options) {
 	// Figure 10 / Example 4.4: B = {⟨λ,0⟩, ⟨00,λ⟩, ⟨λ,11⟩, ⟨10,1⟩}
 	// over a 2-bit 2-dimensional space. Output tuples are ⟨01,10⟩ and
 	// ⟨11,10⟩, i.e. (1,2) and (3,2).
 	depths := depthsOf(2, 2)
 	bs := boxes("λ,0", "00,λ", "λ,11", "10,1")
 	want := [][]uint64{{1, 2}, {3, 2}}
-	for _, m := range allModes() {
+	for _, opts := range runs {
+		m := opts.Mode
 		o := MustBoxOracle(depths, bs)
-		res, err := Run(o, Options{Mode: m})
+		res, err := Run(o, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -144,13 +152,15 @@ func TestExample44ResolutionSequence(t *testing.T) {
 	}
 }
 
-func TestFigure5TriangleEmpty(t *testing.T) {
+func TestFigure5TriangleEmpty(t *testing.T) { figure5TriangleEmpty(t, plainRuns) }
+
+func figure5TriangleEmpty(t *testing.T, runs []Options) {
 	// Figure 5: the triangle instance whose six gap boxes cover the whole
 	// space; the join output is empty.
 	for _, d := range []uint8{1, 2, 4, 8} {
 		depths := depthsOf(3, d)
 		bs := boxes("0,0,λ", "1,1,λ", "λ,0,0", "λ,1,1", "0,λ,0", "1,λ,1")
-		for m, res := range runAll(t, depths, bs) {
+		for m, res := range runAll(t, runs, depths, bs) {
 			if len(res.Tuples) != 0 {
 				t.Errorf("d=%d %v: output not empty: %v", d, m, res.Tuples)
 			}
@@ -158,7 +168,9 @@ func TestFigure5TriangleEmpty(t *testing.T) {
 	}
 }
 
-func TestFigure6TriangleNonEmpty(t *testing.T) {
+func TestFigure6TriangleNonEmpty(t *testing.T) { figure6TriangleNonEmpty(t, plainRuns) }
+
+func figure6TriangleNonEmpty(t *testing.T, runs []Options) {
 	// Figure 6: T is replaced by T' with gaps ⟨0,λ,1⟩ and ⟨1,λ,0⟩; the
 	// output is every (a,b,c) whose most significant bits satisfy
 	// α≠β and β≠γ: 2·8^{d-1}... for depth d there are 2·(2^{d-1})^3 tuples.
@@ -171,7 +183,7 @@ func TestFigure6TriangleNonEmpty(t *testing.T) {
 		if got := uint64(len(want)); got != 2*half*half*half {
 			t.Fatalf("d=%d: brute force found %d outputs, want %d", d, got, 2*half*half*half)
 		}
-		for m, res := range runAll(t, depths, bs) {
+		for m, res := range runAll(t, runs, depths, bs) {
 			got := res.Tuples
 			sortTuples(got)
 			if !reflect.DeepEqual(got, want) {
@@ -193,11 +205,14 @@ func TestEmptyBoxSetListsEverything(t *testing.T) {
 	}
 }
 
-func TestSingleBoxCoversAll(t *testing.T) {
+func TestSingleBoxCoversAll(t *testing.T) { singleBoxCoversAll(t, plainRuns) }
+
+func singleBoxCoversAll(t *testing.T, runs []Options) {
 	depths := depthsOf(3, 5)
 	o := MustBoxOracle(depths, boxes("λ,λ,λ"))
-	for _, m := range allModes() {
-		res, err := Run(o, Options{Mode: m})
+	for _, opts := range runs {
+		m := opts.Mode
+		res, err := Run(o, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -227,6 +242,10 @@ func randBoxSet(r *rand.Rand, n int, d uint8, count int) []dyadic.Box {
 // TestRandomAgainstBruteForce cross-validates every mode (and the
 // no-cache skeleton) against pointwise enumeration on random instances.
 func TestRandomAgainstBruteForce(t *testing.T) {
+	randomAgainstBruteForce(t, plainRuns)
+}
+
+func randomAgainstBruteForce(t *testing.T, runs []Options) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + r.Intn(2) // 2 or 3 dimensions
@@ -237,8 +256,9 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		want := bruteUncovered(depths, bs)
 		sortTuples(want)
 		o := MustBoxOracle(depths, bs)
-		for _, m := range allModes() {
-			res, err := Run(o, Options{Mode: m})
+		for _, opts := range runs {
+			m := opts.Mode
+			res, err := Run(o, opts)
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
 			}
@@ -437,71 +457,6 @@ func TestModeNameRoundTrip(t *testing.T) {
 		if _, err := ParseMode(m.Name()); err == nil {
 			t.Errorf("unknown mode %d has the parseable name %q", int(m), m.Name())
 		}
-	}
-}
-
-func TestLBFallbackLowDimensions(t *testing.T) {
-	// n=2: LB modes fall back to the plain variants but must be correct.
-	depths := depthsOf(2, 3)
-	r := rand.New(rand.NewSource(7))
-	bs := randBoxSet(r, 2, 3, 8)
-	want := bruteUncovered(depths, bs)
-	sortTuples(want)
-	o := MustBoxOracle(depths, bs)
-	for _, m := range []Mode{PreloadedLB, ReloadedLB} {
-		res, err := Run(o, Options{Mode: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.Tuples
-		sortTuples(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v fallback output mismatch", m)
-		}
-	}
-}
-
-func TestLBHighDimensional(t *testing.T) {
-	// n=4 random instances: LB modes agree with brute force.
-	r := rand.New(rand.NewSource(321))
-	depths := depthsOf(4, 2)
-	for trial := 0; trial < 15; trial++ {
-		bs := randBoxSet(r, 4, 2, 12)
-		want := bruteUncovered(depths, bs)
-		sortTuples(want)
-		o := MustBoxOracle(depths, bs)
-		for _, m := range []Mode{PreloadedLB, ReloadedLB} {
-			res, err := Run(o, Options{Mode: m})
-			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, m, err)
-			}
-			got := res.Tuples
-			sortTuples(got)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %v: got %d tuples, want %d", trial, m, len(got), len(want))
-			}
-		}
-	}
-}
-
-func TestReloadedLBRebuilds(t *testing.T) {
-	// Enough lazily-loaded boxes must trigger at least one partition
-	// rebuild, and rebuilds must not corrupt the output.
-	depths := depthsOf(3, 4)
-	var bs []dyadic.Box
-	for v := uint64(0); v < 16; v++ {
-		bs = append(bs, dyadic.Box{dyadic.Unit(v, 4), dyadic.Lambda, dyadic.Lambda})
-	}
-	o := MustBoxOracle(depths, bs)
-	res, err := Run(o, Options{Mode: ReloadedLB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 0 {
-		t.Errorf("expected empty output, got %d tuples", len(res.Tuples))
-	}
-	if res.Stats.Rebuilds == 0 {
-		t.Error("expected at least one partition rebuild")
 	}
 }
 

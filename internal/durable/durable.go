@@ -462,13 +462,16 @@ func (d *Catalog) applyOp(op walOp) error {
 
 // applyMaintain re-materializes a maintained statement from its durable
 // record, at whatever catalog state recovery has reached — mid-tail
-// registrations then see the remaining tail as live deltas.
+// registrations then see the remaining tail as live deltas. A record in
+// an LB mode, written before maintained statements were held to the plain
+// modes, replays in the plain mode with the same initial load: the same
+// tuples, and the next checkpoint records the plain mode.
 func (d *Catalog) applyMaintain(rec maintRecord) error {
 	mode, err := core.ParseMode(rec.Mode)
 	if err != nil {
 		return err
 	}
-	_, err = d.MaintainAs(rec.ID, rec.Query, join.Options{Mode: mode, SAOVars: rec.SAO})
+	_, err = d.MaintainAs(rec.ID, rec.Query, join.Options{Mode: mode.Unlifted(), SAOVars: rec.SAO})
 	return err
 }
 

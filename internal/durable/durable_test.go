@@ -643,3 +643,58 @@ func TestReadersDoNotWaitOnSync(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A maintain record in an LB mode — journaled before maintained
+// statements were held to the plain modes — still opens: the statement
+// replays in the plain mode with the same initial load and serves the
+// query's tuples. A new LB registration is refused before it is logged.
+func TestLBMaintainRecordReplaysPlain(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openMem(t, fs)
+	seedPath(t, d, 30, 6, 5)
+	if _, err := d.MaintainAs("lb", pathQuery, join.Options{Mode: core.ReloadedLB}); err == nil ||
+		!strings.Contains(err.Error(), "maintained statements run the plain modes") {
+		t.Fatalf("MaintainAs in reloaded-lb: err %v", err)
+	}
+	for id, mode := range map[string]string{"lb": "reloaded-lb", "plb": "preloaded-lb"} {
+		d.mu.Lock()
+		err := d.logOp(walOp{Op: "maintain", ID: id, Query: pathQuery, Mode: mode})
+		d.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+
+	re := openMem(t, fs)
+	for id, want := range map[string]core.Mode{"lb": core.Reloaded, "plb": core.Preloaded} {
+		m, ok := re.MaintainedByID(id)
+		if !ok {
+			t.Fatalf("statement %q not recovered", id)
+		}
+		if got := m.Registration().Mode; got != want {
+			t.Errorf("statement %q replayed in %v, want %v", id, got, want)
+		}
+		mres, err := m.Execute(execOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := re.Execute(pathQuery, join.Options{Mode: want, Parallelism: 1, SAOVars: mres.SAO})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mres.Tuples, scratch.Tuples) || len(mres.Tuples) == 0 {
+			t.Fatalf("statement %q serves %d tuples, scratch run %d", id, len(mres.Tuples), len(scratch.Tuples))
+		}
+	}
+	// The next checkpoint records the plain modes, and reopens from them.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re.Close()
+	again := openMem(t, fs)
+	defer again.Close()
+	if info := again.Recovery(); info.Maintained != 2 {
+		t.Fatalf("recovered %d maintained statements after the checkpoint, want 2", info.Maintained)
+	}
+}

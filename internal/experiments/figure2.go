@@ -7,6 +7,7 @@ import (
 	"tetrisjoin/internal/index"
 	"tetrisjoin/internal/join"
 	"tetrisjoin/internal/klee"
+	"tetrisjoin/internal/lb"
 	"tetrisjoin/internal/workload"
 )
 
@@ -142,7 +143,7 @@ func Fig2LBUpper() Experiment {
 	var xs, ysLB []float64
 	for _, d := range []uint8{4, 5, 6, 7} {
 		inst := workload.ExampleF1(d)
-		lb := runBCP(inst, core.Options{Mode: core.PreloadedLB})
+		lifted := runBCP(inst, core.Options{Mode: core.PreloadedLB, Space: lb.New})
 		best := int64(math.MaxInt64)
 		for _, sao := range saos {
 			st := runBCP(inst, core.Options{Mode: core.Preloaded, SAO: sao})
@@ -152,9 +153,9 @@ func Fig2LBUpper() Experiment {
 		}
 		c := float64(len(inst.Boxes))
 		xs = append(xs, c)
-		ysLB = append(ysLB, float64(lb.Resolutions))
+		ysLB = append(ysLB, float64(lifted.Resolutions))
 		e.Rows = append(e.Rows, []string{f("%d", d), f("%.0f", c),
-			f("%d", lb.Resolutions), f("%d", best)})
+			f("%d", lifted.Resolutions), f("%d", best)})
 	}
 	slope := FitExponent(xs, ysLB)
 	e.Findings = append(e.Findings,

@@ -11,6 +11,7 @@ import (
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/dyadic"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
 )
 
 // Discrepancy reports a cross-engine disagreement (or an engine failure)
@@ -542,7 +543,9 @@ func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
 	// space).
 	for _, mode := range []core.Mode{core.PreloadedLB, core.ReloadedLB} {
 		config := fmt.Sprintf("%v %s", mode, ec.label)
-		res, err := core.Run(ec.mkOracle(), copts(mode))
+		opts := copts(mode)
+		opts.Space = lb.New
+		res, err := core.Run(ec.mkOracle(), opts)
 		if err != nil {
 			return &Discrepancy{Config: config, Detail: fmt.Sprintf("engine error: %v", err)}
 		}

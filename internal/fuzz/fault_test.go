@@ -9,6 +9,7 @@ import (
 
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
 )
 
 // TestInjectedFaultCaughtAndShrunk is the end-to-end self-test of the
@@ -149,7 +150,11 @@ func TestStrayGapFailsSafe(t *testing.T) {
 	for i, mk := range hostileCases(t, 20) {
 		for _, mode := range []core.Mode{core.Reloaded, core.ReloadedLB} {
 			h := StrayGap(mk()).(*HostileOracle)
-			_, err := core.Run(h, core.Options{Mode: mode})
+			opts := core.Options{Mode: mode}
+			if !mode.Plain() {
+				opts.Space = lb.New
+			}
+			_, err := core.Run(h, opts)
 			switch {
 			case !h.Strayed && err != nil:
 				t.Fatalf("case %d %v: no stray gap to add, yet %v", i, mode, err)
@@ -193,6 +198,9 @@ func TestRepeatAndScribbleChangeNothing(t *testing.T) {
 	for i, mk := range hostileCases(t, 20) {
 		for _, mode := range modes {
 			opts := core.Options{Mode: mode}
+			if !mode.Plain() {
+				opts.Space = lb.New
+			}
 			want, err := core.Run(mk(), opts)
 			if err != nil {
 				t.Fatal(err)

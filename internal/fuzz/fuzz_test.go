@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tetrisjoin/internal/core"
+	"tetrisjoin/internal/lb"
 )
 
 // failingWith returns the shrinker predicate for a checker: a candidate
@@ -89,6 +90,9 @@ func FuzzHostileOracle(f *testing.F) {
 		}
 		for _, mode := range []core.Mode{core.Reloaded, core.ReloadedLB} {
 			opts := core.Options{Mode: mode}
+			if !mode.Plain() {
+				opts.Space = lb.New
+			}
 			honest, err := core.Run(o.Clone(), opts)
 			if err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"tetrisjoin/internal/core"
+	"tetrisjoin/internal/dyadic"
 	"tetrisjoin/internal/index"
 )
 
@@ -36,6 +37,9 @@ const (
 type Options struct {
 	// Mode selects the Tetris variant (default core.Reloaded).
 	Mode core.Mode
+	// Space is forwarded to the core engine (core.Options.Space): the LB
+	// modes need it, the plain ones refuse it.
+	Space func(mode core.Mode, depths []uint8, gaps []dyadic.Box) (core.Space, error)
 	// SAOVars, when non-empty, fixes the splitting attribute order by
 	// variable name (a permutation of the query's variables).
 	SAOVars []string
@@ -111,17 +115,6 @@ func ChooseSAO(q *Query, opts Options) ([]int, error) {
 		return nil, err
 	}
 	return d.SAO(), nil
-}
-
-// BuildIndices returns one index per atom: the atom's own indices pooled
-// into a Union when provided, and otherwise a B-tree index consistent
-// with the given SAO (the GAO-consistency default of the paper). Atoms
-// referencing the same relation with the same needed attribute order
-// share one index. Family selection beyond the B-tree default comes
-// from planning (PreparePlan with a planned Decision).
-func BuildIndices(q *Query, sao []int) ([]index.Index, error) {
-	indices, _, err := buildIndices(q, unplannedDecision(q, sao), NewIndexBuilder())
-	return indices, err
 }
 
 // SAOIndexOrder returns the attribute order (names of the atom's
@@ -253,6 +246,7 @@ func Execute(q *Query, opts Options) (*Result, error) {
 func (p *Plan) coreOptions(opts Options) core.Options {
 	return core.Options{
 		Mode:           opts.Mode,
+		Space:          opts.Space,
 		SAO:            p.sao,
 		NoCache:        opts.NoCache,
 		MaxResolutions: opts.MaxResolutions,

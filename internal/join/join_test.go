@@ -7,6 +7,7 @@ import (
 
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/index"
+	"tetrisjoin/internal/lb"
 	"tetrisjoin/internal/relation"
 )
 
@@ -154,7 +155,11 @@ func TestExecuteTriangleEmptyAndCounts(t *testing.T) {
 		Atom{Relation: tt, Vars: []string{"A", "C"}},
 	)
 	for _, mode := range []core.Mode{core.Reloaded, core.Preloaded, core.PreloadedLB, core.ReloadedLB} {
-		res, err := Execute(q, Options{Mode: mode})
+		opts := Options{Mode: mode}
+		if !mode.Plain() {
+			opts.Space = lb.New
+		}
+		res, err := Execute(q, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -196,7 +201,11 @@ func TestExecuteTriangleNonEmpty(t *testing.T) {
 		t.Fatal("fixture produced empty output")
 	}
 	for _, mode := range []core.Mode{core.Reloaded, core.Preloaded, core.PreloadedLB, core.ReloadedLB} {
-		res, err := Execute(q, Options{Mode: mode})
+		opts := Options{Mode: mode}
+		if !mode.Plain() {
+			opts.Space = lb.New
+		}
+		res, err := Execute(q, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -279,12 +288,11 @@ func TestOracleContract(t *testing.T) {
 		Atom{Relation: r, Vars: []string{"A", "B"}},
 		Atom{Relation: s, Vars: []string{"B"}},
 	)
-	sao, _ := ChooseSAO(q, Options{})
-	indices, err := BuildIndices(q, sao)
+	p, err := NewPlan(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracle(q, indices)
+	o := p.NewOracle()
 	if o.Dims() != 2 {
 		t.Fatalf("Dims = %d", o.Dims())
 	}

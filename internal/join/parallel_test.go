@@ -9,6 +9,7 @@ import (
 
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
 	"tetrisjoin/internal/workload"
 )
 
@@ -220,11 +221,11 @@ func TestParallelContextCancellation(t *testing.T) {
 // (the Balance lift re-maps the whole space) but still work.
 func TestParallelLBFallsBackToSequential(t *testing.T) {
 	q := workload.TriangleMSB(3)
-	seq, err := join.Execute(q, join.Options{Mode: core.ReloadedLB, Parallelism: 1})
+	seq, err := join.Execute(q, join.Options{Mode: core.ReloadedLB, Space: lb.New, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := join.Execute(q, join.Options{Mode: core.ReloadedLB, Parallelism: 4})
+	par, err := join.Execute(q, join.Options{Mode: core.ReloadedLB, Space: lb.New, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

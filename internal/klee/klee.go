@@ -13,6 +13,7 @@ import (
 
 	"tetrisjoin/internal/core"
 	"tetrisjoin/internal/dyadic"
+	"tetrisjoin/internal/lb"
 )
 
 // Report is the outcome of a Boolean Klee query.
@@ -32,7 +33,7 @@ func CoversSpace(depths []uint8, boxes []dyadic.Box) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(o, core.Options{Mode: core.PreloadedLB, MaxOutput: 1})
+	res, err := core.Run(o, core.Options{Mode: core.PreloadedLB, Space: lb.New, MaxOutput: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -39,6 +39,7 @@ import (
 	"tetrisjoin/internal/dyadic"
 	"tetrisjoin/internal/index"
 	"tetrisjoin/internal/join"
+	"tetrisjoin/internal/lb"
 	"tetrisjoin/internal/relation"
 )
 
@@ -86,6 +87,10 @@ func ParseQuery(s string, catalog map[string]*Relation) (*Query, error) {
 type Mode = core.Mode
 
 // The four variants of Algorithm 2; see the paper sections cited on each.
+// Join, JoinSize and SolveBCP run all four. Prepared plans (NewPlan) and
+// catalogs run the plain two: the load-balanced ones are the paper's
+// experiment, not a served path, and need the Balance lift as
+// Options.Space, which a catalog's Prepare asks for up front.
 const (
 	// Reloaded: lazy loading; certificate-based guarantees (§4.4).
 	Reloaded = core.Reloaded
@@ -137,7 +142,12 @@ const (
 // reports it). Services executing queries repeatedly should keep a
 // long-lived catalog (OpenCatalog) and run through prepared statements,
 // which amortize that work away.
+//
+// In the LB modes Join supplies the Balance lift (Options.Space).
 func Join(q *Query, opts Options) (*Result, error) {
+	if !opts.Mode.Plain() {
+		opts.Space = lb.New
+	}
 	return catalog.New().ExecuteQuery(q, opts)
 }
 
