@@ -24,9 +24,6 @@ type CoverReport struct {
 // once with the knowledge base preloaded; it also solves Klee's measure
 // problem over the Boolean semiring (Corollary F.8).
 func Covers(depths []uint8, boxes []dyadic.Box, opts Options) (*CoverReport, error) {
-	if len(depths) == 0 {
-		return nil, fmt.Errorf("core: Covers needs at least one dimension")
-	}
 	return CoversTarget(depths, boxes, dyadic.Universe(len(depths)), opts)
 }
 
@@ -35,24 +32,13 @@ func Covers(depths []uint8, boxes []dyadic.Box, opts Options) (*CoverReport, err
 // once on the target. The witness aliases the run's knowledge base or
 // arena, so neither goes back to a pool.
 func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Options) (*CoverReport, error) {
-	n := len(depths)
-	if n == 0 {
-		return nil, fmt.Errorf("core: CoversTarget needs at least one dimension")
-	}
-	if err := target.Check(depths); err != nil {
-		return nil, fmt.Errorf("core: invalid target box %v: %w", target, err)
-	}
-	sao, err := checkSAO(opts.SAO, n)
+	rep := &CoverReport{}
+	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats)
 	if err != nil {
 		return nil, err
 	}
-	rep := &CoverReport{}
-	sk := newSkeleton(n, depths, sao, opts, &rep.Stats)
-	for _, b := range boxes {
-		if err := b.Check(depths); err != nil {
-			return nil, fmt.Errorf("core: invalid box %v: %w", b, err)
-		}
-		sk.add(b)
+	if err := target.Check(depths); err != nil {
+		return nil, fmt.Errorf("core: invalid target box %v: %w", target, err)
 	}
 	v, w, err := sk.root(target)
 	if err != nil {
@@ -62,4 +48,25 @@ func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Op
 	rep.Witness = w
 	rep.Stats.KnowledgeBase = sk.kb.Len()
 	return rep, nil
+}
+
+// preloadedSkeleton is the skeleton of one root call over the given space
+// with every box in its knowledge base: the Boolean and counting variants.
+func preloadedSkeleton(depths []uint8, boxes []dyadic.Box, opts Options, stats *Stats) (*skeleton, error) {
+	n := len(depths)
+	if err := checkDepths(depths); err != nil {
+		return nil, err
+	}
+	sao, err := checkSAO(opts.SAO, n)
+	if err != nil {
+		return nil, err
+	}
+	sk := newSkeleton(n, depths, sao, opts, stats)
+	for _, b := range boxes {
+		if err := b.Check(depths); err != nil {
+			return nil, fmt.Errorf("core: invalid box %v: %w", b, err)
+		}
+		sk.add(b)
+	}
+	return sk, nil
 }

@@ -123,7 +123,7 @@ func TestIntersectsAnyAgainstBruteForce(t *testing.T) {
 }
 
 // TestCountAndCoversCancellation: a cancelled context must abort the
-// counting recursion and the Boolean skeleton (both run as one giant
+// counting pass and the Boolean skeleton (both run as one giant
 // root call with no outer-loop check point). The cancellation gate
 // fires every 1024 skeleton calls, so the instance must be heavy enough
 // to cross it — asserted, so a future shortcut cannot silently turn

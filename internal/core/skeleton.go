@@ -37,11 +37,11 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 //
 // Witnesses handed back by root are therefore valid only until the next
 // call on the same skeleton; tetris.go consumes each witness inside the
-// pass and boolean.go enters once. Boxes that must outlive the recursion —
-// the knowledge-base contents — are copied into the boxtree's own
-// append-only slab by Insert, which is what makes the aliasing safe:
-// knowledge-base boxes returned by ContainsSuperset stay valid even if a
-// later subsume-delete drops them from the tree.
+// pass, and boolean.go and count.go enter once. Boxes that must outlive
+// the recursion — the knowledge-base contents — are copied into the
+// boxtree's own append-only slab by Insert, which is what makes the
+// aliasing safe: knowledge-base boxes returned by ContainsSuperset stay
+// valid even if a later subsume-delete drops them from the tree.
 //
 // In steady state (arena and knowledge-base slabs warmed up) the entire
 // recursion allocates nothing.
@@ -65,9 +65,9 @@ type skeleton struct {
 	wrote bool
 
 	// walk settles a frame that is thick only in the last SAO dimension
-	// (line). Nil when the run counts or observes binary steps — NoCache,
-	// onResolve — and so splits such frames like any other; tests put the
-	// line's definition here.
+	// (line). Nil when the run counts or observes binary steps — count.go,
+	// NoCache, onResolve — and so splits such frames like any other; tests
+	// put the line's definition here.
 	walk func(b dyadic.Box, dim int) (bool, dyadic.Box, error)
 	// kbRoots and baseRoots are line's last-level tries, reused across lines.
 	kbRoots, baseRoots []uint32
@@ -87,6 +87,12 @@ type skeleton struct {
 	// knowledge-base box), so the enumeration is one depth-first pass.
 	// An error aborts the pass.
 	settleUnit func(b dyadic.Box) (dyadic.Box, error)
+	// settleFrame, when set, is offered each thick frame whose probes
+	// missed before it is split, and reports whether it accounted for
+	// every point of it; such a frame is handed up as its own witness.
+	// Only CountUncovered sets it: a frame no stored box meets counts its
+	// whole volume.
+	settleFrame func(b dyadic.Box) bool
 }
 
 // errStopped signals an early stop requested by the output callback or
@@ -132,8 +138,8 @@ var keepEverything bool
 // treePool recycles knowledge-base trees between runs, whatever their
 // space (getTree matches on dimensionality): regrowing the slabs on every
 // execution was a tenth of a prepared statement's time and nearly all of
-// its garbage. Only runPlain and loadGapSet put trees back (CoversTarget
-// hands its caller a witness that aliases the tree).
+// its garbage. Only runPlain, loadGapSet and CountUncovered put trees back
+// (CoversTarget hands its caller a witness that aliases the tree).
 var treePool sync.Pool
 
 // maxPooledSlab is the slab capacity, in nodes or intervals, above which
@@ -268,6 +274,9 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	}
 	if s.walk != nil && dim == s.sao[s.n-1] {
 		return s.walk(b, dim)
+	}
+	if s.settleFrame != nil && s.settleFrame(b) {
+		return true, b, nil
 	}
 	// Line 6: Split-First-Thick-Dimension. The two halves are carved from
 	// the arena at this frame's watermark; append copies b, so this is

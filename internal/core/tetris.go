@@ -116,12 +116,21 @@ func validateOracle(o Oracle) (int, error) {
 	if len(depths) != n {
 		return 0, fmt.Errorf("core: oracle reports %d depths for %d dimensions", len(depths), n)
 	}
+	return n, checkDepths(depths)
+}
+
+// checkDepths refuses a space of no dimensions or a depth outside
+// 1..MaxDepth.
+func checkDepths(depths []uint8) error {
+	if len(depths) == 0 {
+		return fmt.Errorf("core: the space needs at least one dimension")
+	}
 	for i, d := range depths {
 		if d == 0 || d > dyadic.MaxDepth {
-			return 0, fmt.Errorf("core: dimension %d has invalid depth %d", i, d)
+			return fmt.Errorf("core: dimension %d has invalid depth %d", i, d)
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // loadGapSet is the one implementation of the Preloaded initial load,

@@ -499,10 +499,11 @@ func (ck *Checker) checkEngines(ec engineCase) *Discrepancy {
 	}
 
 	// Counting: the #-variant must agree with the enumeration cardinality
-	// without materializing tuples.
-	{
-		config := fmt.Sprintf("count %s", ec.label)
-		rep, err := core.CountUncovered(ec.depths, gaps, core.Options{SAO: ec.sao})
+	// without materializing tuples, with its resolvent cache and without.
+	for _, config := range []string{"count", "count/no-cache"} {
+		noCache := config == "count/no-cache"
+		config += " " + ec.label
+		rep, err := core.CountUncovered(ec.depths, gaps, core.Options{SAO: ec.sao, NoCache: noCache})
 		if err != nil {
 			return &Discrepancy{Config: config, Detail: fmt.Sprintf("engine error: %v", err)}
 		}

@@ -192,13 +192,16 @@ func Count(q *Query, opts Options) (*big.Int, core.Stats, error) {
 
 // Count runs the counting variant over the prepared plan, reusing its
 // indices and memoized gap set; no index is built. opts.Context cancels
-// the count cooperatively. The counting skeleton performs no geometric
-// resolutions and caches nothing, so MaxResolutions/Budget and NoCache do
-// not apply to it.
+// the count cooperatively, its resolutions charge opts.Budget (or
+// MaxResolutions) and opts.NoCache turns off its resolvent cache, as in
+// any other run.
 func (p *Plan) Count(opts Options) (*big.Int, core.Stats, error) {
 	rep, err := core.CountUncovered(p.q.Depths(), p.AllGaps(), core.Options{
-		SAO:     p.sao,
-		Context: opts.Context,
+		SAO:            p.sao,
+		NoCache:        opts.NoCache,
+		MaxResolutions: opts.MaxResolutions,
+		Budget:         opts.Budget,
+		Context:        opts.Context,
 	})
 	if err != nil {
 		return nil, core.Stats{}, err

@@ -70,12 +70,24 @@ func TestCountFastMatchesCountOnPigeonhole(t *testing.T) {
 	if fast.Cmp(big.NewInt(24)) != 0 {
 		t.Errorf("CountFast(PHP(4,4)) = %s, want 24", fast)
 	}
-	unsat, _, err := CountFast(Pigeonhole(5, 4), Options{})
+	unsat, learned, err := CountFast(Pigeonhole(5, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unsat.Sign() != 0 {
 		t.Errorf("CountFast(PHP(5,4)) = %s, want 0", unsat)
+	}
+	// The count learns the resolvents it derives, and NoLearning reaches
+	// the frames inside them again.
+	unsat, plain, err := CountFast(Pigeonhole(5, 4), Options{NoLearning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsat.Sign() != 0 {
+		t.Errorf("no-learning CountFast(PHP(5,4)) = %s, want 0", unsat)
+	}
+	if learned.Splits >= plain.Splits {
+		t.Errorf("PHP(5,4): %d splits learning, %d without; learning saved nothing", learned.Splits, plain.Splits)
 	}
 }
 

@@ -97,7 +97,7 @@ type Options struct {
 	// 1..n. This is Tetris' splitting attribute order.
 	VarOrder []int
 	// NoLearning disables clause learning (resolvent caching): plain DPLL
-	// search, the Tree Ordered resolution class. CountFast ignores it.
+	// search, the Tree Ordered resolution class.
 	NoLearning bool
 	// MaxModels stops after this many models (0 = all).
 	MaxModels int
@@ -128,18 +128,9 @@ func Count(c CNF, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sao []int
-	if opts.VarOrder != nil {
-		if len(opts.VarOrder) != c.NumVars {
-			return nil, fmt.Errorf("sat: variable order has %d entries for %d variables", len(opts.VarOrder), c.NumVars)
-		}
-		sao = make([]int, c.NumVars)
-		for i, v := range opts.VarOrder {
-			if v < 1 || v > c.NumVars {
-				return nil, fmt.Errorf("sat: variable %d out of range in order", v)
-			}
-			sao[i] = v - 1
-		}
+	sao, err := opts.sao(c.NumVars)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
 	coreOpts := core.Options{
@@ -174,30 +165,40 @@ func Count(c CNF, opts Options) (*Result, error) {
 // the counting skeleton (core.CountUncovered) sums whole uncovered
 // sub-cubes at once, so formulas with astronomically many models (e.g.
 // 2^50) are counted in polynomial space — the #DPLL reading of Section
-// 4.2.4. The counting descent reaches every sub-cube once, so it has
-// nothing to learn: NoLearning is ignored.
+// 4.2.4. Like Count it learns the resolvents it derives unless
+// NoLearning; MaxModels and OnModel do not apply.
 func CountFast(c CNF, opts Options) (*big.Int, core.Stats, error) {
 	if err := c.Check(); err != nil {
 		return nil, core.Stats{}, err
 	}
-	var sao []int
-	if opts.VarOrder != nil {
-		if len(opts.VarOrder) != c.NumVars {
-			return nil, core.Stats{}, fmt.Errorf("sat: variable order has %d entries for %d variables", len(opts.VarOrder), c.NumVars)
-		}
-		sao = make([]int, c.NumVars)
-		for i, v := range opts.VarOrder {
-			if v < 1 || v > c.NumVars {
-				return nil, core.Stats{}, fmt.Errorf("sat: variable %d out of range in order", v)
-			}
-			sao[i] = v - 1
-		}
+	sao, err := opts.sao(c.NumVars)
+	if err != nil {
+		return nil, core.Stats{}, err
 	}
-	rep, err := core.CountUncovered(c.depths(), c.Boxes(), core.Options{SAO: sao})
+	rep, err := core.CountUncovered(c.depths(), c.Boxes(), core.Options{SAO: sao, NoCache: opts.NoLearning})
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
 	return rep.Uncovered, rep.Stats, nil
+}
+
+// sao is VarOrder as a splitting attribute order over numVars
+// dimensions, nil for the default.
+func (o Options) sao(numVars int) ([]int, error) {
+	if o.VarOrder == nil {
+		return nil, nil
+	}
+	if len(o.VarOrder) != numVars {
+		return nil, fmt.Errorf("sat: variable order has %d entries for %d variables", len(o.VarOrder), numVars)
+	}
+	sao := make([]int, numVars)
+	for i, v := range o.VarOrder {
+		if v < 1 || v > numVars {
+			return nil, fmt.Errorf("sat: variable %d out of range in order", v)
+		}
+		sao[i] = v - 1
+	}
+	return sao, nil
 }
 
 // Solve finds one model, or reports unsatisfiability.

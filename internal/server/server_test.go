@@ -163,6 +163,40 @@ func TestSessionBudgetSharedAcrossExecutions(t *testing.T) {
 	}
 }
 
+// TestSessionBudgetBoundsCount: a count resolves like any run, so it
+// reports its resolutions and draws them from the session budget. A
+// budget below one count's cost fails the count with the budget error,
+// and the session goes on answering.
+func TestSessionBudgetBoundsCount(t *testing.T) {
+	q := `{"op":"query","query":"R(A,B), R(B,C), R(A,C)","count":true}`
+	probe := New(catalog.New(), Config{})
+	lines := drive(t, probe, loadTriangle, q)
+	probe.Close()
+	if c, _ := lines[1]["count"].(string); c != "1" {
+		t.Fatalf("count = %q, want 1: %v", c, lines[1])
+	}
+	cost := int64(num(lines[1], "resolutions"))
+	if cost < 2 {
+		t.Fatalf("count reported %d resolutions; too few to undercut: %v", cost, lines[1])
+	}
+
+	srv := New(catalog.New(), Config{SessionMaxResolutions: cost - 1})
+	defer srv.Close()
+	lines = drive(t, srv, loadTriangle, q, `{"op":"stats"}`)
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3: %v", len(lines), lines)
+	}
+	if ok, _ := lines[1]["ok"].(bool); ok {
+		t.Fatalf("count within %d resolutions did not exhaust the budget: %v", cost-1, lines[1])
+	}
+	if msg, _ := lines[1]["error"].(string); !strings.Contains(msg, "resolution budget") {
+		t.Errorf("error %q does not name the resolution budget", msg)
+	}
+	if ok, _ := lines[2]["ok"].(bool); !ok {
+		t.Errorf("session did not answer after the exhausted count: %v", lines[2])
+	}
+}
+
 func TestServeTCPConcurrentSessions(t *testing.T) {
 	srv := New(catalog.New(), Config{MaxConcurrent: 2})
 	defer srv.Close()
