@@ -152,7 +152,8 @@ func TestNodeRecycling(t *testing.T) {
 
 // TestZeroAllocOps verifies the arena promise directly: steady-state
 // Insert, ContainsSuperset, IntersectsAny and budgeted subsume-delete
-// perform zero heap allocations.
+// perform zero heap allocations, and so do a line's walks and a frontier's
+// steps and probe into buffers that have grown.
 func TestZeroAllocOps(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	boxes := make([]dyadic.Box, 256)
@@ -190,5 +191,22 @@ func TestZeroAllocOps(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("LastRoots + SupersetUnder allocate %.1f times per run, want 0", allocs)
+	}
+	// A frontier moving to level 1 and stepping there, into an arena that
+	// has grown once.
+	front := make([]uint32, 0, 4*len(boxes))
+	allocs = testing.AllocsPerRun(500, func() {
+		b := boxes[i%len(boxes)]
+		front = append(front[:0], tr.Root())
+		front = tr.RootsAt(front, front[:1], 0, b, 1)
+		roots := len(front)
+		front = tr.Spell(front, front[1:roots], b[1])
+		nodes := len(front)
+		front = tr.Step(front, front[roots:nodes], uint64(i&1))
+		tr.SupersetBelow(front[nodes:], 1, b)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("RootsAt + Spell + Step + SupersetBelow allocate %.1f times per run, want 0", allocs)
 	}
 }

@@ -19,9 +19,24 @@
 // SAO on top a probe follows one full-length path through the first levels
 // and fans out only below, the subsume sweep of an insert starts at the
 // first SAO component, and everything stored over a line of the last SAO
-// dimension sits in a handful of last-level tries (LastRoots). The order
-// is about levels only: stored and returned boxes keep their components in
+// dimension sits in a handful of last-level tries (LastRoots, the
+// last-level case of the roots-at-level walk RootsAt). The order is about
+// levels only: stored and returned boxes keep their components in
 // dimension order, and every dim argument names a dimension.
+//
+// # Frontiers
+//
+// A skeleton frame split at level L is a unit box at the levels above L,
+// and its children differ from it by one bit there. So a read-only tree
+// can be probed from a frontier the frames carry instead of from its root
+// each time: the level-L roots that the frame's components above L reach
+// (RootsAt, from the tree's Root), and under them, in the same order, the
+// nodes that spell the frame's component at L (Spell). A child steps those
+// nodes by its bit (Step) and probes below them (SupersetBelow), which
+// answers as ContainsSupersetExactAt does, box for box, without the walk
+// down to L; when the split moves on to a later level, RootsAt walks on
+// from the carried roots. Frontiers are node indices, so they hold only
+// while the tree is not written to.
 //
 // # Arena layout
 //
@@ -394,26 +409,48 @@ func (t *Tree) collectSupersets(ni uint32, level int, b dyadic.Box, out []dyadic
 	}
 }
 
-// LastRoots appends to out the roots of the last-level tries stored under
-// every combination of prefixes of b's components at the levels above the
-// last, in probe order: the tries a ContainsSuperset of any box that
-// agrees with b above the last level would descend, in the order it would
-// reach them. b's last-level component is not read. The roots are node
-// indices, good for SupersetUnder until the tree is next written to.
+// Root returns the root of the level-0 trie: the one frontier root of
+// level 0.
+func (t *Tree) Root() uint32 { return rootNode }
+
+// RootsAt appends to out, in probe order, the roots of the level-to tries
+// reached from the given level-level roots over every combination of
+// prefixes of b's components at levels level through to-1: the tries that
+// a ContainsSuperset of any box agreeing with b at those levels descends,
+// in the order it reaches them, after its walk above level has reached the
+// given roots in order. b's components at level to and below are not
+// read; with to == level the given roots come back, less the empty ones.
+// The roots are node indices, good until the tree is next written to.
+func (t *Tree) RootsAt(out, roots []uint32, level int, b dyadic.Box, to int) []uint32 {
+	if len(b) != t.n || level < 0 || level > to || to >= t.n {
+		panic(fmt.Sprintf("boxtree: RootsAt from level %d to %d of a %d-dimensional box in a %d-dimensional tree", level, to, len(b), t.n))
+	}
+	for _, ni := range roots {
+		out = t.rootsAt(ni, level, b, to, out)
+	}
+	return out
+}
+
+// LastRoots is RootsAt from the tree's root to the last level: the
+// last-level tries, in probe order, that a ContainsSuperset of any box
+// agreeing with b above the last level descends. b's last-level component
+// is not read.
 func (t *Tree) LastRoots(out []uint32, b dyadic.Box) []uint32 {
 	if len(b) != t.n {
 		panic("boxtree: dimension mismatch in LastRoots")
 	}
-	return t.lastRoots(rootNode, 0, b, out)
+	return t.rootsAt(rootNode, 0, b, t.n-1, out)
 }
 
-func (t *Tree) lastRoots(ni uint32, level int, b dyadic.Box, out []uint32) []uint32 {
+// rootsAt is the one roots-at-level walk: findSuperset's descent from the
+// level root ni, stopping at the level-to roots instead of probing them.
+func (t *Tree) rootsAt(ni uint32, level int, b dyadic.Box, to int, out []uint32) []uint32 {
 	nodes := t.nodes
 	root := &nodes[ni]
 	if root.count == 0 {
 		return out
 	}
-	if level == t.n-1 {
+	if level == to {
 		return append(out, ni)
 	}
 	iv := b[t.order[level]]
@@ -421,7 +458,7 @@ func (t *Tree) lastRoots(ni uint32, level int, b dyadic.Box, out []uint32) []uin
 	nd := root
 	for depth := 0; depth <= last; depth++ {
 		if depth >= first && nd.link != 0 {
-			out = t.lastRoots(nd.link, level+1, b, out)
+			out = t.rootsAt(nd.link, level+1, b, to, out)
 		}
 		if depth == last {
 			break
@@ -433,6 +470,74 @@ func (t *Tree) lastRoots(ni uint32, level int, b dyadic.Box, out []uint32) []uin
 		nd = &nodes[next]
 	}
 	return out
+}
+
+// Spell appends to out, for each of the given level roots in order, the
+// node of its trie that spells iv, skipping the roots under which no stored
+// component has iv as a prefix.
+func (t *Tree) Spell(out, roots []uint32, iv dyadic.Interval) []uint32 {
+	nodes := t.nodes
+next:
+	for _, ni := range roots {
+		for i := int(iv.Len) - 1; i >= 0; i-- {
+			if ni = nodes[ni].children[iv.Bits>>uint(i)&1]; ni == nilNode {
+				continue next
+			}
+		}
+		if nodes[ni].count > 0 {
+			out = append(out, ni)
+		}
+	}
+	return out
+}
+
+// Step appends to out the bit child of each of the given nodes, in order,
+// skipping the absent and empty ones: where the nodes spell an interval
+// iv under their roots, the result spells iv.Child(bit) under the same
+// roots — Spell of the child interval, one bit per node instead of a walk.
+func (t *Tree) Step(out, nodes []uint32, bit uint64) []uint32 {
+	for _, ni := range nodes {
+		if c := t.nodes[ni].children[bit&1]; c != nilNode && t.nodes[c].count > 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// SupersetBelow is the probe from a frontier: nodes spell b's component at
+// level under the level roots that RootsAt finds for b, in that order
+// (Spell, Step), and the answer is ContainsSupersetExactAt(b, dim) for the
+// level's dimension dim — the first stored box, in probe order, that
+// contains b and has exactly b's component there — without the walk down
+// to level. That is the full probe's answer whenever no stored box
+// contains b's parent along dim; with CheckPreconditions set, it is checked
+// against the full probe.
+func (t *Tree) SupersetBelow(nodes []uint32, level int, b dyadic.Box) (dyadic.Box, bool) {
+	if len(b) != t.n {
+		panic("boxtree: dimension mismatch in SupersetBelow")
+	}
+	sb, ok := t.supersetBelow(nodes, level, b)
+	if CheckPreconditions {
+		if full, fullOK := t.findSuperset(rootNode, 0, b, -1); fullOK != ok || (ok && !full.Equal(sb)) {
+			panic(fmt.Sprintf("boxtree: frontier probe of %v at level %d found %v, full probe %v", b, level, sb, full))
+		}
+	}
+	return sb, ok
+}
+
+func (t *Tree) supersetBelow(nodes []uint32, level int, b dyadic.Box) (dyadic.Box, bool) {
+	for _, ni := range nodes {
+		switch link := t.nodes[ni].link; {
+		case link == 0:
+		case level == t.n-1:
+			return t.boxAt(link), true
+		default:
+			if sb, ok := t.findSuperset(link, level+1, b, -1); ok {
+				return sb, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // SupersetUnder is the last step of ContainsSuperset(b) below one of
@@ -596,8 +701,9 @@ func (t *Tree) InsertSubsuming(b dyadic.Box) bool {
 	return t.insert(b, subsumeBudget)
 }
 
-// CheckPreconditions makes InsertUncovered and ContainsSupersetExactAt
-// verify what their callers promise and panic when it does not hold.
+// CheckPreconditions makes InsertUncovered, ContainsSupersetExactAt and
+// SupersetBelow verify what their callers promise and panic when it does
+// not hold.
 // Only tests set it (from TestMain, before any tree exists).
 var CheckPreconditions bool
 

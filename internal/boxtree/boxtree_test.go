@@ -332,6 +332,40 @@ func BenchmarkContainsSuperset(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontierProbe is BenchmarkContainsSuperset's probe as a child
+// frame asks it: its parent's nodes at the split level, stepped by one bit,
+// then probed below. The level cycles through the three.
+func BenchmarkFrontierProbe(b *testing.B) {
+	r := rand.New(rand.NewSource(10))
+	tr := New(3)
+	for i := 0; i < 10000; i++ {
+		tr.Insert(randBox(r, 3, 16))
+	}
+	type frame struct {
+		box    dyadic.Box
+		level  int
+		bit    uint64
+		parent []uint32 // the nodes spelling the parent's component
+	}
+	frames := make([]frame, 0, 1024)
+	for len(frames) < cap(frames) {
+		q, level := randBox(r, 3, 16), len(frames)%3
+		if q[level].Len == 0 {
+			continue
+		}
+		roots := tr.RootsAt(nil, []uint32{tr.Root()}, 0, q, level)
+		frames = append(frames, frame{q, level, q[level].Bits & 1, tr.Spell(nil, roots, q[level].Parent())})
+	}
+	nodes := make([]uint32, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := &frames[i%len(frames)]
+		nodes = tr.Step(nodes[:0], f.parent, f.bit)
+		tr.SupersetBelow(nodes, f.level, f.box)
+	}
+}
+
 func BenchmarkIntersectsAny(b *testing.B) {
 	r := rand.New(rand.NewSource(12))
 	tr := New(3)

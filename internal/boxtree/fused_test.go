@@ -151,7 +151,8 @@ func containsSupersetExactAt(t *testing.T, order []int) {
 }
 
 // TestCheckedPreconditionsPanic: with CheckPreconditions set, a caller
-// breaking either promise is caught.
+// breaking any of the promises is caught: an exact or frontier probe of a
+// box whose parent is covered answers wrong, and is caught as such.
 func TestCheckedPreconditionsPanic(t *testing.T) {
 	CheckPreconditions = true
 	defer func() { CheckPreconditions = false }()
@@ -168,8 +169,17 @@ func TestCheckedPreconditionsPanic(t *testing.T) {
 	}
 	mustPanic("InsertUncovered", func() { tr.InsertUncovered(mustBox("01,1")) })
 	mustPanic("ContainsSupersetExactAt", func() { tr.ContainsSupersetExactAt(mustBox("01,1"), 0) })
+	// ⟨01,1⟩'s frontier at level 0 is the node spelling 01, under which
+	// nothing is stored; ⟨0,λ⟩ contains its parent.
+	b := mustBox("01,1")
+	nodes := tr.Spell(nil, []uint32{tr.Root()}, b[0])
+	mustPanic("SupersetBelow", func() { tr.SupersetBelow(nodes, 0, b) })
 	tr.InsertUncovered(mustBox("1,1")) // kept promises pass
 	if _, ok := tr.ContainsSupersetExactAt(mustBox("0,1"), 0); !ok {
 		t.Error("exact probe missed ⟨0,λ⟩")
+	}
+	b = mustBox("0,1")
+	if _, ok := tr.SupersetBelow(tr.Spell(nil, []uint32{tr.Root()}, b[0]), 0, b); !ok {
+		t.Error("frontier probe missed ⟨0,λ⟩")
 	}
 }

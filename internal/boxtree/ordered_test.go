@@ -56,7 +56,7 @@ func orderedAgainstPermuted(t *testing.T, seed int64, steps int) {
 	for step := 0; step < steps; step++ {
 		b := randBox(r, n, d)
 		pb := permuted(b, order)
-		switch op := r.Intn(14); op {
+		switch op := r.Intn(15); op {
 		case 0, 1:
 			if got, want := ordered.Insert(b), plain.Insert(pb); got != want {
 				t.Fatalf("seed %d step %d: Insert(%v) = %v, permuted %v", seed, step, b, got, want)
@@ -116,6 +116,8 @@ func orderedAgainstPermuted(t *testing.T, seed int64, steps int) {
 				t.Fatalf("seed %d step %d: the roots of %v find %v first, ContainsSuperset %v, %v", seed, step, b, first, whole, wholeOK)
 			}
 		case 13:
+			sameDescent(t, seed, step, ordered, plain, b, d, r.Int63())
+		case 14:
 			if r.Intn(20) == 0 {
 				ordered.Reset()
 				plain.Reset()

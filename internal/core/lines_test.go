@@ -14,10 +14,11 @@ import (
 
 // referenceLine is skeleton.line as DESIGN.md words it, with nothing
 // hoisted: at every position of b[dim] the unit box is probed whole — kb,
-// then base — so no trie root outlives the probe that found it. Its witness
-// is stored by the same rule as the line's.
-func referenceLine(s *skeleton) func(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
-	return func(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
+// then base — so no trie root outlives the probe that found it, and the
+// frame's frontier goes unread. Its witness is stored by the same rule as
+// the line's.
+func referenceLine(s *skeleton) func(b dyadic.Box, dim int, _ frontier) (bool, dyadic.Box, error) {
+	return func(b dyadic.Box, dim int, _ frontier) (bool, dyadic.Box, error) {
 		s.stats.Splits++
 		s.stats.Lines++
 		d := s.depths[dim]
@@ -103,9 +104,9 @@ func runPass(t *testing.T, o Oracle, opts Options, sao []int, root dyadic.Box, b
 		walk = referenceLine(sk)
 	}
 	var out passOutcome
-	sk.walk = func(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
+	sk.walk = func(b dyadic.Box, dim int, fr frontier) (bool, dyadic.Box, error) {
 		frame := b.String()
-		v, w, err := walk(b, dim)
+		v, w, err := walk(b, dim, fr)
 		if err == nil {
 			out.lines = append(out.lines, lineCall{frame, w.String(), v})
 		}

@@ -8,8 +8,9 @@ import (
 )
 
 // TestMain runs the package's tests with the knowledge base checking the
-// two promises the skeleton makes it: a resolvent is never already
-// covered, and an exact-dimension probe answers like the full one.
+// promises the skeleton makes it: a resolvent is never already covered,
+// and an exact-dimension probe of the kb and a frontier probe of the base
+// answer like the full one.
 func TestMain(m *testing.M) {
 	boxtree.CheckPreconditions = true
 	os.Exit(m.Run())

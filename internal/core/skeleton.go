@@ -68,11 +68,16 @@ type skeleton struct {
 	// (line). Nil when the run counts or observes binary steps — count.go,
 	// NoCache, onResolve — and so splits such frames like any other; tests
 	// put the line's definition here.
-	walk func(b dyadic.Box, dim int) (bool, dyadic.Box, error)
+	walk func(b dyadic.Box, dim int, fr frontier) (bool, dyadic.Box, error)
 	// kbRoots and baseRoots are line's last-level tries, reused across lines.
 	kbRoots, baseRoots []uint32
 
 	scratch []dyadic.Interval // split/resolvent arena, watermark-managed
+	front   []uint32          // the frames' frontiers in base, watermark-managed
+	// front0 is front's first backing store, inside the skeleton so that a
+	// run whose frontiers stay within it — every benchmark shape's do, at
+	// most 42 entries deep — grows no arena per execution.
+	front0 [64]uint32
 
 	budget    *Budget         // shared resolution/output quota; nil = unlimited
 	ctx       context.Context // cooperative cancellation; nil = never cancelled
@@ -116,6 +121,7 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 		stats:     stats,
 		onResolve: opts.onResolve,
 	}
+	s.front = s.front0[:0]
 	// Appendix C.1: the levels of the knowledge base follow the SAO.
 	s.kb.SetOrder(sao)
 	binary := opts.NoCache || opts.onResolve != nil
@@ -201,11 +207,64 @@ func (s *skeleton) keeps(w, b dyadic.Box) bool {
 	return false
 }
 
-// root invokes run on a fresh arena. Drivers must enter through root so
-// the arena does not grow across invocations.
+// frontier is a frame's position in the shared base, held in the arena
+// front: front[roots:rootsEnd] are the roots of the level-lvl tries that
+// the frame's components above level lvl reach, in probe order, and the
+// entries from nodes to the top of the arena, as it stands when the frame
+// is entered, are the nodes under them, in the same order, that spell the
+// frame's component at lvl. An entry frame's lvl is 0, its one root the
+// base's; below it, lvl is a frame's split level: a child frame is its
+// parent one bit longer there, and steps the parent's nodes by that bit
+// (child) instead of walking the base from its root; a frame whose split
+// moves to a later level walks on from the carried roots (moveTo).
+//
+// The arena is watermark-managed like scratch: a frame's nodes sit on top
+// of it when the frame is entered, a frame that moves on pushes its new
+// roots and nodes above them, and each child's nodes go just above its
+// parent's, over the previous child's. A run without a base keeps the
+// zero frontier and touches nothing.
+type frontier struct{ lvl, roots, rootsEnd, nodes int }
+
+// root invokes run on fresh arenas. Drivers must enter through root so
+// the arenas do not grow across invocations. The entry frame's frontier is
+// the base's root and, under it, the node spelling b's first SAO
+// component.
 func (s *skeleton) root(b dyadic.Box) (bool, dyadic.Box, error) {
 	s.scratch = s.scratch[:0]
-	return s.run(b, -1)
+	var fr frontier
+	if s.base != nil {
+		s.front = append(s.front[:0], s.base.Root())
+		s.front = s.base.Spell(s.front, s.front[:1], b[s.sao[0]])
+		fr = frontier{rootsEnd: 1, nodes: 1}
+	}
+	return s.run(b, -1, fr)
+}
+
+// child pushes the frontier of the bit half of a frame at fr (split at
+// fr.lvl), whose nodes end at top: fr's nodes stepped by the bit, just
+// above them.
+func (s *skeleton) child(fr frontier, top int, bit uint64) frontier {
+	if s.base == nil {
+		return fr
+	}
+	s.front = s.base.Step(s.front[:top], s.front[fr.nodes:top], bit)
+	return frontier{lvl: fr.lvl, roots: fr.roots, rootsEnd: fr.rootsEnd, nodes: top}
+}
+
+// moveTo pushes the frontier of the frame b at fr whose split moves on to
+// dim, at a later level: the roots there, walked on from fr's over b's
+// components in between (units, as the SAO splits them first), and the
+// nodes that spell b[dim] under them.
+func (s *skeleton) moveTo(fr frontier, b dyadic.Box, dim int) frontier {
+	lvl := fr.lvl + 1
+	for s.sao[lvl] != dim {
+		lvl++
+	}
+	roots := len(s.front)
+	s.front = s.base.RootsAt(s.front, s.front[fr.roots:fr.rootsEnd], fr.lvl, b, lvl)
+	nodes := len(s.front)
+	s.front = s.base.Spell(s.front, s.front[roots:nodes], b[dim])
+	return frontier{lvl: lvl, roots: roots, rootsEnd: nodes, nodes: nodes}
 }
 
 // settle compacts the witness into the frame's watermark slot and
@@ -241,26 +300,15 @@ func (s *skeleton) call() error {
 // (true, w) where w ⊇ b is covered by the union of the knowledge base, or
 // (false, p) where p ∈ b is a unit box not covered by any stored box.
 // split is the dimension the parent frame split on to produce b, -1 for
-// the root of a descent.
-func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
+// the root of a descent; fr is b's frontier in the base.
+func (s *skeleton) run(b dyadic.Box, split int, fr frontier) (bool, dyadic.Box, error) {
 	if err := s.call(); err != nil {
 		return false, nil, err
 	}
-	// Line 1: a stored box covering b is a ready-made witness. The
-	// private kb (learned resolvents, outputs, lazily loaded gaps) is
-	// probed first — unless it is empty, as a prepared Preloaded run's
-	// stays — then the shared read-only base if the shard has one.
-	if s.kb.Len() > 0 {
-		if a, ok := s.probe(s.kb, b, split); ok {
-			s.stats.CoverHits++
-			return true, a, nil
-		}
-	}
-	if s.base != nil {
-		if a, ok := s.probe(s.base, b, split); ok {
-			s.stats.CoverHits++
-			return true, a, nil
-		}
+	// Line 1: a stored box covering b is a ready-made witness.
+	if a, ok := s.probe(b, split, fr); ok {
+		s.stats.CoverHits++
+		return true, a, nil
 	}
 	// Line 3: an uncovered unit box witnesses non-coverage — or, for a
 	// driver that settles units in place, is made covered on the spot.
@@ -273,7 +321,7 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 		return err == nil, w, err
 	}
 	if s.walk != nil && dim == s.sao[s.n-1] {
-		return s.walk(b, dim)
+		return s.walk(b, dim, fr)
 	}
 	if s.settleFrame != nil && s.settleFrame(b) {
 		return true, b, nil
@@ -289,7 +337,11 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	b2 := dyadic.Box(s.scratch[mark+s.n : mark+2*s.n])
 	b1[dim] = b[dim].Child(0)
 	b2[dim] = b[dim].Child(1)
-	v1, w1, err := s.run(b1, dim)
+	if s.base != nil && dim != s.sao[fr.lvl] {
+		fr = s.moveTo(fr, b, dim)
+	}
+	ftop := len(s.front)
+	v1, w1, err := s.run(b1, dim, s.child(fr, ftop, 0))
 	if err != nil {
 		return false, nil, err
 	}
@@ -299,7 +351,7 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	if w1.Contains(b) {
 		return true, s.settle(mark, w1), nil
 	}
-	v2, w2, err := s.run(b2, dim)
+	v2, w2, err := s.run(b2, dim, s.child(fr, ftop, 1))
 	if err != nil {
 		return false, nil, err
 	}
@@ -332,17 +384,36 @@ func (s *skeleton) run(b dyadic.Box, split int) (bool, dyadic.Box, error) {
 	return true, s.settle(mark, w), nil
 }
 
-// probe is line 1 against one tree. A child frame (split != -1) only asks
-// for covers whose component in the split dimension is exactly b's: a
-// shorter one would contain the parent's box, which no stored box does —
-// the parent's probes missed, and every box stored since that contains it
-// was handed up and ended the parent frame (see addResolvent; for gap
-// boxes loaded in place that is the shallowest-frame rule of tetris.go).
-func (s *skeleton) probe(t *boxtree.Tree, b dyadic.Box, split int) (dyadic.Box, bool) {
-	if split == -1 {
-		return t.ContainsSuperset(b)
+// probe is line 1. The private kb (learned resolvents, outputs, lazily
+// loaded gaps) is probed first — unless it is empty, as a prepared
+// Preloaded run's stays — then the shared read-only base if the shard has
+// one. A child frame (split != -1) only asks for covers whose component in
+// the split dimension is exactly b's: a shorter one would contain the
+// parent's box, which no stored box does — the parent's probes missed, and
+// every box stored since that contains it was handed up and ended the
+// parent frame (see addResolvent; for gap boxes loaded in place that is the
+// shallowest-frame rule of tetris.go). The kb answers from its root; the
+// base, which no run writes to, from the frame's frontier.
+func (s *skeleton) probe(b dyadic.Box, split int, fr frontier) (dyadic.Box, bool) {
+	if s.kb.Len() > 0 {
+		var a dyadic.Box
+		var ok bool
+		if split == -1 {
+			a, ok = s.kb.ContainsSuperset(b)
+		} else {
+			a, ok = s.kb.ContainsSupersetExactAt(b, split)
+		}
+		if ok {
+			return a, true
+		}
 	}
-	return t.ContainsSupersetExactAt(b, split)
+	switch {
+	case s.base == nil:
+		return nil, false
+	case split == -1:
+		return s.base.ContainsSuperset(b)
+	}
+	return s.base.SupersetBelow(s.front[fr.nodes:], fr.lvl, b)
 }
 
 // line settles a frame b whose probe missed and that is thick only in
@@ -362,7 +433,7 @@ func (s *skeleton) probe(t *boxtree.Tree, b dyadic.Box, split int) (dyadic.Box, 
 // shallowest-frame rule brings up whatever was loaded since that contains
 // b — so no stored box contains the cached witness, and the parent's exact
 // probes stay complete.
-func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
+func (s *skeleton) line(b dyadic.Box, dim int, fr frontier) (bool, dyadic.Box, error) {
 	s.stats.Splits++
 	s.stats.Lines++
 	mark := len(s.scratch)
@@ -372,7 +443,7 @@ func (s *skeleton) line(b dyadic.Box, dim int) (bool, dyadic.Box, error) {
 	u := dyadic.Box(s.scratch[mark+s.n : mark+2*s.n]) // the unit box at p
 	s.kbRoots = s.kb.LastRoots(s.kbRoots[:0], b)
 	if s.base != nil {
-		s.baseRoots = s.base.LastRoots(s.baseRoots[:0], b)
+		s.baseRoots = s.base.RootsAt(s.baseRoots[:0], s.front[fr.roots:fr.rootsEnd], fr.lvl, b, s.n-1)
 	}
 	s.wrote = false
 	d, covers := s.depths[dim], 0
