@@ -51,7 +51,8 @@ func (p *Prepared) Mode() core.Mode { return p.mode }
 // Execute runs the prepared plan. Execution-time options (parallelism,
 // limits, budget, callbacks) come from opts; the mode is fixed at
 // preparation (opts.Mode and opts.Space are ignored — see Mode) and
-// Preloaded executions reuse the plan's shared knowledge base. The reported
+// Preloaded executions share one base memoized on the plan, which the
+// first of them builds. The reported
 // Stats.IndexBuilds is always 0: prepared executions never construct
 // indexes.
 func (p *Prepared) Execute(opts join.Options) (*join.Result, error) {
@@ -192,9 +193,9 @@ func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, err
 // Execute prepares (with caching) and runs a textual query in one call:
 // the serving counterpart of the one-shot join.Execute. The first
 // execution of a shape pays preparation (its Stats.IndexBuilds reports
-// the indexes built) and runs exactly like the one-shot path; repeated
-// executions hit the plan cache, reuse the shared Preloaded base, and
-// report IndexBuilds == 0.
+// the indexes built and, in Preloaded mode, it builds the plan's shared
+// base); repeated executions hit the plan cache, reuse that base, and
+// report the same work with IndexBuilds == 0.
 func (c *Catalog) Execute(query string, opts join.Options) (*join.Result, error) {
 	p, err := c.Prepare(query, opts)
 	if err != nil {
@@ -212,21 +213,14 @@ func (c *Catalog) ExecuteQuery(q *join.Query, opts join.Options) (*join.Result, 
 	return p.executeCharged(opts)
 }
 
-// executeCharged runs the statement charging preparation builds to this
-// execution's stats. A cache miss executes without the shared base so a
-// throwaway catalog — the facade's one-shot wrapper — reproduces the
-// standalone engine's work accounting bit for bit; cache hits take the
-// amortized path.
+// executeCharged is Execute charging the preparation's index builds to
+// this execution's stats. A cache miss runs like a hit: it memoizes the
+// Preloaded base on the plan it just cached, and the hit after it reuses
+// that base and reports the same work but for IndexBuilds.
 func (p *Prepared) executeCharged(opts join.Options) (*join.Result, error) {
-	opts.Mode, opts.Space = p.mode, p.space
-	opts.SharedBase = p.cacheHit
-	start := time.Now()
-	res, err := p.plan.Execute(opts)
+	res, err := p.Execute(opts)
 	if err != nil {
 		return nil, err
-	}
-	if p.cat != nil {
-		p.cat.observeExec(p.label, "exec", start)
 	}
 	res.Stats.IndexBuilds = p.builds
 	return res, nil

@@ -8,19 +8,15 @@ import (
 	"tetrisjoin/internal/dyadic"
 )
 
-// PreparedBase is a prebuilt shared knowledge base for Preloaded runs:
-// the oracle's full gap set inserted once, with subsumption, into a
-// read-only boxtree. The skeleton never writes to it — learned resolvents
-// go to per-run private trees — so one PreparedBase can serve any number of sequential or sharded
-// executions concurrently. Prepared plans build it on first Preloaded
-// execution and reuse it afterwards, removing the gap-set re-insertion
-// from the repeated-execution hot path; RunShards has always shared an
-// equivalent base across the shards of a single run, this type extends
-// that sharing across runs.
+// PreparedBase is a read-only knowledge base holding the oracle's full
+// gap set B, inserted once with subsumption: the one place a Preloaded run
+// keeps its input. The skeleton never writes to it (what a run learns goes
+// to its private tree), so one base serves any number of runs at once. A
+// Preloaded run handed none builds its own (runBase); a prepared plan
+// builds one once and hands it to every execution.
 type PreparedBase struct {
 	tree   *boxtree.Tree
 	loaded int64 // distinct gap boxes inserted (the BoxesLoaded charge)
-	n      int
 }
 
 // BuildPreloadedBase loads the oracle's full gap set into a fresh shared
@@ -37,35 +33,53 @@ func BuildPreloadedBase(o Oracle, opts Options) (*PreparedBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree := boxtree.New(n)
+	return buildBase(o, sao, boxtree.New(n))
+}
+
+// buildBase loads the oracle's gap set into the empty tree, levelled in
+// the SAO.
+func buildBase(o Oracle, sao []int, tree *boxtree.Tree) (*PreparedBase, error) {
 	tree.SetOrder(sao)
-	loaded, err := loadGapSet(o, nil, func(b dyadic.Box) { tree.InsertSubsuming(b) })
+	loaded, err := loadGapSet(o, func(b dyadic.Box) { tree.InsertSubsuming(b) })
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedBase{tree: tree, loaded: loaded, n: n}, nil
+	return &PreparedBase{tree: tree, loaded: loaded}, nil
 }
 
-// Len returns the number of boxes the base currently holds (after
-// subsumption).
-func (b *PreparedBase) Len() int { return b.tree.Len() }
+// runBase returns the base a plain run probes: Options.Base, or for a
+// Preloaded run without one the oracle's gap set in a pooled tree, which
+// release hands back. A base built for a different dimensionality or SAO
+// (sao is the run's, checked) is a misuse, not a silent fallback.
+func (o Options) runBase(or Oracle, sao []int) (*PreparedBase, error) {
+	switch n := or.Dims(); {
+	case o.Base != nil:
+		if d := o.Base.tree.Dims(); d != n {
+			return nil, fmt.Errorf("core: prepared base has %d dimensions, run has %d", d, n)
+		}
+		if order := o.Base.tree.Order(); !slices.Equal(order, sao) {
+			return nil, fmt.Errorf("core: prepared base was built for SAO %v, run has SAO %v", order, sao)
+		}
+		return o.Base, nil
+	case o.Mode == Preloaded:
+		return buildBase(or, sao, getTree(n))
+	}
+	return nil, nil
+}
 
-// preparedBase resolves the shared base a plain run should use: nil
-// unless the options carry one and the mode is plain Preloaded or
-// Reloaded. Under Preloaded the base stands in for the full gap-set
-// load; under Reloaded it is prior knowledge — boxes already known to
-// contain no output — consulted read-only while the run still loads
-// lazily from the oracle. A base built for a different dimensionality or
-// SAO (sao is the run's, checked) is a misuse, not a silent fallback.
-func (o Options) preparedBase(n int, sao []int) (*boxtree.Tree, int64, error) {
-	if o.Base == nil || !o.Mode.Plain() {
-		return nil, 0, nil
+// release pools the tree of a base that runBase built for this run alone.
+func (o Options) release(b *PreparedBase) {
+	if b != nil && b != o.Base {
+		putTree(b.tree)
 	}
-	if o.Base.n != n {
-		return nil, 0, fmt.Errorf("core: prepared base has %d dimensions, run has %d", o.Base.n, n)
+}
+
+// charge adds a Preloaded run's base to its stats once, however many
+// fragments probed it: the distinct gap boxes loaded and the boxes held. A
+// Reloaded run's base is prior knowledge paid for by whoever built it.
+func (b *PreparedBase) charge(mode Mode, s *Stats) {
+	if b != nil && mode == Preloaded {
+		s.BoxesLoaded += b.loaded
+		s.KnowledgeBase += b.tree.Len()
 	}
-	if order := o.Base.tree.Order(); !slices.Equal(order, sao) {
-		return nil, 0, fmt.Errorf("core: prepared base was built for SAO %v, run has SAO %v", order, sao)
-	}
-	return o.Base.tree, o.Base.loaded, nil
 }

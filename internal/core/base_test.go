@@ -25,27 +25,35 @@ func sameTuples(a, b [][]uint64) bool {
 	return true
 }
 
-// TestPreparedBaseMatchesFreshRuns: a run reusing a PreparedBase must
-// report exactly the tuples (in the same order) and the same BoxesLoaded
-// as a fresh Preloaded run, sequentially and sharded, across repeated
-// executions of the same base, in every SAO; and so must a RunBox over
-// roots fixed in their later SAO components, whose entry frames carry
+// TestPreparedBaseMatchesFreshRuns: a run handed a PreparedBase must
+// report exactly what a run that builds its own does — the tuples in the
+// same order and every counter — sequentially, over roots and sharded,
+// across repeated executions of the same base, in every SAO. The roots
+// are fixed in their later SAO components, so their entry frames carry
 // their frontier in the base across several levels at once. TestMain has
-// every frontier probe checked against the full probe.
+// every frontier probe checked against the full probe. A path join's
+// instance runs from base_path_test.go.
 func TestPreparedBaseMatchesFreshRuns(t *testing.T) {
 	for _, sao := range permutations(3) {
-		t.Run(fmt.Sprint(sao), func(t *testing.T) { preparedBaseMatchesFreshRuns(t, sao) })
+		t.Run(fmt.Sprint(sao), func(t *testing.T) {
+			r := rand.New(rand.NewSource(55))
+			for trial := 0; trial < 20; trial++ {
+				o := MustBoxOracle(depthsOf(3, 4), randBoxSet(r, 3, 4, 25))
+				label := fmt.Sprintf("trial %d", trial)
+				baseMatchesFreshRuns(t, label, func() Oracle { return o.Clone() }, sao, laterRoots(r, sao))
+			}
+		})
 	}
 }
 
-// laterRoots partitions the space into the boxes that are λ in the first
-// SAO dimension and fix a one-bit prefix in the second and a two-bit one
-// in the third, in random order.
+// laterRoots partitions the space into the boxes that fix a one-bit
+// prefix in the second SAO dimension and a two-bit one in the third, λ in
+// the others, in random order.
 func laterRoots(r *rand.Rand, sao []int) []dyadic.Box {
 	var roots []dyadic.Box
 	for i := uint64(0); i < 2; i++ {
 		for j := uint64(0); j < 4; j++ {
-			root := dyadic.Universe(3)
+			root := dyadic.Universe(len(sao))
 			root[sao[1]] = dyadic.Interval{Bits: i, Len: 1}
 			root[sao[2]] = dyadic.Interval{Bits: j, Len: 2}
 			roots = append(roots, root)
@@ -55,86 +63,64 @@ func laterRoots(r *rand.Rand, sao []int) []dyadic.Box {
 	return roots
 }
 
-func preparedBaseMatchesFreshRuns(t *testing.T, sao []int) {
-	r := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 20; trial++ {
-		depths := depthsOf(3, 4)
-		bs := randBoxSet(r, 3, 4, 25)
-		o := MustBoxOracle(depths, bs)
-		opts := Options{Mode: Preloaded, SAO: sao}
+// baseMatchesFreshRuns is TestPreparedBaseMatchesFreshRuns on one instance,
+// its oracles from newOracle, run in sao and over roots.
+func baseMatchesFreshRuns(t *testing.T, label string, newOracle func() Oracle, sao []int, roots []dyadic.Box) {
+	t.Helper()
+	o := newOracle()
+	opts := Options{Mode: Preloaded, SAO: sao}
+	base, err := BuildPreloadedBase(o, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBase := opts
+	withBase.Base = base
+	same := func(what string, got, want *Result, gotErr, wantErr error) {
+		t.Helper()
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%s %s: %v with base, %v without", label, what, gotErr, wantErr)
+		}
+		if !sameTuples(got.Tuples, want.Tuples) || got.Stats != want.Stats {
+			t.Fatalf("%s %s: %d tuples, %+v with base; %d tuples, %+v without (or the order differs)",
+				label, what, len(got.Tuples), got.Stats, len(want.Tuples), want.Stats)
+		}
+	}
 
-		fresh, err := Run(o, opts)
+	fresh, freshErr := Run(o, opts)
+	freshBox, freshBoxErr := RunBox(o, opts, roots...)
+	// One worker never donates, so its fragments and their knowledge bases
+	// are the same from run to run.
+	freshShards, freshShardsErr := RunShards(newOracle, opts, 1)
+	for run := 0; run < 2; run++ {
+		res, err := Run(o, withBase)
+		same("Run", res, fresh, err, freshErr)
+		res, err = RunBox(o, withBase, roots...)
+		same("RunBox", res, freshBox, err, freshBoxErr)
+		res, err = RunShards(newOracle, withBase, 1)
+		same("RunShards", res, freshShards, err, freshShardsErr)
+		// Two workers steal, and what their fragments keep varies with it.
+		res, err = RunShards(newOracle, withBase, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !sameTuples(res.Tuples, fresh.Tuples) || res.Stats.BoxesLoaded != fresh.Stats.BoxesLoaded {
+			t.Fatalf("%s two workers with base: %d tuples, %d loaded; one run %d, %d (or the order differs)",
+				label, len(res.Tuples), res.Stats.BoxesLoaded, len(fresh.Tuples), fresh.Stats.BoxesLoaded)
+		}
+	}
 
-		base, err := BuildPreloadedBase(o, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		withBase := opts
-		withBase.Base = base
-
-		for run := 0; run < 2; run++ {
-			res, err := Run(o, withBase)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameTuples(res.Tuples, fresh.Tuples) {
-				t.Fatalf("trial %d run %d with base: %d tuples, fresh run %d (or order differs)",
-					trial, run, len(res.Tuples), len(fresh.Tuples))
-			}
-			if res.Stats.BoxesLoaded != fresh.Stats.BoxesLoaded {
-				t.Errorf("trial %d run %d BoxesLoaded = %d, fresh run %d",
-					trial, run, res.Stats.BoxesLoaded, fresh.Stats.BoxesLoaded)
-			}
-
-			mk := func() Oracle { return o.Clone() }
-			sharded, err := RunShards(mk, withBase, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameTuples(sharded.Tuples, fresh.Tuples) {
-				t.Fatalf("trial %d sharded run %d with base: %d tuples, fresh run %d (or order differs)",
-					trial, run, len(sharded.Tuples), len(fresh.Tuples))
-			}
-			if sharded.Stats.BoxesLoaded != fresh.Stats.BoxesLoaded {
-				t.Errorf("trial %d sharded run %d BoxesLoaded = %d, fresh run %d",
-					trial, run, sharded.Stats.BoxesLoaded, fresh.Stats.BoxesLoaded)
-			}
-		}
-
-		// Reloaded consults the base as prior knowledge: same output,
-		// and nothing left to load lazily when the base holds the full
-		// gap set — without the base's boxes being charged to this run.
-		rel := withBase
-		rel.Mode = Reloaded
-		relRes, err := Run(o, rel)
-		if err != nil {
-			t.Fatalf("Reloaded with base failed: %v", err)
-		}
-		if !sameTuples(relRes.Tuples, fresh.Tuples) {
-			t.Fatalf("trial %d Reloaded-with-base: %d tuples, fresh %d (or order differs)",
-				trial, len(relRes.Tuples), len(fresh.Tuples))
-		}
-		if relRes.Stats.BoxesLoaded != 0 {
-			t.Errorf("trial %d Reloaded over a full-gap-set base loaded %d boxes, want 0",
-				trial, relRes.Stats.BoxesLoaded)
-		}
-
-		roots := laterRoots(r, sao)
-		freshBox, err := RunBox(o, opts, roots...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		withBox, err := RunBox(o, withBase, roots...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameTuples(withBox.Tuples, freshBox.Tuples) {
-			t.Fatalf("trial %d RunBox(%v) with base: %d tuples, fresh run %d (or order differs)",
-				trial, roots, len(withBox.Tuples), len(freshBox.Tuples))
-		}
+	// Reloaded consults the base as prior knowledge: same output, and
+	// nothing left to load lazily when the base holds the full gap set —
+	// without the base's boxes being charged to this run.
+	rel := withBase
+	rel.Mode = Reloaded
+	relRes, err := Run(o, rel)
+	if err != nil {
+		t.Fatalf("%s Reloaded with base: %v", label, err)
+	}
+	if !sameTuples(relRes.Tuples, fresh.Tuples) || relRes.Stats.BoxesLoaded != 0 {
+		t.Fatalf("%s Reloaded with base: %d tuples, %d loaded; want %d and 0 (or the order differs)",
+			label, len(relRes.Tuples), relRes.Stats.BoxesLoaded, len(fresh.Tuples))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 )
 
@@ -21,7 +22,7 @@ type CoverReport struct {
 
 // Covers solves the Boolean box cover problem: does the union of boxes
 // cover the entire output space ⟨λ,…,λ⟩? This is TetrisSkeleton invoked
-// once with the knowledge base preloaded; it also solves Klee's measure
+// once with the boxes preloaded into its base; it also solves Klee's measure
 // problem over the Boolean semiring (Corollary F.8).
 func Covers(depths []uint8, boxes []dyadic.Box, opts Options) (*CoverReport, error) {
 	return CoversTarget(depths, boxes, dyadic.Universe(len(depths)), opts)
@@ -29,11 +30,11 @@ func Covers(depths []uint8, boxes []dyadic.Box, opts Options) (*CoverReport, err
 
 // CoversTarget reports whether the union of boxes covers the given target
 // box: the general Boolean sub-problem solved by TetrisSkeleton, invoked
-// once on the target. The witness aliases the run's knowledge base or
-// arena, so neither goes back to a pool.
+// once on the target. The witness aliases the run's trees or arena, so
+// none of them goes back to a pool.
 func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Options) (*CoverReport, error) {
 	rep := &CoverReport{}
-	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats)
+	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats, boxtree.New)
 	if err != nil {
 		return nil, err
 	}
@@ -46,13 +47,14 @@ func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Op
 	}
 	rep.Covered = v
 	rep.Witness = w
-	rep.Stats.KnowledgeBase = sk.kb.Len()
+	rep.Stats.KnowledgeBase = sk.kb.Len() + sk.base.Len()
 	return rep, nil
 }
 
 // preloadedSkeleton is the skeleton of one root call over the given space
-// with every box in its knowledge base: the Boolean and counting variants.
-func preloadedSkeleton(depths []uint8, boxes []dyadic.Box, opts Options, stats *Stats) (*skeleton, error) {
+// with every box in its read-only base, a tree newTree makes: the Boolean
+// and counting variants.
+func preloadedSkeleton(depths []uint8, boxes []dyadic.Box, opts Options, stats *Stats, newTree func(int) *boxtree.Tree) (*skeleton, error) {
 	n := len(depths)
 	if err := checkDepths(depths); err != nil {
 		return nil, err
@@ -61,12 +63,15 @@ func preloadedSkeleton(depths []uint8, boxes []dyadic.Box, opts Options, stats *
 	if err != nil {
 		return nil, err
 	}
-	sk := newSkeleton(n, depths, sao, opts, stats)
+	base := newTree(n)
+	base.SetOrder(sao)
 	for _, b := range boxes {
 		if err := b.Check(depths); err != nil {
 			return nil, fmt.Errorf("core: invalid box %v: %w", b, err)
 		}
-		sk.add(b)
+		base.InsertSubsuming(b)
 	}
+	sk := newSkeleton(n, depths, sao, opts, stats)
+	sk.base = base
 	return sk, nil
 }

@@ -35,12 +35,13 @@ type CountReport struct {
 // in any dimension.
 func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountReport, error) {
 	rep := &CountReport{Uncovered: new(big.Int)}
-	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats)
+	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats, getTree)
 	if err != nil {
 		return nil, err
 	}
-	// No witness leaves the run, so its tree goes back to the pool.
+	// No witness leaves the run, so its trees go back to the pool.
 	defer putTree(sk.kb)
+	defer putTree(sk.base)
 	sk.walk = nil
 	one, volume := big.NewInt(1), new(big.Int)
 	sk.settleUnit = func(b dyadic.Box) (dyadic.Box, error) {
@@ -48,8 +49,10 @@ func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountRep
 		rep.Uncovered.Add(rep.Uncovered, one)
 		return b, nil
 	}
+	// Every kb box is a resolvent, inside the union of the base's boxes,
+	// so the base alone tells whether a frame meets a stored box.
 	sk.settleFrame = func(b dyadic.Box) bool {
-		if sk.kb.IntersectsAny(b) {
+		if sk.base.IntersectsAny(b) {
 			return false
 		}
 		rep.Uncovered.Add(rep.Uncovered, volume.Lsh(one, uint(b.LogVolume(depths))))
@@ -58,6 +61,6 @@ func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountRep
 	if _, _, err := sk.root(dyadic.Universe(len(depths))); err != nil {
 		return nil, err
 	}
-	rep.Stats.KnowledgeBase = sk.kb.Len()
+	rep.Stats.KnowledgeBase = sk.kb.Len() + sk.base.Len()
 	return rep, nil
 }

@@ -7,7 +7,9 @@ type spaceFunc = func(Mode, []uint8, []dyadic.Box) (Space, error)
 
 // The LB arms of this package's tests run from lb_test.go, in core_test:
 // the Balance lift they need, internal/lb, imports core. They share the
-// plain arms' bodies and helpers through these names.
+// plain arms' bodies and helpers through these names, as do the arms
+// over join instances (base_path_test.go), whose oracles come from
+// internal/join, which imports core too.
 var (
 	Example44Trace               = example44Trace
 	Figure5TriangleEmpty         = figure5TriangleEmpty
@@ -24,4 +26,6 @@ var (
 	BruteUncovered               = bruteUncovered
 	SortTuples                   = sortTuples
 	ShardInstance                = shardInstance
+	BaseMatchesFreshRuns         = baseMatchesFreshRuns
+	LaterRoots                   = laterRoots
 )

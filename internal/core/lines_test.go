@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 )
 
@@ -85,14 +84,17 @@ type passOutcome struct {
 }
 
 // runPass is runPlain with every line logged, over skeleton.line or over
-// its definition.
+// its definition, probing base or, when that is nil, the base the engine
+// would give the run.
 func runPass(t *testing.T, o Oracle, opts Options, sao []int, root dyadic.Box, base *PreparedBase, reference bool) passOutcome {
 	t.Helper()
-	var tree *boxtree.Tree
-	if base != nil {
-		tree = base.tree
+	opts.Base = base
+	base, err := opts.runBase(o, sao)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sk, run, err := newPass(o, opts, sao, []dyadic.Box{root}, tree, nil)
+	defer opts.release(base)
+	sk, run, err := newPass(o, opts, sao, []dyadic.Box{root}, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +373,12 @@ func TestLineDonatesAtEveryUnit(t *testing.T) {
 	for _, mode := range []Mode{Preloaded, Reloaded} {
 		opts := Options{Mode: mode, SAO: sao}
 		var settled []string
+		base, err := opts.runBase(o, sao)
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(root dyadic.Box, steal *stealSession) *Result {
-			sk, run, err := newPass(o, opts, sao, []dyadic.Box{root}, nil, steal)
+			sk, run, err := newPass(o, opts, sao, []dyadic.Box{root}, base, steal)
 			if err != nil {
 				t.Fatal(err)
 			}

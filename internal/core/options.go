@@ -174,14 +174,13 @@ type Options struct {
 	Budget *Budget
 	// Base, when non-nil, is a prebuilt shared knowledge base
 	// (BuildPreloadedBase) consulted read-only during the run; it must
-	// have been built for this run's SAO. Under
-	// Preloaded it stands in for re-inserting the full gap set: prepared
-	// plans build it once and hand it to every subsequent execution,
-	// which is what amortizes the Preloaded setup cost across repeated
-	// runs of one query. Under Reloaded it is prior knowledge — boxes
-	// the caller certifies to contain no output of THIS run's box cover
-	// problem — and the run still loads lazily from the oracle on top of
-	// it. The LB modes ignore it.
+	// have been built for this run's SAO. Under Preloaded it is the base
+	// the run would build for itself, with the same work reported:
+	// prepared plans build it once for all their executions. Under
+	// Reloaded it is prior knowledge — boxes the caller certifies to
+	// contain no output of THIS run's box cover problem — and the run
+	// still loads lazily from the oracle on top of it. The LB modes
+	// ignore it.
 	Base *PreparedBase
 	// Space builds the working space of an LB run from the base depths
 	// and, under PreloadedLB, the validated gap set, which it keeps. The
@@ -232,9 +231,10 @@ type Stats struct {
 	// Algorithm 2): one per settled unit box under Reloaded and
 	// ReloadedLB, none under Preloaded and PreloadedLB.
 	OracleCalls int64
-	// BoxesLoaded counts gap boxes added to the knowledge base from the
-	// oracle. Under Reloaded this is the implicit certificate size
-	// witness (Lemma E.1: O(|C|) up to Õ(1) factors).
+	// BoxesLoaded counts the distinct gap boxes taken from the oracle:
+	// the whole gap set under Preloaded, however many roots; the lazy
+	// loads under Reloaded, the implicit certificate size witness (Lemma
+	// E.1: O(|C|) up to Õ(1) factors).
 	BoxesLoaded int64
 	// Outputs is the number of output tuples reported.
 	Outputs int64
@@ -248,7 +248,8 @@ type Stats struct {
 	// measurable witness that the catalog amortizes index construction.
 	IndexBuilds int64
 	// KnowledgeBase is the number of boxes the run keeps in its knowledge
-	// base at the end, not the number it derived: in the plain modes a
+	// base at the end (under Preloaded, Covers and Count: its base plus
+	// what it learned), not the number it derived: in the plain modes a
 	// resolvent, a line's witness or an output's cover is kept only when it
 	// is larger than the frame it was found for, since no later probe can
 	// hit one that is not (NoCache and the LB modes keep them all).

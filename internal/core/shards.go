@@ -64,22 +64,13 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism int) (*Result,
 		workers = min(parallelism, len(seeds))
 	}
 
-	// Preloaded: build the full knowledge base ONCE and share it
-	// read-only across every shard (the skeleton never writes to it —
-	// learned resolvents go to per-shard private trees). Without this,
-	// every shard would re-insert its slice of B, and boxes thick across
-	// the shard dimension would be re-inserted by every shard.
-	base, baseLoaded, err := opts.preparedBase(n, sao)
+	// One base for every shard: the skeleton never writes to it, and a
+	// Preloaded run's is built here once, not per fragment.
+	base, err := opts.runBase(probe, sao)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Mode == Preloaded && base == nil {
-		built, err := BuildPreloadedBase(probe, opts)
-		if err != nil {
-			return nil, err
-		}
-		base, baseLoaded = built.tree, built.loaded
-	}
+	defer opts.release(base)
 
 	// Shard options: tuples buffer inside each shard's Result (the merge
 	// below replays them in order), limits move into one shared budget,
@@ -208,13 +199,7 @@ func RunShards(newOracle func() Oracle, opts Options, parallelism int) (*Result,
 	res.Stats.ParallelWorkers = int64(workers)
 	res.Stats.MaxWorkerResolutions = sched.maxWorkerResolutions()
 	// The shared base counts once: shards report only their private
-	// knowledge bases. Prior knowledge handed to a Reloaded run is not
-	// charged at all (runWithBase applies the same convention): its cost
-	// belongs to whoever built it, and BoxesLoaded keeps measuring what
-	// this run pulled lazily.
-	if base != nil && opts.Mode == Preloaded {
-		res.Stats.BoxesLoaded += baseLoaded
-		res.Stats.KnowledgeBase += base.Len()
-	}
+	// knowledge bases.
+	base.charge(opts.Mode, &res.Stats)
 	return res, nil
 }

@@ -27,12 +27,13 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	res := &Result{}
 	sk := newSkeleton(n, depths, sao, opts, &res.Stats)
 	sk.walk, sk.keepAll = nil, true // a restart walks back into finished frames
+	// The gaps go into a read-only base, as the engine loads them.
+	var base *PreparedBase
 	if opts.Mode == Preloaded {
-		fresh, err := loadGapSet(o, []dyadic.Box{root}, sk.add)
-		if err != nil {
+		if base, err = buildBase(o, sao, boxtree.New(n)); err != nil {
 			t.Fatal(err)
 		}
-		res.Stats.BoxesLoaded = fresh
+		sk.base = base.tree
 	}
 	for {
 		v, w, err := sk.root(root)
@@ -61,6 +62,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 		}
 	}
 	res.Stats.KnowledgeBase = sk.kb.Len()
+	base.charge(opts.Mode, &res.Stats)
 	return res
 }
 

@@ -48,10 +48,9 @@ var errResolutionBudget = errors.New("core: resolution budget exhausted")
 type skeleton struct {
 	kb *boxtree.Tree
 	// base, when non-nil, is a read-only knowledge base consulted after
-	// kb: the preloaded gap box set shared by every shard of a RunShards
-	// execution. The skeleton never writes to it (whatever the run stores
-	// goes to the private kb), which is what makes sharing it across
-	// worker goroutines safe.
+	// kb: the input boxes, or a Reloaded run's prior knowledge. The
+	// skeleton never writes to it (whatever the run stores goes to kb),
+	// which is what makes sharing it across worker goroutines safe.
 	base    *boxtree.Tree
 	sao     []int
 	depths  []uint8
@@ -74,10 +73,12 @@ type skeleton struct {
 
 	scratch []dyadic.Interval // split/resolvent arena, watermark-managed
 	front   []uint32          // the frames' frontiers in base, watermark-managed
-	// front0 is front's first backing store, inside the skeleton so that a
-	// run whose frontiers stay within it — every benchmark shape's do, at
-	// most 42 entries deep — grows no arena per execution.
-	front0 [64]uint32
+	// The arenas' first backing stores, inside the skeleton so that a run
+	// within them — the star triangle's: 192 intervals, 42 frontier entries,
+	// 2 roots — grows none per execution.
+	scratch0 [256]dyadic.Interval
+	front0   [64]uint32
+	roots0   [2][16]uint32
 
 	budget    *Budget         // shared resolution/output quota; nil = unlimited
 	ctx       context.Context // cooperative cancellation; nil = never cancelled
@@ -121,7 +122,8 @@ func newSkeleton(n int, depths []uint8, sao []int, opts Options, stats *Stats) *
 		stats:     stats,
 		onResolve: opts.onResolve,
 	}
-	s.front = s.front0[:0]
+	s.scratch, s.front = s.scratch0[:0], s.front0[:0]
+	s.kbRoots, s.baseRoots = s.roots0[0][:0], s.roots0[1][:0]
 	// Appendix C.1: the levels of the knowledge base follow the SAO.
 	s.kb.SetOrder(sao)
 	binary := opts.NoCache || opts.onResolve != nil
@@ -144,8 +146,8 @@ var keepEverything bool
 // treePool recycles knowledge-base trees between runs, whatever their
 // space (getTree matches on dimensionality): regrowing the slabs on every
 // execution was a tenth of a prepared statement's time and nearly all of
-// its garbage. Only runPlain, loadGapSet and CountUncovered put trees back
-// (CoversTarget hands its caller a witness that aliases the tree).
+// its garbage. Only runPlain, loadGapSet, release and CountUncovered put
+// trees back (CoversTarget's witness may alias either of its trees).
 var treePool sync.Pool
 
 // maxPooledSlab is the slab capacity, in nodes or intervals, above which
@@ -385,9 +387,9 @@ func (s *skeleton) run(b dyadic.Box, split int, fr frontier) (bool, dyadic.Box, 
 }
 
 // probe is line 1. The private kb (learned resolvents, outputs, lazily
-// loaded gaps) is probed first — unless it is empty, as a prepared
-// Preloaded run's stays — then the shared read-only base if the shard has
-// one. A child frame (split != -1) only asks for covers whose component in
+// loaded gaps) is probed first — unless it is empty, as a Preloaded run's
+// is until it keeps a box — then the read-only base if the run has one. A
+// child frame (split != -1) only asks for covers whose component in
 // the split dimension is exactly b's: a shorter one would contain the
 // parent's box, which no stored box does — the parent's probes missed, and
 // every box stored since that contains it was handed up and ended the

@@ -47,6 +47,11 @@ func SimulateSteal(newOracle func() Oracle, opts Options, workers int, donate bo
 	depths := probe.Depths()
 	seeds, _ := stealSeeds(depths, sao, 2*workers)
 	sched := newStealScheduler(workers, seeds, defaultStealDepth, sao, depths)
+	base, err := opts.runBase(probe, sao)
+	if err != nil {
+		return StealSim{}, err
+	}
+	defer opts.release(base)
 
 	// A running fragment's pass is a goroutine that blocks before every
 	// unit it settles until its worker's turn comes: resume lets it run to
@@ -69,7 +74,7 @@ func SimulateSteal(newOracle func() Oracle, opts Options, workers int, donate bo
 		if donate {
 			sess = sched.session(w, f)
 		}
-		sk, run, err := newPass(oracles[w], opts, sao, []dyadic.Box{f.box}, nil, sess)
+		sk, run, err := newPass(oracles[w], opts, sao, []dyadic.Box{f.box}, base, sess)
 		if err != nil {
 			return running{}, err
 		}

@@ -80,28 +80,19 @@ func RunBox(o Oracle, opts Options, roots ...dyadic.Box) (*Result, error) {
 	return runWithBase(o, opts, sao, roots)
 }
 
-// runWithBase dispatches a plain run through runPlain, resolving the
-// optional prepared base of opts.Base. A Preloaded run with a base
-// charges the base's accounting (the distinct boxes it was loaded from
-// and the boxes it holds) exactly once — the same convention RunShards
-// applies to the per-run base it shares across shards — so a based run
-// reports identically to a fresh one. A Reloaded run with a base does
-// NOT: there the base is prior knowledge paid for by whoever built it,
-// and BoxesLoaded keeps meaning what this run itself pulled from the
-// oracle — its certificate-size witness.
+// runWithBase dispatches a plain run through runPlain over the base it
+// probes (runBase), charging a Preloaded run with that base.
 func runWithBase(o Oracle, opts Options, sao []int, roots []dyadic.Box) (*Result, error) {
-	base, baseLoaded, err := opts.preparedBase(o.Dims(), sao)
+	base, err := opts.runBase(o, sao)
 	if err != nil {
 		return nil, err
 	}
+	defer opts.release(base)
 	res, err := runPlain(o, opts, sao, roots, base, nil)
 	if err != nil {
 		return nil, err
 	}
-	if base != nil && opts.Mode == Preloaded {
-		res.Stats.BoxesLoaded += baseLoaded
-		res.Stats.KnowledgeBase += base.Len()
-	}
+	base.charge(opts.Mode, &res.Stats)
 	return res, nil
 }
 
@@ -133,14 +124,12 @@ func checkDepths(depths []uint8) error {
 	return nil
 }
 
-// loadGapSet is the one implementation of the Preloaded initial load,
-// shared by the sequential engine (add = skeleton insert) and RunShards
-// (add = shared-base insert): it feeds the oracle's full gap box set
-// through add, validating each box and counting distinct boxes via a
-// pooled exact-match tree. Non-nil roots skip boxes disjoint from all of
-// them — they can never witness coverage of a subbox of a root nor take
-// part in a resolution a run restricted to the roots performs.
-func loadGapSet(o Oracle, roots []dyadic.Box, add func(dyadic.Box)) (int64, error) {
+// loadGapSet is the one implementation of the Preloaded initial load: it
+// feeds the oracle's full gap box set through add — into a base tree
+// (buildBase) or, under PreloadedLB, the gaps the Space is built from —
+// validating each box and counting distinct boxes via a pooled
+// exact-match tree.
+func loadGapSet(o Oracle, add func(dyadic.Box)) (int64, error) {
 	depths := o.Depths()
 	loaded := getTree(len(depths))
 	defer putTree(loaded)
@@ -148,9 +137,6 @@ func loadGapSet(o Oracle, roots []dyadic.Box, add func(dyadic.Box)) (int64, erro
 	for _, b := range o.AllGaps() {
 		if err := b.Check(depths); err != nil {
 			return fresh, fmt.Errorf("core: oracle returned invalid gap box %v: %w", b, err)
-		}
-		if roots != nil && !slices.ContainsFunc(roots, b.Intersects) {
-			continue
 		}
 		if loaded.Insert(b) {
 			fresh++
@@ -187,12 +173,12 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // delta pass), entered in order as the single depth-first pass of
 // TetrisSkeleton2 (footnote 13, proof of Theorem D.2): an uncovered unit
 // box is settled where the descent found it instead of restarting the
-// skeleton from root. Under the preloaded modes the knowledge base holds
-// every gap box, so the unit is an output. Under the reloaded ones the
-// oracle is probed at the point: no gap box there makes it an output,
-// otherwise the gap boxes are loaded and one of them is the unit's witness
-// (see loadGaps for which; DESIGN.md, "One driver", for why the run is the
-// restart loop's, resolution for resolution).
+// skeleton from root. Under the preloaded modes the base (lifted, the
+// knowledge base) holds every gap box, so the unit is an output. Under
+// the reloaded ones the oracle is probed at the point: no gap box there
+// makes it an output, otherwise the gap boxes are loaded and one of them
+// is the unit's witness (see loadGaps for which; DESIGN.md, "One driver",
+// for why the run is the restart loop's, resolution for resolution).
 //
 // The LB modes are the same pass in the working space opts.Space builds
 // (the Balance lift, internal/lb): sao and roots are then that space's
@@ -200,10 +186,10 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // steal must be nil. The oracle keeps speaking base space; the Space
 // carries points down and boxes up.
 //
-// base, when non-nil, is a prebuilt read-only knowledge base holding the
-// full preloaded gap set: RunShards builds it once and shares it across
-// every fragment, so a Preloaded fragment starts with an empty private
-// knowledge base instead of re-inserting its slice of B. steal, when
+// base is the read-only knowledge base the pass probes after its private
+// one (runBase): under Preloaded the full gap set, which the pass never
+// copies — RunShards shares one across every fragment — and under
+// Reloaded prior knowledge or nil. steal, when
 // non-nil, is the run's work-stealing session — its run has exactly one
 // root, the fragment it was handed: when an idle worker wants
 // work the pass unwinds at the next settled unit, replaces the region it
@@ -212,7 +198,7 @@ func checkSAO(sao []int, n int) ([]int, error) {
 // it is done and nothing after it has been touched — donates the SAO-latest
 // of them, and enters the others one by one. Nothing is walked twice, so
 // nothing relies on the knowledge base to remember what was settled.
-func runPlain(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtree.Tree, steal *stealSession) (*Result, error) {
+func runPlain(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *PreparedBase, steal *stealSession) (*Result, error) {
 	_, run, err := newPass(o, opts, sao, roots, base, steal)
 	if err != nil {
 		return nil, err
@@ -224,7 +210,7 @@ func runPlain(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtr
 // wired to the driver that settles its units, and the function that runs
 // the pass over it. Only tests take the steps apart, to run the same pass
 // over the definition of a line (skeleton.walk).
-func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtree.Tree, steal *stealSession) (*skeleton, func() (*Result, error), error) {
+func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *PreparedBase, steal *stealSession) (*skeleton, func() (*Result, error), error) {
 	n, depths := o.Dims(), o.Depths()
 	res := &Result{}
 	// Resolve the budget once and share it with the skeleton, so the
@@ -240,7 +226,7 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 	wn, wdepths := n, depths
 	if !opts.Mode.Plain() {
 		if opts.Mode == PreloadedLB {
-			fresh, err := loadGapSet(o, nil, func(b dyadic.Box) { gaps = append(gaps, b) })
+			fresh, err := loadGapSet(o, func(b dyadic.Box) { gaps = append(gaps, b) })
 			if err != nil {
 				return nil, nil, err
 			}
@@ -256,25 +242,15 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *boxtre
 		roots = []dyadic.Box{dyadic.Universe(wn)}
 	}
 	sk := newSkeleton(wn, wdepths, sao, opts, &res.Stats)
-	sk.base = base
-	switch {
-	case sp != nil:
-		for _, g := range gaps {
-			sk.add(sp.Image(g))
-		}
-	case opts.Mode == Preloaded && base == nil:
-		filter := roots
-		if len(roots) == 1 && roots[0].IsUniverse() {
-			filter = nil // every box intersects the universe; skip the test
-		}
-		fresh, err := loadGapSet(o, filter, sk.add)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Stats.BoxesLoaded += fresh
+	if base != nil {
+		sk.base = base.tree
+	}
+	for _, g := range gaps {
+		sk.add(sp.Image(g))
 	}
 	// Only the reloaded modes probe: preloaded, every gap box is in the
-	// knowledge base, so an uncovered unit box is an output.
+	// base (lifted, its image is in the knowledge base), so an uncovered
+	// unit box is an output.
 	lazy := opts.Mode.Unlifted() == Reloaded
 
 	point := make([]uint64, n)    // base tuple, reused per settled unit; OnOutput must copy

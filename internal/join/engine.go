@@ -72,13 +72,14 @@ type Options struct {
 	// session's combined work, not each call's. Forwarded to the core
 	// engine (core.Options.Budget).
 	Budget *core.Budget
-	// SharedBase lets a Preloaded execution reuse the plan's memoized
-	// shared knowledge base (Plan.PreloadedBase) instead of re-inserting
-	// the full gap set: the amortization that makes repeated executions
-	// of one prepared plan cheap. Catalog-prepared executions set it;
-	// the one-shot path leaves it false so single executions keep the
-	// paper's sequential accounting exactly. Ignored outside Preloaded
-	// mode.
+	// SharedBase memoizes a Preloaded execution's base — the read-only
+	// knowledge base holding the full gap set — on the plan
+	// (Plan.PreloadedBase): the first such execution builds it and every
+	// later one reuses it, the amortization that makes repeated
+	// executions of one prepared plan cheap. Catalog-prepared executions
+	// set it. Without it the engine loads the gap set into a pooled base
+	// of the run's own; the run reports the same work either way.
+	// Ignored outside Preloaded mode.
 	SharedBase bool
 	// NoCache, MaxResolutions, MaxOutput and OnOutput are forwarded to
 	// the core engine; see core.Options. With Parallelism > 1,

@@ -81,9 +81,9 @@ type Plan struct {
 	gapsOnce sync.Once
 	gaps     []dyadic.Box
 
-	// The shared Preloaded knowledge base (the gap set pre-inserted into
-	// a read-only boxtree) is likewise built at most once and reused by
-	// every subsequent Preloaded execution of the plan.
+	// The shared Preloaded knowledge base (the gap set inserted into a
+	// read-only boxtree) is likewise built at most once, by the first
+	// SharedBase execution, and reused by every later one.
 	baseOnce sync.Once
 	base     *core.PreparedBase
 	baseErr  error
