@@ -96,7 +96,7 @@ func warmStar(tb testing.TB) *catalog.Prepared {
 var raceDetector bool
 
 // TestPreparedStarAllocs pins the allocations of a warm prepared exec of
-// the star triangle: one per output tuple (190) and 41 for the run around
+// the star triangle: one per output tuple (190) and 40 for the run around
 // them. The recursion allocates nothing, however many frames it visits:
 // its scratch, frontier and line-root arenas are watermark-managed and
 // start in backing stores inside the skeleton, which the star's run never
@@ -111,7 +111,7 @@ func TestPreparedStarAllocs(t *testing.T) {
 		if _, err := p.Execute(starOpts); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 231 {
-		t.Errorf("a warm prepared exec allocates %v times, want 231", allocs)
+	}); allocs != 230 {
+		t.Errorf("a warm prepared exec allocates %v times, want 230", allocs)
 	}
 }

@@ -2,7 +2,7 @@
 // versioned relations whose gap-box indexes are built once — at ingest
 // or on first demand — and shared read-only by every subsequent query,
 // plus an LRU cache of prepared plans keyed by (query shape, relation
-// versions, SAO, mode).
+// versions, SAO).
 //
 // The one-shot Execute path re-ingests relations, rebuilds indexes and
 // re-derives the SAO on every call: the right shape for reproducing the
@@ -11,8 +11,8 @@
 // wins once the per-query constant work is amortized away. The catalog
 // completes the immutable-shared vs per-worker split of the parallel
 // executor vertically: immutable halves (relation snapshots, indexes,
-// memoized B(Q) gap sets, the shared Preloaded knowledge base) now live
-// across queries, not just across the workers of one query.
+// each plan's base of its gap set B(Q)) now live across queries, not just
+// across the workers of one query.
 //
 // # Version pinning
 //

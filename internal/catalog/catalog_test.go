@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"tetrisjoin/internal/core"
@@ -123,17 +124,18 @@ func TestPrepareCacheKeying(t *testing.T) {
 		t.Error("cache hit returned a different plan")
 	}
 
-	// A different mode is a different cache entry (its own plan), but the
-	// index registry still serves the same indexes: zero new builds.
+	// Plans are mode-free: a different mode hits the same entry, so its
+	// statement shares the plan (and the plan's base) and builds nothing.
 	p3, err := c.Prepare(triQuery, join.Options{Mode: core.Reloaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p3.CacheHit() {
-		t.Error("different mode hit the Preloaded entry")
+	if !p3.CacheHit() || p3.Plan() != p1.Plan() || p3.IndexBuilds() != 0 {
+		t.Errorf("different mode: hit=%v same plan=%v builds=%d; want a hit on the Preloaded plan",
+			p3.CacheHit(), p3.Plan() == p1.Plan(), p3.IndexBuilds())
 	}
-	if p3.IndexBuilds() != 0 {
-		t.Errorf("mode change rebuilt %d indexes; registry should have served them", p3.IndexBuilds())
+	if p3.Mode() != core.Reloaded {
+		t.Errorf("the Reloaded statement runs %v", p3.Mode())
 	}
 
 	// A different SAO needs differently ordered indexes: new builds, new
@@ -159,6 +161,50 @@ func TestPrepareCacheKeying(t *testing.T) {
 	}
 	if p5.Plan() == p1.Plan() {
 		t.Error("new version reused the old version's plan")
+	}
+}
+
+// TestFirstUseMemoizesThePlanBase: the first use of a fresh plan that
+// probes the gap set builds the plan's one base and keeps it — a
+// Preloaded exec of the plan-cache miss, or a Reloaded statement's first
+// count — so the PreloadedBase call after it allocates nothing.
+func TestFirstUseMemoizesThePlanBase(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mode core.Mode
+		use  func(*Prepared) error
+	}{
+		{"preloaded miss exec", core.Preloaded, func(p *Prepared) error {
+			_, err := p.Execute(join.Options{Parallelism: 1})
+			return err
+		}},
+		{"reloaded count", core.Reloaded, func(p *Prepared) error {
+			_, _, err := p.Count(join.Options{})
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := triangleCatalog(t).Prepare(triQuery, join.Options{Mode: c.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.CacheHit() {
+				t.Fatal("the first preparation hit the plan cache")
+			}
+			if err := c.use(p); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = p.Plan().PreloadedBase()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("PreloadedBase after the first use allocated %d times: the use did not keep the plan's base", n)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // prepared against version 1 while a writer goroutine keeps publishing
 // new versions of the same relation. Every execution of an old plan
 // must keep reading its pinned version — identical output on every run,
-// no torn reads — while freshly prepared plans see the new data. Run
+// no torn reads, and every count and cover over the plan's shared base
+// agreeing with it — while freshly prepared plans see the new data. Run
 // with -race (the CI race job runs the full suite that way).
 func TestConcurrentPreparedExecutionDuringIngest(t *testing.T) {
 	c := New()
@@ -86,6 +88,25 @@ func TestConcurrentPreparedExecutionDuringIngest(t *testing.T) {
 				}
 				if got := fmt.Sprint(res.Tuples); got != wantStr {
 					errs <- fmt.Errorf("worker %d exec %d: pinned plan output changed:\n got %s\nwant %s", w, i, got, wantStr)
+					return
+				}
+				// Counts and covers probe the same base as the execs.
+				count, _, err := pinned.Count(join.Options{})
+				if err != nil {
+					errs <- fmt.Errorf("worker %d count %d: %w", w, i, err)
+					return
+				}
+				if count.Cmp(big.NewInt(int64(len(res.Tuples)))) != 0 {
+					errs <- fmt.Errorf("worker %d count %d: %v, exec has %d tuples", w, i, count, len(res.Tuples))
+					return
+				}
+				rep, err := pinned.Covers(join.Options{})
+				if err != nil {
+					errs <- fmt.Errorf("worker %d cover %d: %w", w, i, err)
+					return
+				}
+				if rep.Covered != (len(res.Tuples) == 0) {
+					errs <- fmt.Errorf("worker %d cover %d: covered=%v, exec has %d tuples", w, i, rep.Covered, len(res.Tuples))
 					return
 				}
 			}

@@ -13,9 +13,9 @@ import (
 
 // Prepared is a handle on a cached, executable plan: the product of
 // ingest-time index work plus one preparation. Executions reuse the
-// plan's indexes, memoized B(Q) gap set and (in Preloaded mode) shared
-// knowledge base, so they perform zero index builds — which their
-// Stats.IndexBuilds == 0 proves per run.
+// plan's indexes and (Preloaded executions, counts and covers) its one
+// base of the gap set B(Q), so they perform zero index builds — which
+// their Stats.IndexBuilds == 0 proves per run.
 type Prepared struct {
 	plan  *join.Plan
 	mode  core.Mode
@@ -42,10 +42,10 @@ func (p *Prepared) IndexBuilds() int64 { return p.builds }
 // cache.
 func (p *Prepared) CacheHit() bool { return p.cacheHit }
 
-// Mode returns the mode the statement runs in. The mode is part of the
-// statement's identity — it is in the plan-cache key — so Execute
-// always uses it; prepare another statement to run a different mode.
-// An LB mode's working space (Options.Space) is fixed with it.
+// Mode returns the mode the statement runs in, which Execute always
+// uses; prepare another statement to run a different mode (it shares the
+// cached plan: plans are mode-free). An LB mode's working space
+// (Options.Space) is fixed with it.
 func (p *Prepared) Mode() core.Mode { return p.mode }
 
 // Execute runs the prepared plan. Execution-time options (parallelism,
@@ -126,17 +126,17 @@ func ShapeLabel(q *join.Query) string {
 	return sb.String()
 }
 
-// planKey builds the cache identity of a preparation: the shape, the
-// resolved SAO, the mode and — for planner-made decisions — a planned
-// marker and the chosen index family per atom. The shape pins every
-// relation's (ID, version), and one version is one tuple set with one
-// set of statistics, so the planner decides the same way every time the
-// shape comes back; the marker keeps a planned decision apart from an
-// unplanned one pinned to the same order.
-func planKey(shape string, d *join.Decision, mode core.Mode) string {
+// planKey builds the cache identity of a preparation — the shape, the
+// resolved SAO and, for planner-made decisions, a planned marker and the
+// chosen index family per atom — with no mode: plans are mode-free. The
+// shape pins every relation's (ID, version), and one version is one tuple
+// set with one set of statistics, so the planner decides the same way
+// every time the shape comes back; the marker keeps a planned decision
+// apart from an unplanned one pinned to the same order.
+func planKey(shape string, d *join.Decision) string {
 	var sb strings.Builder
 	sb.WriteString(shape)
-	fmt.Fprintf(&sb, "|sao=%s|mode=%v", strings.Join(d.SAOVars, ","), mode)
+	fmt.Fprintf(&sb, "|sao=%s", strings.Join(d.SAOVars, ","))
 	if d.Planned {
 		fmt.Fprintf(&sb, "|planned=%v", d.Families)
 	}
@@ -146,7 +146,7 @@ func planKey(shape string, d *join.Decision, mode core.Mode) string {
 // Prepare parses the query against the catalog's current relation
 // versions and returns an executable prepared statement, served from
 // the plan cache when an identical preparation (same shape, same
-// relation versions, same SAO, same mode) is live.
+// relation versions, same SAO) is live, whatever its mode.
 func (c *Catalog) Prepare(query string, opts join.Options) (*Prepared, error) {
 	q, err := c.Parse(query)
 	if err != nil {
@@ -169,7 +169,7 @@ func (c *Catalog) PrepareQuery(q *join.Query, opts join.Options) (*Prepared, err
 	if err != nil {
 		return nil, err
 	}
-	key := planKey(shapeKey(q), d, opts.Mode)
+	key := planKey(shapeKey(q), d)
 
 	label := ShapeLabel(q)
 	if plan, ok := c.plans.Get(key); ok {

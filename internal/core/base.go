@@ -8,15 +8,17 @@ import (
 	"tetrisjoin/internal/dyadic"
 )
 
-// PreparedBase is a read-only knowledge base holding the oracle's full
-// gap set B, inserted once with subsumption: the one place a Preloaded run
-// keeps its input. The skeleton never writes to it (what a run learns goes
-// to its private tree), so one base serves any number of runs at once. A
-// Preloaded run handed none builds its own (runBase); a prepared plan
-// builds one once and hands it to every execution.
+// PreparedBase is a read-only knowledge base holding a gap set B, inserted
+// once with subsumption: the one place a Preloaded run, a count and a
+// cover keep their input. The skeleton never writes to it (what a run
+// learns goes to its private tree), so one base serves any number of runs,
+// counts and covers at once. A Preloaded run handed none builds its own
+// (runBase); a prepared plan builds one once and hands it to every
+// execution, count and cover.
 type PreparedBase struct {
 	tree   *boxtree.Tree
-	loaded int64 // distinct gap boxes inserted (the BoxesLoaded charge)
+	depths []uint8
+	loaded int64 // gap boxes inserted (the BoxesLoaded charge)
 }
 
 // BuildPreloadedBase loads the oracle's full gap set into a fresh shared
@@ -25,26 +27,44 @@ type PreparedBase struct {
 // skeleton walks both its trees in that order). Everything else is
 // ignored.
 func BuildPreloadedBase(o Oracle, opts Options) (*PreparedBase, error) {
-	n, err := validateOracle(o)
-	if err != nil {
-		return nil, err
-	}
-	sao, err := checkSAO(opts.SAO, n)
-	if err != nil {
-		return nil, err
-	}
-	return buildBase(o, sao, boxtree.New(n))
+	return newBase(o.Depths(), o.AllGaps(), opts, boxtree.New)
 }
 
-// buildBase loads the oracle's gap set into the empty tree, levelled in
-// the SAO.
-func buildBase(o Oracle, sao []int, tree *boxtree.Tree) (*PreparedBase, error) {
-	tree.SetOrder(sao)
-	loaded, err := loadGapSet(o, func(b dyadic.Box) { tree.InsertSubsuming(b) })
+// newBase is a base over the given boxes in a tree newTree makes, levelled
+// in opts.SAO.
+func newBase(depths []uint8, boxes []dyadic.Box, opts Options, newTree func(int) *boxtree.Tree) (*PreparedBase, error) {
+	if err := checkDepths(depths); err != nil {
+		return nil, err
+	}
+	sao, err := checkSAO(opts.SAO, len(depths))
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedBase{tree: tree, loaded: loaded}, nil
+	return buildBase(depths, sao, boxes, newTree(len(depths)))
+}
+
+// buildBase is the one builder of a base: it checks each box and inserts
+// it into the empty tree, levelled in the SAO. An oracle's AllGaps lists
+// each box once, so the boxes are the distinct gaps loaded.
+func buildBase(depths []uint8, sao []int, boxes []dyadic.Box, tree *boxtree.Tree) (*PreparedBase, error) {
+	if err := checkGaps(depths, boxes); err != nil {
+		return nil, err
+	}
+	tree.SetOrder(sao)
+	for _, b := range boxes {
+		tree.InsertSubsuming(b)
+	}
+	return &PreparedBase{tree: tree, depths: depths, loaded: int64(len(boxes))}, nil
+}
+
+// checkGaps refuses a gap set holding a box outside the space.
+func checkGaps(depths []uint8, gaps []dyadic.Box) error {
+	for _, b := range gaps {
+		if err := b.Check(depths); err != nil {
+			return fmt.Errorf("core: invalid gap box %v: %w", b, err)
+		}
+	}
+	return nil
 }
 
 // runBase returns the base a plain run probes: Options.Base, or for a
@@ -62,9 +82,18 @@ func (o Options) runBase(or Oracle, sao []int) (*PreparedBase, error) {
 		}
 		return o.Base, nil
 	case o.Mode == Preloaded:
-		return buildBase(or, sao, getTree(n))
+		return buildBase(or.Depths(), sao, or.AllGaps(), getTree(n))
 	}
 	return nil, nil
+}
+
+// skeleton is the skeleton of one root call over the base's space, in the
+// SAO the base was built in, with the base as its read-only input: the
+// Boolean and counting variants.
+func (b *PreparedBase) skeleton(opts Options, stats *Stats) *skeleton {
+	sk := newSkeleton(len(b.depths), b.depths, b.tree.Order(), opts, stats)
+	sk.base = b.tree
+	return sk
 }
 
 // release pools the tree of a base that runBase built for this run alone.

@@ -29,18 +29,25 @@ func Covers(depths []uint8, boxes []dyadic.Box, opts Options) (*CoverReport, err
 }
 
 // CoversTarget reports whether the union of boxes covers the given target
-// box: the general Boolean sub-problem solved by TetrisSkeleton, invoked
-// once on the target. The witness aliases the run's trees or arena, so
-// none of them goes back to a pool.
+// box: (*PreparedBase).Covers over a base built from the boxes.
 func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Options) (*CoverReport, error) {
-	rep := &CoverReport{}
-	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats, boxtree.New)
+	base, err := newBase(depths, boxes, opts, boxtree.New)
 	if err != nil {
 		return nil, err
 	}
-	if err := target.Check(depths); err != nil {
+	return base.Covers(target, opts)
+}
+
+// Covers reports whether the union of the base's boxes covers the given
+// target box: the general Boolean sub-problem solved by TetrisSkeleton,
+// invoked once on the target. opts applies as to Count. The witness
+// aliases the base's tree or the run's own, so neither goes back to a pool.
+func (b *PreparedBase) Covers(target dyadic.Box, opts Options) (*CoverReport, error) {
+	if err := target.Check(b.depths); err != nil {
 		return nil, fmt.Errorf("core: invalid target box %v: %w", target, err)
 	}
+	rep := &CoverReport{}
+	sk := b.skeleton(opts, &rep.Stats)
 	v, w, err := sk.root(target)
 	if err != nil {
 		return nil, err
@@ -49,29 +56,4 @@ func CoversTarget(depths []uint8, boxes []dyadic.Box, target dyadic.Box, opts Op
 	rep.Witness = w
 	rep.Stats.KnowledgeBase = sk.kb.Len() + sk.base.Len()
 	return rep, nil
-}
-
-// preloadedSkeleton is the skeleton of one root call over the given space
-// with every box in its read-only base, a tree newTree makes: the Boolean
-// and counting variants.
-func preloadedSkeleton(depths []uint8, boxes []dyadic.Box, opts Options, stats *Stats, newTree func(int) *boxtree.Tree) (*skeleton, error) {
-	n := len(depths)
-	if err := checkDepths(depths); err != nil {
-		return nil, err
-	}
-	sao, err := checkSAO(opts.SAO, n)
-	if err != nil {
-		return nil, err
-	}
-	base := newTree(n)
-	base.SetOrder(sao)
-	for _, b := range boxes {
-		if err := b.Check(depths); err != nil {
-			return nil, fmt.Errorf("core: invalid box %v: %w", b, err)
-		}
-		base.InsertSubsuming(b)
-	}
-	sk := newSkeleton(n, depths, sao, opts, stats)
-	sk.base = base
-	return sk, nil
 }

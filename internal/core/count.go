@@ -34,14 +34,22 @@ type CountReport struct {
 // CountUncovered it solves the counting version of Klee's measure problem
 // in any dimension.
 func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountReport, error) {
-	rep := &CountReport{Uncovered: new(big.Int)}
-	sk, err := preloadedSkeleton(depths, boxes, opts, &rep.Stats, getTree)
+	base, err := newBase(depths, boxes, opts, getTree)
 	if err != nil {
 		return nil, err
 	}
-	// No witness leaves the run, so its trees go back to the pool.
+	defer putTree(base.tree)
+	return base.Count(opts)
+}
+
+// Count is CountUncovered over the base's boxes, in the SAO the base was
+// built in (opts.SAO is not read). It only reads the base, so any number
+// of counts, covers and runs may probe one base at once.
+func (b *PreparedBase) Count(opts Options) (*CountReport, error) {
+	rep := &CountReport{Uncovered: new(big.Int)}
+	sk := b.skeleton(opts, &rep.Stats)
+	// No witness leaves the run, so its tree goes back to the pool.
 	defer putTree(sk.kb)
-	defer putTree(sk.base)
 	sk.walk = nil
 	one, volume := big.NewInt(1), new(big.Int)
 	sk.settleUnit = func(b dyadic.Box) (dyadic.Box, error) {
@@ -51,14 +59,14 @@ func CountUncovered(depths []uint8, boxes []dyadic.Box, opts Options) (*CountRep
 	}
 	// Every kb box is a resolvent, inside the union of the base's boxes,
 	// so the base alone tells whether a frame meets a stored box.
-	sk.settleFrame = func(b dyadic.Box) bool {
-		if sk.base.IntersectsAny(b) {
+	sk.settleFrame = func(f dyadic.Box) bool {
+		if sk.base.IntersectsAny(f) {
 			return false
 		}
-		rep.Uncovered.Add(rep.Uncovered, volume.Lsh(one, uint(b.LogVolume(depths))))
+		rep.Uncovered.Add(rep.Uncovered, volume.Lsh(one, uint(f.LogVolume(b.depths))))
 		return true
 	}
-	if _, _, err := sk.root(dyadic.Universe(len(depths))); err != nil {
+	if _, _, err := sk.root(dyadic.Universe(len(b.depths))); err != nil {
 		return nil, err
 	}
 	rep.Stats.KnowledgeBase = sk.kb.Len() + sk.base.Len()

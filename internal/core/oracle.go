@@ -27,7 +27,8 @@ type Oracle interface {
 	// result is only valid until the next GapsContaining call, and
 	// callers retaining boxes across calls must Clone them.
 	GapsContaining(point []uint64) []dyadic.Box
-	// AllGaps enumerates the complete gap box set B. It is used by the
+	// AllGaps enumerates the complete gap box set B, each box once (the
+	// engine charges every listed box to BoxesLoaded). It is used by the
 	// Preloaded variants and may be expensive for lazy indices. Unlike
 	// GapsContaining, the result is caller-owned and stays valid.
 	AllGaps() []dyadic.Box

@@ -30,7 +30,7 @@ func restartReference(t *testing.T, o Oracle, opts Options, root dyadic.Box) *Re
 	// The gaps go into a read-only base, as the engine loads them.
 	var base *PreparedBase
 	if opts.Mode == Preloaded {
-		if base, err = buildBase(o, sao, boxtree.New(n)); err != nil {
+		if base, err = buildBase(depths, sao, o.AllGaps(), boxtree.New(n)); err != nil {
 			t.Fatal(err)
 		}
 		sk.base = base.tree

@@ -146,8 +146,9 @@ var keepEverything bool
 // treePool recycles knowledge-base trees between runs, whatever their
 // space (getTree matches on dimensionality): regrowing the slabs on every
 // execution was a tenth of a prepared statement's time and nearly all of
-// its garbage. Only runPlain, loadGapSet, release and CountUncovered put
-// trees back (CoversTarget's witness may alias either of its trees).
+// its garbage. Only runPlain, release, CountUncovered and
+// (*PreparedBase).Count put trees back (a cover's witness may alias either
+// of its trees).
 var treePool sync.Pool
 
 // maxPooledSlab is the slab capacity, in nodes or intervals, above which

@@ -124,28 +124,6 @@ func checkDepths(depths []uint8) error {
 	return nil
 }
 
-// loadGapSet is the one implementation of the Preloaded initial load: it
-// feeds the oracle's full gap box set through add — into a base tree
-// (buildBase) or, under PreloadedLB, the gaps the Space is built from —
-// validating each box and counting distinct boxes via a pooled
-// exact-match tree.
-func loadGapSet(o Oracle, add func(dyadic.Box)) (int64, error) {
-	depths := o.Depths()
-	loaded := getTree(len(depths))
-	defer putTree(loaded)
-	var fresh int64
-	for _, b := range o.AllGaps() {
-		if err := b.Check(depths); err != nil {
-			return fresh, fmt.Errorf("core: oracle returned invalid gap box %v: %w", b, err)
-		}
-		if loaded.Insert(b) {
-			fresh++
-		}
-		add(b)
-	}
-	return fresh, nil
-}
-
 func checkSAO(sao []int, n int) ([]int, error) {
 	if sao == nil {
 		sao = make([]int, n)
@@ -226,11 +204,11 @@ func newPass(o Oracle, opts Options, sao []int, roots []dyadic.Box, base *Prepar
 	wn, wdepths := n, depths
 	if !opts.Mode.Plain() {
 		if opts.Mode == PreloadedLB {
-			fresh, err := loadGapSet(o, func(b dyadic.Box) { gaps = append(gaps, b) })
-			if err != nil {
+			gaps = o.AllGaps()
+			if err := checkGaps(depths, gaps); err != nil {
 				return nil, nil, err
 			}
-			res.Stats.BoxesLoaded += fresh
+			res.Stats.BoxesLoaded += int64(len(gaps))
 		}
 		var err error
 		if sp, err = opts.Space(opts.Mode, depths, gaps); err != nil {

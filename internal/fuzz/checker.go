@@ -308,8 +308,8 @@ func (ck *Checker) checkCatalogPrepared(c Case, ref [][]uint64) *Discrepancy {
 				Detail: "cold execution reported zero index builds; preparation cost unaccounted"}
 		}
 		if mi > 0 && first.Stats.IndexBuilds != 0 {
-			// A later mode is a plan-cache miss but the index registry is
-			// already warm: cross-mode index sharing must hold.
+			// A later mode hits the plan the first one cached (plans are
+			// mode-free), so it must build no index.
 			return &Discrepancy{Config: config,
 				Detail: fmt.Sprintf("mode change rebuilt %d indexes; registry should have served them", first.Stats.IndexBuilds),
 				Got:    int(first.Stats.IndexBuilds), Want: 0}

@@ -191,38 +191,42 @@ func Count(q *Query, opts Options) (*big.Int, core.Stats, error) {
 	return count, stats, nil
 }
 
-// Count runs the counting variant over the prepared plan, reusing its
-// indices and memoized gap set; no index is built. opts.Context cancels
-// the count cooperatively, its resolutions charge opts.Budget (or
-// MaxResolutions) and opts.NoCache turns off its resolvent cache, as in
-// any other run.
+// Count runs the counting variant over the prepared plan's base
+// (PreloadedBase), which the first count, cover or Preloaded execution
+// builds; no index is built. opts.Context cancels the count
+// cooperatively, its resolutions charge opts.Budget (or MaxResolutions)
+// and opts.NoCache turns off its resolvent cache, as in any other run.
 func (p *Plan) Count(opts Options) (*big.Int, core.Stats, error) {
-	rep, err := core.CountUncovered(p.q.Depths(), p.AllGaps(), core.Options{
-		SAO:            p.sao,
-		NoCache:        opts.NoCache,
-		MaxResolutions: opts.MaxResolutions,
-		Budget:         opts.Budget,
-		Context:        opts.Context,
-	})
+	base, err := p.PreloadedBase()
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	rep, err := base.Count(p.probeOptions(opts))
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
 	return rep.Uncovered, rep.Stats, nil
 }
 
-// Covers runs the Boolean variant over the prepared plan: whether the
-// query's gap set covers the whole space (empty join output), with a
-// witness output tuple when it does not. opts.Context cancels the
-// search cooperatively and its resolutions charge opts.Budget (or
-// MaxResolutions) like any other run.
+// Covers runs the Boolean variant over the prepared plan's base: whether
+// the query's gap set covers the whole space (empty join output), with a
+// witness output tuple when it does not. opts applies as to Count.
 func (p *Plan) Covers(opts Options) (*core.CoverReport, error) {
-	return core.Covers(p.q.Depths(), p.AllGaps(), core.Options{
-		SAO:            p.sao,
+	base, err := p.PreloadedBase()
+	if err != nil {
+		return nil, err
+	}
+	return base.Covers(dyadic.Universe(len(p.q.Depths())), p.probeOptions(opts))
+}
+
+// probeOptions translates the options a count or cover honours.
+func (p *Plan) probeOptions(opts Options) core.Options {
+	return core.Options{
 		NoCache:        opts.NoCache,
 		MaxResolutions: opts.MaxResolutions,
 		Budget:         opts.Budget,
 		Context:        opts.Context,
-	})
+	}
 }
 
 // Execute runs the join and returns its result. The reduction follows

@@ -30,13 +30,12 @@ type atomBinding struct {
 // them immediately, and callers that retain boxes (e.g. the LB rebuild
 // set) must Clone them. An answer may repeat a box (several atoms, or an
 // index's members, can contribute it); the engine's knowledge-base insert
-// counts it once. AllGaps results are deduplicated, shared and read-only
-// for plan-backed oracles, freshly allocated otherwise.
+// counts it once. AllGaps lists each box once, in fresh caller-owned
+// storage.
 type Oracle struct {
 	depths   []uint8
 	bindings []atomBinding
 	cursors  []index.Cursor
-	allGaps  func() []dyadic.Box
 
 	proj []uint64          // projected probe point, reused
 	ext  []dyadic.Interval // arena for extended gap boxes, reused
@@ -46,8 +45,7 @@ type Oracle struct {
 // NewOracle assembles a standalone oracle for a query with the given
 // per-atom indices (parallel to q.Atoms(); each entry must be non-nil).
 // Queries executed repeatedly or in parallel should prepare a Plan and
-// use Plan.NewOracle instead, which shares the gap box set across
-// oracles.
+// use Plan.NewOracle instead, whose plan keeps one gap base for them all.
 func NewOracle(q *Query, indices []index.Index) *Oracle {
 	bindings := make([]atomBinding, 0, len(q.atoms))
 	maxArity := 0
@@ -61,17 +59,15 @@ func NewOracle(q *Query, indices []index.Index) *Oracle {
 		}
 		bindings = append(bindings, atomBinding{ix: indices[ai], relPos: relPos})
 	}
-	return newOracle(q.Depths(), bindings, maxArity, nil)
+	return newOracle(q.Depths(), bindings, maxArity)
 }
 
-// newOracle builds the per-worker prober. gaps, when non-nil, supplies a
-// shared precomputed B(Q) for AllGaps (the Plan's memoized set).
-func newOracle(depths []uint8, bindings []atomBinding, maxArity int, gaps func() []dyadic.Box) *Oracle {
+// newOracle builds the per-worker prober.
+func newOracle(depths []uint8, bindings []atomBinding, maxArity int) *Oracle {
 	o := &Oracle{
 		depths:   depths,
 		bindings: bindings,
 		cursors:  make([]index.Cursor, len(bindings)),
-		allGaps:  gaps,
 		proj:     make([]uint64, maxArity),
 	}
 	for i, b := range bindings {
@@ -121,25 +117,17 @@ func (o *Oracle) GapsContaining(point []uint64) []dyadic.Box {
 }
 
 // AllGaps implements core.Oracle: the full set B(Q) of gap boxes from
-// every index, extended to query space. Plan-backed oracles share one
-// memoized read-only set; standalone oracles compute a fresh caller-owned
-// set per call. Either way the boxes stay valid indefinitely.
+// every index, extended to query space and deduplicated, so each box
+// appears once. The set is freshly computed, caller-owned and valid
+// indefinitely.
 func (o *Oracle) AllGaps() []dyadic.Box {
-	if o.allGaps != nil {
-		return o.allGaps()
-	}
-	return allGapsOf(len(o.depths), o.bindings)
+	return allGaps(len(o.depths), o.bindings)
 }
 
-// allGaps enumerates B(Q) for a query's bindings: every index's gap set,
-// extended to query space and deduplicated. The boxes are carved from a
-// fresh arena (so the whole set costs O(log) allocations) and only read
-// afterwards.
-func allGaps(q *Query, bindings []atomBinding) []dyadic.Box {
-	return allGapsOf(len(q.Depths()), bindings)
-}
-
-func allGapsOf(n int, bindings []atomBinding) []dyadic.Box {
+// allGaps enumerates B(Q) for n-dimensional bindings. The boxes are carved
+// from a fresh arena (so the whole set costs O(log) allocations) and only
+// read afterwards.
+func allGaps(n int, bindings []atomBinding) []dyadic.Box {
 	var out []dyadic.Box
 	var arena []dyadic.Interval
 	seen := boxtree.New(n)

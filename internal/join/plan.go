@@ -76,14 +76,10 @@ type Plan struct {
 	maxArity int
 	builds   int64 // indexes constructed during preparation
 
-	// The full gap box set B(Q) is computed at most once per plan and
-	// shared read-only by every Preloaded shard.
-	gapsOnce sync.Once
-	gaps     []dyadic.Box
-
-	// The shared Preloaded knowledge base (the gap set inserted into a
-	// read-only boxtree) is likewise built at most once, by the first
-	// SharedBase execution, and reused by every later one.
+	// The shared Preloaded knowledge base — the gap set B(Q) inserted into
+	// a read-only boxtree, the only form in which the plan keeps it — is
+	// built at most once, by the first SharedBase execution, count or
+	// cover, and reused by every later one.
 	baseOnce sync.Once
 	base     *core.PreparedBase
 	baseErr  error
@@ -150,18 +146,16 @@ func (p *Plan) Indices() []index.Index { return p.indices }
 // registry), the distinct (relation, order) count when built fresh.
 func (p *Plan) IndexBuilds() int64 { return p.builds }
 
-// AllGaps returns the query's full gap box set B(Q), computed on first
-// use and shared afterwards. The slice and its boxes are read-only.
+// AllGaps returns the query's full gap box set B(Q), computed afresh on
+// each call and owned by the caller. The plan keeps B(Q) only in its
+// base (PreloadedBase).
 func (p *Plan) AllGaps() []dyadic.Box {
-	p.gapsOnce.Do(func() {
-		p.gaps = allGaps(p.q, p.bindings)
-	})
-	return p.gaps
+	return allGaps(len(p.q.Depths()), p.bindings)
 }
 
 // PreloadedBase returns the plan's shared Preloaded knowledge base,
-// built on first use from the memoized gap set and reused read-only by
-// every later Preloaded execution.
+// built on first use from B(Q) and reused read-only by every later
+// Preloaded execution, count and cover.
 func (p *Plan) PreloadedBase() (*core.PreparedBase, error) {
 	p.baseOnce.Do(func() {
 		p.base, p.baseErr = core.BuildPreloadedBase(p.NewOracle(), core.Options{Mode: core.Preloaded, SAO: p.sao})
@@ -173,5 +167,5 @@ func (p *Plan) PreloadedBase() (*core.PreparedBase, error) {
 // cursors and probe scratch over the shared immutable indices. Each
 // oracle must be confined to one goroutine at a time.
 func (p *Plan) NewOracle() *Oracle {
-	return newOracle(p.q.Depths(), p.bindings, p.maxArity, p.AllGaps)
+	return newOracle(p.q.Depths(), p.bindings, p.maxArity)
 }

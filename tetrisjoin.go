@@ -162,8 +162,8 @@ type Catalog = catalog.Catalog
 type CatalogOptions = catalog.Options
 
 // Prepared is an executable prepared statement over a catalog: its
-// executions reuse the plan's indexes, memoized gap set and (in
-// Preloaded mode) shared knowledge base, performing zero index builds.
+// executions reuse the plan's indexes and (Preloaded executions, counts
+// and covers) its one base of the gap set, performing zero index builds.
 type Prepared = catalog.Prepared
 
 // Maintained is a prepared statement whose materialized result
